@@ -6,7 +6,7 @@
     seltrace auto ct|eis|maass-selberg|plancherel ...
     seltrace special eval --fn NAME [--re X] [--im Y] [--nu V] [--y V] [--n N]
 
-Exit codes: 0 pass, 1 check failure, 2 configuration error.
+Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .suites import SUITE_NAMES, UnknownSuiteError, emit_report, run_all, run_suite
+from .util import SeltraceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownSuiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SeltraceError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 2
 
 

@@ -94,6 +94,8 @@ class SuiteReport:
     records: list = field(default_factory=list)
     wall_clock: float = 0.0
     config_echo: dict = field(default_factory=dict)
+    # per-check seconds; serialized with wall_clock only, never in records
+    timings: dict = field(default_factory=dict)
 
     def add(self, check_id: str, inputs, expected, got, tolerance: float):
         deviation = float(abs(complex(got) - complex(expected)))
@@ -139,6 +141,7 @@ class SuiteReport:
         }
         if include_timing:
             out["wall_clock"] = self.wall_clock
+            out["timings"] = self.timings
         return out
 
 
@@ -422,7 +425,9 @@ def _suite_maass_selberg(cfg: RunConfig) -> SuiteReport:
             t0 = time.perf_counter()
             lhs, rhs, dev = maass_selberg(s1, s2, T, nx=cfg.nx, ny=cfg.ny)
             dt_run = time.perf_counter() - t0
-            rep.add(f"ms[s1={s1},s2={s2},T={T}]", f"runtime={dt_run:.1f}s", rhs, lhs, tol)
+            check_id = f"ms[s1={s1},s2={s2},T={T}]"
+            rep.add(check_id, f"nx={cfg.nx},ny={cfg.ny}", rhs, lhs, tol)
+            rep.timings[check_id] = dt_run
             if dt_run > 60.0:
                 rep.add_bool(f"ms_runtime[s1={s1},s2={s2},T={T}]", "", False, f"{dt_run:.1f}s")
     # positivity for a conjugate pair

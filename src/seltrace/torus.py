@@ -12,9 +12,11 @@ Conventions:
                           + sum_{Re>sigma} x^a Res-  (PV + half residues on
                           the contour itself)
 
-Rational pole terms are carried exactly; the smooth core goes through a
-log-variable trapezoid rule, which is spectrally accurate for the rapidly
-decaying cores this module requires.
+Rational pole terms are carried exactly; the smooth core goes through
+composite Gauss-Legendre panels in the log variable u = log x, which are
+spectrally accurate for the rapidly decaying cores this module requires.
+Every sum over those nodes (and the inversion's sum over the contour) is one
+`util.exp_sum` call, which factors vertical lines into block products.
 """
 
 from __future__ import annotations
@@ -32,7 +34,16 @@ from .charged import (
     charged_product,
     negate_argument,
 )
-from .util import DecayError, SeltraceError, smooth_eta, smooth_eta_inf, trap_grid
+from .util import (
+    DecayError,
+    SeltraceError,
+    exp_sum,
+    gl_nodes,
+    panel_gl_nodes,
+    smooth_eta,
+    smooth_eta_inf,
+    trap_grid,
+)
 
 __all__ = [
     "TailDecayError",
@@ -202,23 +213,18 @@ def _core_transform(f: AsymptoticallyFiniteFunction, opts: MellinOptions):
     # composite Gauss-Legendre panels with an edge pinned at u = 0: cores are
     # smooth except possibly for a sharp-carrier jump at x = 1, and panel
     # width 0.25 keeps the rule spectrally accurate for |Im s| <= ~40
-    from .util import panel_gl_nodes
-
     n_panels = int(math.ceil(opts.u_max / 0.25))
     edges_pos = np.linspace(0.0, opts.u_max, n_panels + 1)
     u_pos, w_pos = panel_gl_nodes(edges_pos, 16)
     u = np.concatenate([-u_pos[::-1], u_pos])
     w = np.concatenate([w_pos[::-1], w_pos])
-    x = np.exp(u)
-    weighted = f.core_values(x) * w
+    nodes = [u]
+    weighted = [f.core_values(np.exp(u)) * w]
 
     # smooth-carrier corrections (term minus its sharp twin) are entire but
     # live on a jump-bounded interval around x = 1; quadrature them on exact
     # Gauss-Legendre panels so the 1/s boundary tails cancel the rational
     # pole terms to spectral accuracy
-    corr_nodes = []
-    from .util import gl_nodes
-
     for t in f.terms:
         if t.carrier != "smooth":
             continue
@@ -226,16 +232,14 @@ def _core_transform(f: AsymptoticallyFiniteFunction, opts: MellinOptions):
         lo, hi = (-math.log(2.0), 0.0) if t.side == "zero" else (0.0, math.log(2.0))
         un, uw = gl_nodes(lo, hi, 96)
         xn = np.exp(un)
-        corr_nodes.append((un, (t(xn) - sharp(xn)) * uw))
+        nodes.append(un)
+        weighted.append((t(xn) - sharp(xn)) * uw)
+
+    u_all = np.concatenate(nodes)
+    c_all = np.concatenate(weighted)
 
     def ev(s):
-        s = np.asarray(s, dtype=complex)
-        shape = s.shape
-        sf = s.reshape(-1)
-        out = np.exp(-np.multiply.outer(sf, u)) @ weighted
-        for un, vw in corr_nodes:
-            out = out + np.exp(-np.multiply.outer(sf, un)) @ vw
-        return out.reshape(shape)
+        return exp_sum(s, u_all, c_all)
 
     return ev
 
@@ -452,8 +456,7 @@ def mellin_inverse(
     t, w = trap_grid(ctr.t_max, ctr.dt)
     remainder = _line_remainder(F, sigma, t, ctr.dt, rational)
     _check_contour_decay(remainder, ctr, F.decay_class)
-    phase = np.exp(np.multiply.outer(np.log(xs), 1j * t))
-    contour = (phase @ (remainder * w)) / (2.0 * np.pi) * xs**sigma
+    contour = exp_sum(-1j * np.log(xs), t, remainder * w) / (2.0 * np.pi) * xs**sigma
 
     out = contour.astype(complex)
     for i, xv in enumerate(xs):

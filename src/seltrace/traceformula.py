@@ -31,7 +31,7 @@ from .special import intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
 from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids
 from .torus import TwoTermLaurent
-from .util import DecayError, SeltraceError, gl_nodes, panel_gl_nodes, trap_grid
+from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, trap_grid
 
 __all__ = [
     "FitError",
@@ -89,29 +89,20 @@ class SphericalTestFunction:
 
 def _fourier_g(h: Callable, t_max: float, dt: float):
     t, w = trap_grid(t_max, dt)
-    ht = np.asarray(h(1j * t), dtype=complex)
+    hw = np.asarray(h(1j * t), dtype=complex) * w
 
     def g(u):
-        u = np.asarray(u, dtype=float)
-        shape = u.shape
-        ph = np.exp(-1j * np.multiply.outer(u.reshape(-1), t))
-        out = (ph @ (ht * w)) / (2.0 * np.pi)
-        return out.reshape(shape)
+        return exp_sum(1j * np.asarray(u, dtype=float), t, hw) / (2.0 * np.pi)
 
     return g
 
 
 def _g_cl_derivative(h: Callable, t_max: float, dt: float):
     t, w = trap_grid(t_max, dt)
-    ht = np.asarray(h(1j * t), dtype=complex)
-    kern = ht * (-1j * t * 0.5) * w
+    kern = np.asarray(h(1j * t), dtype=complex) * (-1j * t * 0.5) * w
 
     def gclp(rho):
-        rho = np.asarray(rho, dtype=float)
-        shape = rho.shape
-        ph = np.exp(-1j * 0.5 * np.multiply.outer(rho.reshape(-1), t))
-        out = (ph @ kern) / (4.0 * np.pi)
-        return out.reshape(shape)
+        return exp_sum(0.5j * np.asarray(rho, dtype=float), t, kern) / (4.0 * np.pi)
 
     return gclp
 

@@ -1,7 +1,9 @@
-"""Shared numerics: quadrature grids, smooth cutoffs, modular reduction."""
+"""Shared numerics: quadrature grids, exponential sums, smooth cutoffs,
+modular reduction."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -56,11 +58,55 @@ def trap_grid(t_max: float, dt: float):
     return t, w
 
 
-def vertical_line_integral(values, weights):
-    """(1/2*pi*i) * integral over a vertical line, from samples F(sigma+it).
+# shortest vertical progression worth factoring; shorter inputs go dense
+_MIN_PROGRESSION = 256
+# exponentials per row block of the dense formula (32 MB of complex128)
+_DENSE_BLOCK = 1 << 21
 
-    ds = i dt, so the prefactor reduces to 1/(2*pi)."""
-    return np.sum(values * weights) / (2.0 * np.pi)
+
+def _vertical_step(s: np.ndarray):
+    """Imaginary step d if s_k = s_0 + i k d to rounding (constant real part,
+    either direction, at least _MIN_PROGRESSION points), else None."""
+    n = s.size
+    if n < _MIN_PROGRESSION:
+        return None
+    d = (s[-1].imag - s[0].imag) / (n - 1)
+    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
+    dev_im = s.imag - (s[0].imag + d * np.arange(n))
+    dev_re = s.real - s[0].real
+    # written so that a nan anywhere fails the test
+    if not (np.max(np.abs(dev_im)) <= tol and np.max(np.abs(dev_re)) <= tol):
+        return None
+    return d
+
+
+def exp_sum(s, u, c):
+    """sum_j c_j exp(-s_k u_j) for every s_k; the result has the shape of s.
+
+    On a vertical progression s_{bB+m} = s_{bB} + i m d, taken in blocks of
+    B = ceil(sqrt(n)) points, exp(-s u) factors as exp(-s_{bB} u) exp(-i m d u):
+    the whole line is one (n/B x n_u) @ (n_u x B) product built from
+    O(sqrt(n) n_u) exponentials, and no n x n_u array is ever formed.  Any
+    other s takes the dense formula in row blocks of bounded size.  Both are
+    the same sum, exact to rounding.
+    """
+    s = np.asarray(s, dtype=complex)
+    u = np.asarray(u)
+    c = np.asarray(c, dtype=complex)
+    sf = s.reshape(-1)
+    d = _vertical_step(sf)
+    if d is not None:
+        n = sf.size
+        B = math.isqrt(n - 1) + 1
+        head = np.exp(-np.multiply.outer(sf[::B], u)) * c
+        step = np.exp(np.multiply.outer(-1j * d * np.arange(B), u))
+        out = (head @ step.T).reshape(-1)[:n]
+    else:
+        out = np.empty(sf.shape, dtype=complex)
+        rows = max(1, _DENSE_BLOCK // max(u.size, 1))
+        for i in range(0, sf.size, rows):
+            out[i : i + rows] = np.exp(-np.multiply.outer(sf[i : i + rows], u)) @ c
+    return out.reshape(s.shape)
 
 
 def smooth_eta(x):
@@ -95,20 +141,6 @@ def reduce_to_fundamental_domain(z: complex, max_iter: int = 200) -> complex:
             return z
         z = complex(-z.real / n2, z.imag / n2)
     return z
-
-
-def coprime_pairs(c_max: int, d_window: int):
-    """Arrays (c, d0) with 1 <= c <= c_max, |d0| <= d_window, gcd(c, d0) = 1."""
-    cs, ds = [], []
-    for c in range(1, c_max + 1):
-        d = np.arange(-d_window, d_window + 1)
-        g = np.gcd(c, np.abs(d))
-        keep = g == 1
-        cs.append(np.full(int(np.sum(keep)), c))
-        ds.append(d[keep])
-    if not cs:
-        return np.array([], dtype=int), np.array([], dtype=int)
-    return np.concatenate(cs), np.concatenate(ds)
 
 
 def as_complex_array(x):

@@ -1,12 +1,6 @@
-import warnings
-
 import pytest
 
 from seltrace.traceformula import gaussian_test_function
-
-
-def pytest_configure(config):
-    warnings.simplefilter("ignore")
 
 
 @pytest.fixture(scope="session")

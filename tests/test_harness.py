@@ -91,6 +91,14 @@ class TestHarness:
         emit_report(run_suite("functional-equations", cfg), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_maass_selberg_byte_identical(self, tmp_path):
+        # per-case run times go to the timing channel, not to record inputs
+        cfg = RunConfig(ms_T=(1.0,))
+        p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        emit_report(run_suite("maass-selberg", cfg), p1)
+        emit_report(run_suite("maass-selberg", cfg), p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
     def test_fault_injection_fails_suite(self):
         cfg = RunConfig(fault_injection="c_sign")
         rep = run_suite("functional-equations", cfg)
@@ -171,3 +179,16 @@ class TestCLI:
         assert rec["tf_minus1"]["deviation_geo_spec"] < 1e-3
         assert "M0_term" in rec["tf0_terms"]
         assert "measure_ledger" in rec
+
+    def test_numerical_failure_exit_3(self, monkeypatch, capsys):
+        from seltrace import cli, traceformula
+
+        def failing_fit(*args, **kwargs):
+            raise traceformula.FitError("kernel truncation fit residuals too large")
+
+        monkeypatch.setattr(traceformula, "two_term_laurent_kernel", failing_fit)
+        code = cli.main(["tf", "report", "--width", "0.7"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: FitError: kernel truncation fit")
+        assert "Traceback" not in err

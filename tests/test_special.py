@@ -158,6 +158,7 @@ class TestKBessel:
         v = kbessel(0.25 + 1j, 0.7)
         assert abs(v - complex(mp.besselk(mp.mpc(0.25, 1.0), 0.7))) < 1e-10
 
+    @pytest.mark.filterwarnings("ignore::seltrace.special.UnderflowWarning")
     def test_underflow_flag(self):
         got = kbessel_imag_order(1.0, 800.0)
         assert got.underflowed and got.value == 0.0
