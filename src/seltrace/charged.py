@@ -97,13 +97,16 @@ def _combine_decay(a, b):
     return ("polynomial", a[1] + b[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargedMeromorphicFunction:
     """Evaluator + charged pole table on a vertical strip.
 
     decay_class is declared metadata: ("rapid", 0), ("polynomial", order) for
     |F| ~ |t|^-order, or ("unknown", 0).  It is verified elsewhere
     (pw_decay_profile), never inferred here.
+
+    The evaluator is an opaque closure, so instances compare and hash by
+    identity; memos keyed on a transform hit only for the same object.
     """
 
     evaluator: Callable

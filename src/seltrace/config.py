@@ -27,17 +27,14 @@ class ConfigError(SeltraceError):
 
 @dataclass
 class RunConfig:
+    """The knobs that change suite results; every field is echoed into each
+    report's `config` block."""
+
     tolerances: dict = field(default_factory=dict)  # per-check-class overrides
-    t_max: float = 40.0
-    dt: float = 1e-2
     nx: int = 200
     ny: int = 200
-    y_max: float = 12.0
-    coset_bound: int | None = None
     ms_T: tuple = (1.0, 2.0)
     corpus: tuple = ()  # empty means the default selection per suite
-    out_path: str = ""
-    out_format: str = "json"
     seed: int = 1234
     fault_injection: str = ""
     kernel_u_max: float = 250.0
@@ -46,8 +43,6 @@ class RunConfig:
         for k, v in self.tolerances.items():
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError(f"tolerance {k!r} must be positive, got {v!r}")
-        if self.out_format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {self.out_format!r}")
 
     def tol(self, kind: str) -> float:
         if kind in self.tolerances:
@@ -58,14 +53,9 @@ class RunConfig:
 
 
 _SCALAR_FIELDS = {
-    "t_max": float,
-    "dt": float,
     "nx": int,
     "ny": int,
-    "y_max": float,
     "seed": int,
-    "out_path": str,
-    "out_format": str,
     "fault_injection": str,
     "kernel_u_max": float,
 }
@@ -109,9 +99,6 @@ def _apply_kv(cfg: RunConfig, key: str, val):
         return
     if key == "corpus":
         cfg.corpus = tuple(v.strip() for v in str(val).split(",") if v.strip())
-        return
-    if key == "coset_bound":
-        cfg.coset_bound = None if str(val).lower() in ("none", "auto", "") else int(val)
         return
     if key in _SCALAR_FIELDS:
         typ = _SCALAR_FIELDS[key]

@@ -184,7 +184,6 @@ class AutomorphicFunction:
     evaluator: Callable
     ct: Callable | None = None
     asymptote: tuple | None = None
-    decay_height: float = 12.0
     label: str = ""
 
     def __call__(self, z):
@@ -523,7 +522,7 @@ def eisenstein_grid_values(s: complex, z: np.ndarray, n_terms: int | None = None
 
 
 def eisenstein(s: complex, z, n_terms: int | None = None) -> complex:
-    """E_s at one点 point via the Fourier expansion."""
+    """E_s at one point via the Fourier expansion."""
     return complex(eisenstein_grid_values(s, np.atleast_1d(_as_z(z)), n_terms)[0])
 
 
@@ -591,7 +590,6 @@ def lattice_eisenstein(s: complex, z, m_max: int = 60) -> complex:
         return (1.0 - 2.0 * w) * mv ** (-2.0 * w)
 
     M = float(m_max)
-    m_tail = g(M + 1) * 0.0
     m_tail = (M + 1) ** (2 - 2 * w) / (2 * w - 2) + 0.5 * g(M + 1) - gp(M + 1) / 12.0
     total += 2.0 * const * m_tail
     return complex(total / (2.0 * zeta(2.0 * w)))

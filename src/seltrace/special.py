@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,14 +30,7 @@ __all__ = [
     "KBesselValue",
     "divisor_sigma",
     "ScatteringScalar",
-    "EULER_GAMMA",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
-
-# test-only fault injection knob consumed by the verification suites; normal
-# code must leave this at None
-_FAULT = {"mode": None}
 
 
 class PoleError(SeltraceError):
@@ -214,32 +208,24 @@ def xi(s):
 
 
 def _c_raw(s):
-    val = xi(s) / xi(s + 1.0)
-    if _FAULT["mode"] == "c_sign":
-        val = -val
-    return val
+    return xi(s) / xi(s + 1.0)
 
 
-_C_TAYLOR_CACHE: dict[str, np.ndarray] = {}
-
-
+@lru_cache(maxsize=8)
 def _c_taylor_at_zero(order: int = 6, radius: float = 1e-2) -> np.ndarray:
-    key = f"{order}:{radius}"
-    if key not in _C_TAYLOR_CACHE:
-        m = 64
-        th = 2.0 * np.pi * np.arange(m) / m
-        ring = radius * np.exp(1j * th)
-        vals = _c_raw(ring)
-        coeffs = np.fft.fft(vals) / m
-        _C_TAYLOR_CACHE[key] = coeffs[: order + 1] / radius ** np.arange(order + 1)
-    return _C_TAYLOR_CACHE[key]
+    m = 64
+    th = 2.0 * np.pi * np.arange(m) / m
+    ring = radius * np.exp(1j * th)
+    vals = _c_raw(ring)
+    coeffs = np.fft.fft(vals) / m
+    return coeffs[: order + 1] / radius ** np.arange(order + 1)
 
 
 def intertwining_c(s):
     """Level-1 spherical scattering scalar c(s) = xi(s)/xi(s+1).
 
     c(0) = -1 is a removable point (ratio of the two xi-pole limits) and is
-    evaluated by a cached Taylor expansion.  PoleError at the single pole
+    evaluated by a memoized Taylor expansion.  PoleError at the single pole
     s = 1, residue 1/xi(2) = 6/pi.
     """
     s = np.asarray(s, dtype=complex)
@@ -264,28 +250,25 @@ def intertwining_c(s):
 def c_log_derivative(s, h: float = 1e-4, cross_check: bool = False):
     """(c'/c)(s) by Richardson-extrapolated central differences of c.
 
-    With cross_check=True the same quantity is recomputed from xi'/xi
-    differences and the pair (value, alt_value) is returned.
+    `s` may be an array.  With cross_check=True the same quantity is
+    recomputed from xi'/xi differences and the pair (value, alt_value) is
+    returned.
     """
-    s = complex(s)
-    if abs(s - 1.0) < 10 * h or abs(s) < 10 * h:
-        raise PoleProximityError([s], "c'/c too close to a pole/removable point")
-    def d_central(f, x0, step):
-        return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
+    s = np.asarray(s, dtype=complex)
+    near = (np.abs(s - 1.0) < 10 * h) | (np.abs(s) < 10 * h)
+    if np.any(near):
+        raise PoleProximityError(s[near], "c'/c too close to a pole/removable point")
 
-    d1 = d_central(intertwining_c, s, h)
-    d2 = d_central(intertwining_c, s, 0.5 * h)
-    deriv = (4.0 * d2 - d1) / 3.0
-    val = deriv / intertwining_c(s)
+    def log_derivative(f, x0):
+        def d_central(step):
+            return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
+
+        return ((4.0 * d_central(0.5 * h) - d_central(h)) / 3.0) / f(x0)
+
+    val = log_derivative(intertwining_c, s)
     if not cross_check:
         return val
-    def xilog(x0):
-        e1 = d_central(xi, x0, h)
-        e2 = d_central(xi, x0, 0.5 * h)
-        return ((4.0 * e2 - e1) / 3.0) / xi(x0)
-
-    alt = xilog(s) - xilog(s + 1.0)
-    return val, alt
+    return val, log_derivative(xi, s) - log_derivative(xi, s + 1.0)
 
 
 @dataclass(frozen=True)
@@ -327,17 +310,12 @@ class KBesselValue(NamedTuple):
     underflowed: bool
 
 
-_DE_CACHE: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _de_nodes(t_lo: float = -3.8, t_hi: float = 3.6, h: float = 0.018):
-    key = (t_lo, t_hi)
-    if key not in _DE_CACHE:
-        t = np.arange(t_lo, t_hi + h, h)
-        u = np.exp(0.5 * np.pi * np.sinh(t))
-        w = h * 0.5 * np.pi * np.cosh(t) * u
-        _DE_CACHE[key] = (u, w)
-    return _DE_CACHE[key]
+    t = np.arange(t_lo, t_hi + h, h)
+    u = np.exp(0.5 * np.pi * np.sinh(t))
+    w = h * 0.5 * np.pi * np.cosh(t) * u
+    return u, w
 
 
 def kbessel(nu, y):

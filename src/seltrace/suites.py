@@ -12,7 +12,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -151,15 +151,7 @@ def _fmt(v) -> str:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "t_max": cfg.t_max,
-        "dt": cfg.dt,
-        "nx": cfg.nx,
-        "ny": cfg.ny,
-        "y_max": cfg.y_max,
-        "tolerances": dict(sorted(cfg.tolerances.items())),
-    }
+    return asdict(cfg)
 
 
 # ----------------------------------------------------------------------------
@@ -313,66 +305,64 @@ def _suite_charged_core(cfg: RunConfig) -> SuiteReport:
 
 def _suite_functional_equations(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("functional-equations", config_echo=_config_echo(cfg))
-    if cfg.fault_injection == "c_sign":
-        special._FAULT["mode"] = "c_sign"
-    try:
-        sig = np.linspace(0.1, 0.9, 9)
-        ts = np.concatenate([np.linspace(0.0, 40.0, 41)])
-        S = (sig[:, None] + 1j * ts[None, :]).ravel()
-        dev_xi = float(np.max(np.abs(xi(S) - xi(1.0 - S))))
-        rep.add("xi_functional_equation", "grid 0.1..0.9 x |t|<=40", 0.0, dev_xi, 1e-10)
-        for re_s in (0.0, 0.3, -0.3):
-            tt = np.linspace(0.05, 40.0, 80)
-            s = re_s + 1j * tt
-            dev_c = float(np.max(np.abs(intertwining_c(s) * intertwining_c(-s) - 1.0)))
-            rep.add(f"c_times_c_neg[Re={re_s}]", "|t|<=40", 0.0, dev_c, 1e-9)
-        rep.add("c_at_zero", "limit", -1.0, intertwining_c(0.0), cfg.tol("analytic"))
-        res_c = numeric_residue(lambda s: intertwining_c(s), 1.0, radius=1e-2)
-        rep.add("c_residue_at_1", "contour circle", 6.0 / math.pi, res_c, cfg.tol("quadrature"))
-        rep.add("xi_residue_at_1", "contour circle", 1.0, numeric_residue(lambda s: xi(s), 1.0, radius=1e-2), 1e-8)
-        rep.add("zeta_at_2", "", math.pi**2 / 6.0, zeta(2.0 + 0j), 1e-12)
-        rep.add("zeta_at_0", "", -0.5, zeta(0.0 + 0j), 1e-12)
-        # Gamma recursion on seeded random samples
-        rng = np.random.default_rng(cfg.seed)
-        zs = rng.uniform(0.3, 3.0, 12) + 1j * rng.uniform(-8.0, 8.0, 12)
-        dev_g = float(np.max(np.abs(gamma(zs + 1.0) / (zs * gamma(zs)) - 1.0)))
-        rep.add("gamma_recursion", "12 seeded samples", 0.0, dev_g, 1e-12)
-        # derivation oracle for the scattering normalization: constant term of
-        # the truncated lattice Eisenstein sum at Re s = 3 fits c(s)
-        s0 = 3.0 + 0.4j
-        w0 = 0.5 * (1.0 + s0)
-        ys = np.array([1.3, 2.1])
-        cts = []
-        for yv in ys:
-            xs_q = (np.arange(64) + 0.5) / 64.0 - 0.5
-            vals = np.array([lattice_eisenstein(s0, complex(xq, yv)) for xq in xs_q])
-            cts.append(np.mean(vals))
-        A = np.array([[ys[0] ** w0, ys[0] ** (1 - w0)], [ys[1] ** w0, ys[1] ** (1 - w0)]])
-        coeffs = np.linalg.solve(A, np.array(cts))
-        rep.add("c_lattice_oracle[leading]", f"s={s0}", 1.0, coeffs[0], cfg.tol("fd"))
-        rep.add("c_lattice_oracle[scattering]", f"s={s0}", intertwining_c(s0), coeffs[1], cfg.tol("fd"))
-        # c'/c: two computation routes and line symmetry
-        v, alt = special.c_log_derivative(0.3 + 0.7j, cross_check=True)
-        rep.add("clogd_two_routes", "s=0.3+0.7i", v, alt, cfg.tol("quadrature"))
-        rep.add(
-            "clogd_even",
-            "s=0.4i",
-            special.c_log_derivative(0.4j),
-            special.c_log_derivative(-0.4j),
-            cfg.tol("analytic"),
-        )
-        rep.add("clogd_real_on_line", "t=1", 0.0, complex(special.c_log_derivative(1j)).imag, 1e-8)
-        # K-Bessel spot values
-        rep.add("kbessel_half", "K_{1/2}(1)", math.sqrt(math.pi / 2.0) * math.exp(-1.0), kbessel(0.5, 1.0), 1e-10)
-        got = kbessel_imag_order(0.0, 1.0)
-        rep.add("kbessel_zero_order", "K_0(1)", 0.42102443824070834, got.value, 1e-9)
-        fine = kbessel(1j, 0.5)
-        coarse = kbessel_imag_order(1.0, 0.5).value
-        rep.add("kbessel_refinement", "K_i(0.5)", fine, coarse, 1e-9)
-        rep.add("divisor_sigma[6,1]", "", 12.0, divisor_sigma(6, 1.0), 1e-12)
-        rep.add("divisor_sigma[12,-1]", "", 7.0 / 3.0, divisor_sigma(12, -1.0), 1e-12)
-    finally:
-        special._FAULT["mode"] = None
+    # the c checks run against this local c; the c_sign fault flips it here
+    # only, so no other caller of intertwining_c ever sees the flip
+    c = (lambda s: -intertwining_c(s)) if cfg.fault_injection == "c_sign" else intertwining_c
+    sig = np.linspace(0.1, 0.9, 9)
+    ts = np.concatenate([np.linspace(0.0, 40.0, 41)])
+    S = (sig[:, None] + 1j * ts[None, :]).ravel()
+    dev_xi = float(np.max(np.abs(xi(S) - xi(1.0 - S))))
+    rep.add("xi_functional_equation", "grid 0.1..0.9 x |t|<=40", 0.0, dev_xi, 1e-10)
+    for re_s in (0.0, 0.3, -0.3):
+        tt = np.linspace(0.05, 40.0, 80)
+        s = re_s + 1j * tt
+        dev_c = float(np.max(np.abs(c(s) * c(-s) - 1.0)))
+        rep.add(f"c_times_c_neg[Re={re_s}]", "|t|<=40", 0.0, dev_c, 1e-9)
+    rep.add("c_at_zero", "limit", -1.0, c(0.0), cfg.tol("analytic"))
+    res_c = numeric_residue(c, 1.0, radius=1e-2)
+    rep.add("c_residue_at_1", "contour circle", 6.0 / math.pi, res_c, cfg.tol("quadrature"))
+    rep.add("xi_residue_at_1", "contour circle", 1.0, numeric_residue(lambda s: xi(s), 1.0, radius=1e-2), 1e-8)
+    rep.add("zeta_at_2", "", math.pi**2 / 6.0, zeta(2.0 + 0j), 1e-12)
+    rep.add("zeta_at_0", "", -0.5, zeta(0.0 + 0j), 1e-12)
+    # Gamma recursion on seeded random samples
+    rng = np.random.default_rng(cfg.seed)
+    zs = rng.uniform(0.3, 3.0, 12) + 1j * rng.uniform(-8.0, 8.0, 12)
+    dev_g = float(np.max(np.abs(gamma(zs + 1.0) / (zs * gamma(zs)) - 1.0)))
+    rep.add("gamma_recursion", "12 seeded samples", 0.0, dev_g, 1e-12)
+    # derivation oracle for the scattering normalization: constant term of
+    # the truncated lattice Eisenstein sum at Re s = 3 fits c(s)
+    s0 = 3.0 + 0.4j
+    w0 = 0.5 * (1.0 + s0)
+    ys = np.array([1.3, 2.1])
+    cts = []
+    for yv in ys:
+        xs_q = (np.arange(64) + 0.5) / 64.0 - 0.5
+        vals = np.array([lattice_eisenstein(s0, complex(xq, yv)) for xq in xs_q])
+        cts.append(np.mean(vals))
+    A = np.array([[ys[0] ** w0, ys[0] ** (1 - w0)], [ys[1] ** w0, ys[1] ** (1 - w0)]])
+    coeffs = np.linalg.solve(A, np.array(cts))
+    rep.add("c_lattice_oracle[leading]", f"s={s0}", 1.0, coeffs[0], cfg.tol("fd"))
+    rep.add("c_lattice_oracle[scattering]", f"s={s0}", c(s0), coeffs[1], cfg.tol("fd"))
+    # c'/c: two computation routes and line symmetry
+    v, alt = special.c_log_derivative(0.3 + 0.7j, cross_check=True)
+    rep.add("clogd_two_routes", "s=0.3+0.7i", v, alt, cfg.tol("quadrature"))
+    rep.add(
+        "clogd_even",
+        "s=0.4i",
+        special.c_log_derivative(0.4j),
+        special.c_log_derivative(-0.4j),
+        cfg.tol("analytic"),
+    )
+    rep.add("clogd_real_on_line", "t=1", 0.0, complex(special.c_log_derivative(1j)).imag, 1e-8)
+    # K-Bessel spot values
+    rep.add("kbessel_half", "K_{1/2}(1)", math.sqrt(math.pi / 2.0) * math.exp(-1.0), kbessel(0.5, 1.0), 1e-10)
+    got = kbessel_imag_order(0.0, 1.0)
+    rep.add("kbessel_zero_order", "K_0(1)", 0.42102443824070834, got.value, 1e-9)
+    fine = kbessel(1j, 0.5)
+    coarse = kbessel_imag_order(1.0, 0.5).value
+    rep.add("kbessel_refinement", "K_i(0.5)", fine, coarse, 1e-9)
+    rep.add("divisor_sigma[6,1]", "", 12.0, divisor_sigma(6, 1.0), 1e-12)
+    rep.add("divisor_sigma[12,-1]", "", 7.0 / 3.0, divisor_sigma(12, -1.0), 1e-12)
     return rep
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -244,9 +245,6 @@ def _core_transform(f: AsymptoticallyFiniteFunction, opts: MellinOptions):
     return ev
 
 
-_MELLIN_CACHE: dict = {}
-
-
 def mellin(
     f: AsymptoticallyFiniteFunction,
     opts: MellinOptions | None = None,
@@ -254,15 +252,22 @@ def mellin(
 ) -> ChargedMeromorphicFunction:
     """Charged Mellin transform: entire quadrature part + exact pole terms.
 
-    Default-option transforms are memoized per function object (they are
-    immutable), which makes repeated pairings against a fixed corpus cheap.
+    Default-option transforms are memoized per function (they are immutable),
+    which makes repeated pairings against a fixed corpus cheap.
     """
-    if opts is None and id(f) in _MELLIN_CACHE:
-        cached_f, cached_F = _MELLIN_CACHE[id(f)]
-        if cached_f is f:
-            return cached_F
-    cache_key = id(f) if opts is None else None
-    opts = opts or MellinOptions()
+    if opts is None:
+        return _default_mellin(f, check_decay)
+    return _build_mellin(f, opts, check_decay)
+
+
+@lru_cache(maxsize=256)
+def _default_mellin(f: AsymptoticallyFiniteFunction, check_decay: bool) -> ChargedMeromorphicFunction:
+    return _build_mellin(f, MellinOptions(), check_decay)
+
+
+def _build_mellin(
+    f: AsymptoticallyFiniteFunction, opts: MellinOptions, check_decay: bool
+) -> ChargedMeromorphicFunction:
     if check_decay and f.core is not None:
         f.check_tail_decay()
     core_ev = _core_transform(f, opts)
@@ -305,7 +310,7 @@ def mellin(
         len(t.log_poly) for t in f.terms if t.carrier == "sharp" and any(c != 0 for c in t.log_poly)
     ]
     decay = ("polynomial", min(sharp_depths)) if sharp_depths else ("rapid", 0)
-    out = ChargedMeromorphicFunction(
+    return ChargedMeromorphicFunction(
         evaluator=ev,
         poles=pole_list,
         strip=opts.strip,
@@ -313,11 +318,6 @@ def mellin(
         label=f.label,
         sharp_poles=sharp_list,
     )
-    if cache_key is not None:
-        if len(_MELLIN_CACHE) > 256:
-            _MELLIN_CACHE.clear()
-        _MELLIN_CACHE[cache_key] = (f, out)
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -386,17 +386,26 @@ def _residue_corrections_inverse(p: ChargedLaurent, x: float, sigma: float):
     return xa * rm
 
 
-def _line_remainder(F: ChargedMeromorphicFunction, sigma: float, t: np.ndarray, dt: float, pole_set=None):
-    """F - (polar part over pole_set) on a vertical line, patched across the
-    subtracted pole ordinates.
+def _line_grid(center: float, dt: float, n: int):
+    """Trapezoid nodes center + k dt (k = -n..n) and weights.  The nodes are
+    exactly symmetric about center, so odd parts of an integrand cancel to
+    the last bit."""
+    t = center + dt * np.arange(-n, n + 1)
+    w = np.full(t.shape, dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return t, w
+
+
+def _line_remainder(vals: np.ndarray, s: np.ndarray, dt: float, pole_set):
+    """F - (polar part over pole_set) from the values `vals` of F on the
+    vertical line `s`, patched across the subtracted pole ordinates.
 
     The remainder is analytic there, but evaluating it as a difference at a
     node sitting (nearly) on a pole produces inf - inf; such nodes are
     replaced by the average of their clean neighbors."""
-    pole_set = F.poles if pole_set is None else pole_set
-    s = sigma + 1j * t
     with np.errstate(all="ignore"):
-        vals = _line_values(F, sigma, t).copy()
+        vals = vals.copy()
         for p in pole_set:
             vals = vals - p.polar_eval(s)
     bad = ~np.isfinite(vals)
@@ -409,13 +418,13 @@ def _line_remainder(F: ChargedMeromorphicFunction, sigma: float, t: np.ndarray, 
             hi = i + 1
             while lo >= 0 and bad[lo]:
                 lo -= 1
-            while hi < len(t) and bad[hi]:
+            while hi < len(vals) and bad[hi]:
                 hi += 1
-            if lo >= 0 and hi < len(t):
+            if lo >= 0 and hi < len(vals):
                 vals[i] = 0.5 * (vals[lo] + vals[hi])
             elif lo >= 0:
                 vals[i] = vals[lo]
-            elif hi < len(t):
+            elif hi < len(vals):
                 vals[i] = vals[hi]
             else:
                 vals[i] = 0.0
@@ -454,7 +463,10 @@ def mellin_inverse(
                 "abscissa passes through a non-rational pole; shift sigma"
             )
     t, w = trap_grid(ctr.t_max, ctr.dt)
-    remainder = _line_remainder(F, sigma, t, ctr.dt, rational)
+    s = sigma + 1j * t
+    with np.errstate(all="ignore"):
+        vals = F(s)
+    remainder = _line_remainder(vals, s, ctr.dt, rational)
     _check_contour_decay(remainder, ctr, F.decay_class)
     contour = exp_sum(-1j * np.log(xs), t, remainder * w) / (2.0 * np.pi) * xs**sigma
 
@@ -548,33 +560,15 @@ def regularized_inner_product_direct(
     return regularized_integral(product_asfinite(f1, f2), opts)
 
 
-_LINE_CACHE: dict = {}
-_NEG_CACHE: dict = {}
+_cached_negation = lru_cache(maxsize=128)(negate_argument)
 
 
-def _cached_negation(F: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction:
-    hit = _NEG_CACHE.get(id(F))
-    if hit is not None and hit[0] is F:
-        return hit[1]
-    out = negate_argument(F)
-    if len(_NEG_CACHE) > 128:
-        _NEG_CACHE.clear()
-    _NEG_CACHE[id(F)] = (F, out)
-    return out
-
-
-def _line_values(F: ChargedMeromorphicFunction, sigma: float, t: np.ndarray) -> np.ndarray:
-    """F on a vertical-line grid, memoized per (function, line) pair."""
-    key = (id(F), float(sigma), float(t[0]), float(t[-1]), len(t))
-    hit = _LINE_CACHE.get(key)
-    if hit is not None and hit[0] is F:
-        return hit[1]
+@lru_cache(maxsize=64)
+def _line_values(F: ChargedMeromorphicFunction, sigma: float, center: float, dt: float, n: int) -> np.ndarray:
+    """F on the vertical line sigma + i `_line_grid(center, dt, n)`, memoized
+    per (function, line) pair."""
     with np.errstate(all="ignore"):
-        vals = F(sigma + 1j * t)
-    if len(_LINE_CACHE) > 64:
-        _LINE_CACHE.clear()
-    _LINE_CACHE[key] = (F, vals)
-    return vals
+        return F(sigma + 1j * _line_grid(center, dt, n)[0])
 
 
 def _rational_pair_contour(poles1, poles2, sigma: float) -> complex:
@@ -639,16 +633,15 @@ def _split_contour(
     center = ordinates[0] if ordinates else 0.0
 
     n = int(round(ctr.t_max / ctr.dt))
-    t = center + ctr.dt * np.arange(-n, n + 1)
-    w = np.full(t.shape, ctr.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    t, w = _line_grid(center, ctr.dt, n)
     s_line = sigma + 1j * t
 
     rp1 = F1.rational_poles
     rp2 = F2n.rational_poles
-    e1 = _line_remainder(F1, sigma, t, ctr.dt, rp1)
-    e2 = _line_remainder(F2n, sigma, t, ctr.dt, rp2)
+    # partner transforms recur across pairings, so their lines are memoized
+    line = (float(sigma), float(center), float(ctr.dt), n)
+    e1 = _line_remainder(_line_values(F1, *line), s_line, ctr.dt, rp1)
+    e2 = _line_remainder(_line_values(F2n, *line), s_line, ctr.dt, rp2)
     with np.errstate(all="ignore"):
         p1 = np.zeros_like(s_line)
         for p in rp1:

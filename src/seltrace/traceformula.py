@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .special import intertwining_c, zeta
+from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
 from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids
 from .torus import TwoTermLaurent
@@ -173,8 +174,11 @@ def spherical_from_h(
     return SphericalTestFunction(h=h, g=g, k=k, k_fast=k_fast, provenance="h", t_max=t_max, dt=dt)
 
 
+@lru_cache(maxsize=16)
 def gaussian_test_function(width: float = 1.0) -> SphericalTestFunction:
-    """h(s) = exp(width^2 s^2 / 4); on the line h(it) = exp(-(width t)^2/4)."""
+    """h(s) = exp(width^2 s^2 / 4); on the line h(it) = exp(-(width t)^2/4).
+
+    Triples are immutable, so each width is built once (memoized)."""
 
     def h(s):
         return np.exp(0.25 * (width**2) * np.asarray(s, dtype=complex) ** 2)
@@ -182,8 +186,12 @@ def gaussian_test_function(width: float = 1.0) -> SphericalTestFunction:
     return spherical_from_h(h, t_max=max(26.0, 12.0 / width))
 
 
+@lru_cache(maxsize=16)
 def convolve_test_functions(T1: SphericalTestFunction, T2: SphericalTestFunction) -> SphericalTestFunction:
-    """Triple of the convolution: the multiplier is the product h1 h2."""
+    """Triple of the convolution: the multiplier is the product h1 h2.
+
+    Memoized on the pair, so the callers that each need T1 * T2 share one
+    build."""
 
     def h(s):
         return T1.h(s) * T2.h(s)
@@ -289,10 +297,10 @@ def _modular_group_elements(u_max: float, x_lo: float, x_hi: float, y_lo: float,
     mats = []
     c_cap = int(math.floor(math.sqrt(u_max + 4.0) / y_lo)) + 1
     for c in range(1, c_cap + 1):
-        # |c x + d| <= sqrt(u_max + 2) window around the grid x-range
+        # |c x + d| <= sqrt(u_max + 4) for some x in [x_lo, x_hi]
         B = math.sqrt(u_max + 4.0)
-        d_lo = int(math.floor(c * x_lo - B))
-        d_hi = int(math.ceil(c * x_hi + B))
+        d_lo = int(math.floor(-c * x_hi - B))
+        d_hi = int(math.ceil(-c * x_lo + B))
         for d in range(d_lo, d_hi + 1):
             if math.gcd(c, abs(d)) != 1:
                 continue
@@ -543,16 +551,6 @@ def tf_minus1_geometric(
 # Spectral side
 
 
-def _c_log_derivative_line(t: np.ndarray, h_fd: float = 1e-4) -> np.ndarray:
-    """(c'/c)(it) on an array of ordinates, by Richardson central differences."""
-    s = 1j * np.asarray(t, dtype=float)
-    def deriv(step):
-        return (intertwining_c(s + step) - intertwining_c(s - step)) / (2.0 * step)
-
-    d = (4.0 * deriv(0.5 * h_fd) - deriv(h_fd)) / 3.0
-    return d / intertwining_c(s)
-
-
 def spectral_side(
     T1: SphericalTestFunction,
     T2: SphericalTestFunction,
@@ -585,7 +583,7 @@ def spectral_side(
     t, w = trap_grid(t_max, dt)
     mask = np.abs(t) > 1e-9
     tt = t[mask]
-    integrand = np.real(_c_log_derivative_line(tt)) * np.real(
+    integrand = np.real(c_log_derivative(1j * tt)) * np.real(
         np.asarray(h1(1j * tt)) * np.asarray(h2(1j * tt))
     )
     # (c'/c)(0) is finite; patch the origin node by neighbor average

@@ -49,6 +49,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(tolerances={"fd": -1.0})
 
+    @pytest.mark.parametrize("key", ["t_max", "dt", "y_max", "coset_bound", "out_path", "out_format"])
+    def test_removed_keys_rejected(self, tmp_path, key):
+        # keys that no suite read are gone; a file that still sets one fails
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(p))
+
+    def test_report_echoes_every_knob(self):
+        cfg = RunConfig(seed=5, ms_T=(1.0,), tolerances={"fd": 2e-4})
+        echo = run_suite("hc-bound", cfg).payload()["config"]
+        assert set(echo) == {
+            "tolerances", "nx", "ny", "ms_T", "corpus", "seed", "fault_injection", "kernel_u_max",
+        }
+        assert echo["seed"] == 5 and echo["ms_T"] == (1.0,) and echo["tolerances"] == {"fd": 2e-4}
+
 
 class TestHarness:
     def test_unknown_suite(self):
@@ -103,6 +119,42 @@ class TestHarness:
         cfg = RunConfig(fault_injection="c_sign")
         rep = run_suite("functional-equations", cfg)
         assert not rep.passed
+
+    def test_fault_injection_leaves_no_trace(self):
+        # in a fresh process the faulted run is the first to evaluate c near
+        # 0; nothing it computes may outlive it
+        script = (
+            "from seltrace.config import RunConfig\n"
+            "from seltrace.special import intertwining_c\n"
+            "from seltrace.suites import run_suite\n"
+            "assert not run_suite('functional-equations', RunConfig(fault_injection='c_sign')).passed\n"
+            "print(abs(complex(intertwining_c(0.0)) + 1.0))\n"
+            "rep = run_suite('functional-equations')\n"
+            "print([r['id'] for r in rep.records if not r['pass']])\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        dev, failed = out.stdout.splitlines()
+        assert float(dev) < 1e-12
+        assert failed == "[]"
+
+    def test_cold_and_warm_reports_identical(self, tmp_path):
+        # the second run of each suite reads every memo the first one filled
+        script = (
+            "import sys\n"
+            "from seltrace.suites import emit_report, run_suite\n"
+            "for rnd in ('cold', 'warm'):\n"
+            "    for name in ('functional-equations', 'charged-core', 'hc-bound', 'torus-plancherel'):\n"
+            "        emit_report(run_suite(name), f'{sys.argv[1]}/{name}.{rnd}.json')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=900
+        )
+        assert out.returncode == 0, out.stderr
+        for name in ("functional-equations", "charged-core", "hc-bound", "torus-plancherel"):
+            cold = (tmp_path / f"{name}.cold.json").read_bytes()
+            warm = (tmp_path / f"{name}.warm.json").read_bytes()
+            assert cold == warm, name
 
     def test_empty_corpus_selection_flagged(self):
         from seltrace.suites import run_all

@@ -140,6 +140,22 @@ class TestCLogDerivative:
         # differentiating c(s) c(-s) = 1 gives (c'/c)(s) = (c'/c)(-s)
         assert abs(c_log_derivative(0.4j) - c_log_derivative(-0.4j)) < 1e-8
 
+    def test_array_matches_scalar(self):
+        s = np.array([0.3 + 0.7j, 0.5j, -0.2 + 3.0j, 2.0 - 1.0j])
+        vals, alts = c_log_derivative(s, cross_check=True)
+        assert vals.shape == alts.shape == s.shape
+        for sk, v, a in zip(s, vals, alts):
+            v1, a1 = c_log_derivative(sk, cross_check=True)
+            assert abs(v - v1) < 1e-10 and abs(a - a1) < 1e-10
+
+    def test_pole_guard_on_arrays(self):
+        from seltrace.util import PoleProximityError
+
+        with pytest.raises(PoleProximityError):
+            c_log_derivative(np.array([0.5j, 1.0 + 1e-5j]))
+        with pytest.raises(PoleProximityError):
+            c_log_derivative(np.array([2.0j, 1e-5j]))
+
 
 class TestKBessel:
     def test_half_order_closed_form(self):

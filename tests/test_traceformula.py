@@ -12,7 +12,9 @@ from seltrace.traceformula import (
     FitError,
     GeometricTermConfig,
     convolve_test_functions,
+    gaussian_test_function,
     identity_term,
+    kernel_diagonal_sum,
     kernel_constant_terms,
     spectral_side,
     tate_zeta_term,
@@ -59,6 +61,46 @@ class TestTransformChain:
         T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)))
         assert abs(complex(T0.g(0.3))) < 1e-14
         assert abs(float(np.asarray(T0.k(0.5)))) < 1e-14
+
+
+class TestMemo:
+    def test_gaussian_triple_built_once(self, gauss_T05):
+        assert gaussian_test_function(0.5) is gauss_T05
+
+    def test_convolution_built_once(self, gauss_T05):
+        assert convolve_test_functions(gauss_T05, gauss_T05) is convolve_test_functions(gauss_T05, gauss_T05)
+
+
+def _brute_force_kernel_sum(k, z: complex) -> float:
+    """sum over PSL2(Z) of k(u(z, gamma z)) over |c| < 40, |d| <= 120,
+    |m| <= 60: translations (1, m; 0, 1), then (a0 + m c, b0 + m d; c, d)."""
+    m = np.arange(-60, 61)
+    total = float(np.sum(k((m / z.imag) ** 2)))
+    cs, ds = np.meshgrid(np.arange(1, 40), np.arange(-120, 121), indexing="ij")
+    keep = np.gcd(cs, ds) == 1
+    c, d = cs[keep], ds[keep]
+    a0 = np.array([pow(int(dj), -1, int(cj)) if cj > 1 else 0 for cj, dj in zip(c, d)])
+    b0 = (a0 * d - 1) // c
+    a = a0 + m[:, None] * c
+    b = b0 + m[:, None] * d
+    gz = (a * z + b) / (c * z + d)
+    u = np.abs(z - gz) ** 2 / (z.imag * gz.imag)
+    return total + float(np.sum(k(u)))
+
+
+class TestKernelDiagonalSum:
+    def test_matches_brute_force_off_center(self):
+        # points whose x-range is not symmetric about 0, on either side
+        def k(u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u <= 30.0, np.exp(-u / 4.0), 0.0)
+
+        for sign in (1.0, -1.0):
+            z = np.array([0.45 + 0.2j, 0.4 + 0.3j, 0.35 + 0.25j])
+            z = sign * z.real + 1j * z.imag
+            got = kernel_diagonal_sum(k, z, u_max=30.0)
+            want = np.array([_brute_force_kernel_sum(k, complex(zj)) for zj in z])
+            assert np.max(np.abs(got - want)) < 1e-10 * np.max(want)
 
 
 class TestKernelConstantTerms:
