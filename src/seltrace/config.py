@@ -21,6 +21,11 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# "" runs clean; "c_sign" flips the sign of c inside the functional-equations
+# checks, so that suite must fail
+FAULT_MODES = ("", "c_sign")
+
+
 class ConfigError(SeltraceError):
     pass
 
@@ -43,6 +48,10 @@ class RunConfig:
         for k, v in self.tolerances.items():
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError(f"tolerance {k!r} must be positive, got {v!r}")
+        if self.fault_injection not in FAULT_MODES:
+            raise ConfigError(
+                f"unknown fault_injection {self.fault_injection!r}; expected one of {FAULT_MODES}"
+            )
 
     def tol(self, kind: str) -> float:
         if kind in self.tolerances:

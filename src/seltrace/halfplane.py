@@ -67,6 +67,7 @@ __all__ = [
     "PAIRING_HALF",
     "boundary_from_model",
     "schwartz_boundary",
+    "coprime_rows",
 ]
 
 FUNDAMENTAL_DOMAIN_VOLUME = np.pi / 3.0
@@ -235,27 +236,23 @@ def _funnel_threshold(f: BoundaryFunction, tol: float) -> float:
     return float(hs[keep])
 
 
-def _psi_coset_rows(x_lo, x_hi, y_lo, y_hi, h_min, c_cap=None):
-    """Coprime bottom rows (c, d) that can lift some grid point above h_min."""
-    c_max = int(math.floor(1.0 / math.sqrt(h_min * y_lo))) + 1
-    if c_cap is not None:
-        c_max = min(c_max, c_cap)
+def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndarray]:
+    """Coprime bottom rows (c, d) of PSL2(Z), c >= 1, in order of c then d.
+
+    For c = 1, 2, ..., len(radius2) the d run over the integer window that
+    covers every d with (c x + d)^2 <= radius2[c - 1] for some x in
+    [x_lo, x_hi], coprime ones only; a c with radius2 <= 0 has no rows."""
     cs, ds = [], []
-    for c in range(1, c_max + 1):
-        # need (c x + d)^2 <= y/h_min - c^2 y^2 for some y in range
-        ys = np.linspace(y_lo, y_hi, 16)
-        bound2 = np.max(ys / h_min - c * c * ys * ys)
+    for c, bound2 in enumerate(radius2, start=1):
         if bound2 <= 0:
             continue
         B = math.sqrt(bound2)
-        d_lo = int(math.floor(-c * x_hi - B))
-        d_hi = int(math.ceil(-c * x_lo + B))
-        d = np.arange(d_lo, d_hi + 1)
-        keep = np.gcd(c, np.abs(d)) == 1
-        cs.append(np.full(int(np.sum(keep)), float(c)))
-        ds.append(d[keep].astype(float))
+        d = np.arange(int(math.floor(-c * x_hi - B)), int(math.ceil(-c * x_lo + B)) + 1)
+        d = d[np.gcd(c, np.abs(d)) == 1]
+        cs.append(np.full(d.size, c))
+        ds.append(d)
     if not cs:
-        return np.array([]), np.array([])
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     return np.concatenate(cs), np.concatenate(ds)
 
 
@@ -270,8 +267,16 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, tol: float = 1e-10, c_cap=No
     x = z.real
     out = np.asarray(f(y), dtype=complex)
     h_min = _funnel_threshold(f, tol * 1e-3)
-    cs, ds = _psi_coset_rows(
-        float(np.min(x)), float(np.max(x)), float(np.min(y)), float(np.max(y)), h_min, c_cap
+    # a row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2) >= h_min only
+    # if (c x + d)^2 <= y / h_min - c^2 y^2, sampled over the grid's heights
+    y_lo = float(np.min(y))
+    c_max = int(math.floor(1.0 / math.sqrt(h_min * y_lo))) + 1
+    if c_cap is not None:
+        c_max = min(c_max, c_cap)
+    ys = np.linspace(y_lo, float(np.max(y)), 16)
+    cs, ds = coprime_rows(
+        float(np.min(x)), float(np.max(x)),
+        [np.max(ys / h_min - c * c * ys * ys) for c in range(1, c_max + 1)],
     )
     if len(cs) == 0:
         return out

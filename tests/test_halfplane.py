@@ -13,6 +13,7 @@ from seltrace.halfplane import (
     TailMissingError,
     boundary_from_model,
     constant_term,
+    coprime_rows,
     eisenstein,
     fd_integrate,
     lattice_eisenstein,
@@ -77,6 +78,30 @@ class TestPseudoEisenstein:
         coeff = complex(constant_term(phi, y)) / y ** 0.25
         assert abs(coeff - 1.0) < 1e-6
         assert phi.asymptote is not None and abs(phi.asymptote[0] + 0.5) < 1e-12
+
+
+class TestCoprimeRows:
+    def test_matches_brute_force_window(self):
+        # every coprime (c, d) with (c x + d)^2 <= radius2[c - 1] for some x
+        # in [x_lo, x_hi], in order of c then d; c = 3 has no rows
+        x_lo, x_hi, radius2 = -0.2, 0.45, [9.0, 4.0, 0.0, 2.5]
+        cs, ds = coprime_rows(x_lo, x_hi, radius2)
+        got = list(zip(cs.tolist(), ds.tolist()))
+        assert got == sorted(got)
+        assert all(math.gcd(c, abs(d)) == 1 for c, d in got)
+        assert 3 not in cs
+        want = {
+            (c, d)
+            for c, r2 in enumerate(radius2, start=1)
+            for d in range(-50, 51)
+            if r2 > 0 and math.gcd(c, abs(d)) == 1
+            and min((c * x + d) ** 2 for x in np.linspace(x_lo, x_hi, 401)) <= r2
+        }
+        assert want <= set(got)
+
+    def test_empty(self):
+        cs, ds = coprime_rows(-0.5, 0.5, [0.0, -1.0])
+        assert cs.size == 0 and ds.size == 0
 
 
 class TestConstantTerm:

@@ -45,6 +45,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_unknown_fault_mode_rejected(self):
+        # a misspelt mode must not run the suite clean and pass
+        with pytest.raises(ConfigError, match="fault_injection"):
+            load_config(None, {"fault_injection": "c-sign"})
+        assert load_config(None, {"fault_injection": "c_sign"}).fault_injection == "c_sign"
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(tolerances={"fd": -1.0})
@@ -203,6 +209,13 @@ class TestCLI:
         out = _run_cli("verify", "hc-bound", "--config", str(p))
         assert out.returncode == 2
 
+    def test_verify_unknown_fault_mode_exit_2(self, tmp_path):
+        p = tmp_path / "fault.txt"
+        p.write_text("fault_injection = c-sign\n")
+        out = _run_cli("verify", "functional-equations", "--config", str(p))
+        assert out.returncode == 2
+        assert "fault_injection" in out.stderr
+
     def test_auto_maass_selberg(self):
         out = _run_cli("auto", "maass-selberg", "--s1", "0,2", "--s2", "0,3", "--T", "1.0")
         assert out.returncode == 0
@@ -231,6 +244,18 @@ class TestCLI:
         assert rec["tf_minus1"]["deviation_geo_spec"] < 1e-3
         assert "M0_term" in rec["tf0_terms"]
         assert "measure_ledger" in rec
+
+    def test_tf_report_byte_stable(self, tmp_path):
+        # cold, then warm on the memoized triples, in one process
+        from seltrace import cli
+
+        texts = []
+        for i in range(2):
+            path = tmp_path / f"tf{i}.json"
+            assert cli.main(["tf", "report", "--width", "0.47", "--out", str(path)]) == 0
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        assert "truncation_fit" in json.loads(texts[0])
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         from seltrace import cli, traceformula

@@ -71,11 +71,16 @@ class TestMemo:
         assert convolve_test_functions(gauss_T05, gauss_T05) is convolve_test_functions(gauss_T05, gauss_T05)
 
 
-def _brute_force_kernel_sum(k, z: complex) -> float:
+def _brute_force_kernel_sum(k, z: complex, u_max: float = np.inf) -> float:
     """sum over PSL2(Z) of k(u(z, gamma z)) over |c| < 40, |d| <= 120,
-    |m| <= 60: translations (1, m; 0, 1), then (a0 + m c, b0 + m d; c, d)."""
+    |m| <= 60: translations (1, m; 0, 1), then (a0 + m c, b0 + m d; c, d).
+    Only terms with u <= u_max are added."""
+
+    def k_live(u):
+        return np.where(u <= u_max, k(u), 0.0)
+
     m = np.arange(-60, 61)
-    total = float(np.sum(k((m / z.imag) ** 2)))
+    total = float(np.sum(k_live((m / z.imag) ** 2)))
     cs, ds = np.meshgrid(np.arange(1, 40), np.arange(-120, 121), indexing="ij")
     keep = np.gcd(cs, ds) == 1
     c, d = cs[keep], ds[keep]
@@ -85,7 +90,7 @@ def _brute_force_kernel_sum(k, z: complex) -> float:
     b = b0 + m[:, None] * d
     gz = (a * z + b) / (c * z + d)
     u = np.abs(z - gz) ** 2 / (z.imag * gz.imag)
-    return total + float(np.sum(k(u)))
+    return total + float(np.sum(k_live(u)))
 
 
 class TestKernelDiagonalSum:
@@ -101,6 +106,30 @@ class TestKernelDiagonalSum:
             got = kernel_diagonal_sum(k, z, u_max=30.0)
             want = np.array([_brute_force_kernel_sum(k, complex(zj)) for zj in z])
             assert np.max(np.abs(got - want)) < 1e-10 * np.max(want)
+
+    def test_unmasked_kernel_adds_only_live_terms(self):
+        # k does not vanish past u_max: every term with u > u_max must add 0,
+        # not k at some clipped u; y = 5 has the widest translation window
+        def k(u):
+            return np.exp(-np.asarray(u, dtype=float) / 4.0)
+
+        z = np.array([0.45 + 0.2j, -0.3 + 0.9j, 0.1 + 1.0j, -0.5 + 1.3j, 0.2 + 5.0j])
+        got = kernel_diagonal_sum(k, z, u_max=30.0)
+        want = np.array([_brute_force_kernel_sum(k, complex(zj), u_max=30.0) for zj in z])
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(want)
+
+    def test_chunking_does_not_change_the_sum(self, monkeypatch):
+        from seltrace import traceformula
+
+        def k(u):
+            return np.exp(-np.asarray(u, dtype=float) / 4.0)
+
+        x, y = np.meshgrid(np.linspace(-0.5, 0.5, 7), np.geomspace(0.3, 6.0, 9))
+        z = (x + 1j * y).ravel()
+        whole = kernel_diagonal_sum(k, z, u_max=30.0)
+        monkeypatch.setattr(traceformula, "_KERNEL_CHUNK", 10)
+        pieces = kernel_diagonal_sum(k, z, u_max=30.0)
+        assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(whole)
 
 
 class TestKernelConstantTerms:
