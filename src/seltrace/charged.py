@@ -30,7 +30,8 @@ __all__ = [
     "rational_from_poles",
 ]
 
-DEFAULT_EXCLUSION_RADIUS = 1e-3
+# radius of the disk around each pole in which `eval_vertical` refuses to sample
+EXCLUSION_RADIUS = 1e-3
 
 
 class AdmissibilityError(SeltraceError):
@@ -131,19 +132,6 @@ class ChargedMeromorphicFunction:
                 return p
         return None
 
-    def pole_locations(self):
-        return [p.location for p in self.poles]
-
-    def polar_sum(self, s):
-        s = as_complex_array(s)
-        out = np.zeros_like(s)
-        for p in self.poles:
-            out = out + p.polar_eval(s)
-        return out
-
-    def regular_part(self, s):
-        return self(s) - self.polar_sum(s)
-
     # -- serialization ------------------------------------------------------
 
     def to_pole_table(self) -> dict:
@@ -235,9 +223,10 @@ def _circle_radius(h: ChargedMeromorphicFunction, s0: complex, default=5e-2) -> 
     return max(r, 1e-6)
 
 
-def circle_coefficients(f: Callable, s0: complex, orders, radius: float, samples: int = 256):
-    """Laurent coefficients of f at s0 for the requested orders (FFT on a circle)."""
-    m = samples
+def circle_coefficients(f: Callable, s0: complex, orders, radius: float):
+    """Laurent coefficients of f at s0 for the requested orders (FFT on a
+    256-point circle)."""
+    m = 256
     th = 2.0 * np.pi * np.arange(m) / m
     ring = s0 + radius * np.exp(1j * th)
     vals = as_complex_array(f(ring))
@@ -248,7 +237,7 @@ def circle_coefficients(f: Callable, s0: complex, orders, radius: float, samples
     return out
 
 
-def taylor_coefficients(h: ChargedMeromorphicFunction, s0: complex, depth: int, radius=None):
+def taylor_coefficients(h: ChargedMeromorphicFunction, s0: complex, depth: int):
     """Laurent coefficients of orders 0..depth-1 of h at s0.
 
     Only the polar part at s0 itself is subtracted (other poles stay outside
@@ -258,7 +247,7 @@ def taylor_coefficients(h: ChargedMeromorphicFunction, s0: complex, depth: int, 
     if depth <= 0:
         return {}
     own = h.pole_at(s0)
-    r = radius or _circle_radius(h, s0)
+    r = _circle_radius(h, s0)
 
     def without_own_polar(s):
         vals = h(s)
@@ -287,10 +276,11 @@ def residue(h: ChargedMeromorphicFunction, s0: complex, charge: str = "total") -
     raise ValueError("charge must be plus, minus or total")
 
 
-def numeric_residue(h, s0: complex, radius: float = 1e-2, samples: int = 256) -> complex:
-    """Contour-circle residue (1/2*pi*i) * loop integral of h around s0."""
+def numeric_residue(h, s0: complex, radius: float = 1e-2) -> complex:
+    """Contour-circle residue (1/2*pi*i) * loop integral of h around s0, on
+    256 points of the circle."""
     f = h.evaluator if isinstance(h, ChargedMeromorphicFunction) else h
-    th = 2.0 * np.pi * np.arange(samples) / samples
+    th = 2.0 * np.pi * np.arange(256) / 256
     ring = complex(s0) + radius * np.exp(1j * th)
     vals = as_complex_array(f(ring))
     return np.mean(vals * (ring - complex(s0)))
@@ -336,11 +326,7 @@ def _poly_mul_window(a: dict, b: dict, lo: int, hi: int) -> dict:
     return out
 
 
-def charged_product(
-    h1: ChargedMeromorphicFunction,
-    h2: ChargedMeromorphicFunction,
-    taylor_radius: float | None = None,
-) -> ChargedMeromorphicFunction:
+def charged_product(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction:
     """Pointwise product with chargewise multiplication of Laurent data.
 
     Laur^+(h1 h2) = Laur^+(h1) * Laur^+(h2) (same for minus), where each
@@ -371,12 +357,12 @@ def charged_product(
         reg1 = (
             dict(e1.regular)
             if all(k in e1.regular for k in range(depth1))
-            else taylor_coefficients(h1, s0, depth1, taylor_radius)
+            else taylor_coefficients(h1, s0, depth1)
         )
         reg2 = (
             dict(e2.regular)
             if all(k in e2.regular for k in range(depth2))
-            else taylor_coefficients(h2, s0, depth2, taylor_radius)
+            else taylor_coefficients(h2, s0, depth2)
         )
         lo = e1.order + e2.order
         # the order <= -1 window of (polar + regular)(polar + regular) keeps
@@ -404,12 +390,7 @@ def charged_product(
     )
 
 
-def polar_consistency_check(
-    h1: ChargedMeromorphicFunction,
-    h2: ChargedMeromorphicFunction,
-    radius: float | None = None,
-    samples: int = 256,
-) -> dict:
+def polar_consistency_check(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFunction) -> dict:
     """Verify Laur^+ + Laur^- of the product matches its numerical polar part.
 
     At every pole of the charged product the polar coefficients are re-extracted
@@ -420,8 +401,8 @@ def polar_consistency_check(
     report = {"max_deviation": 0.0, "per_pole": []}
     for p in prod.poles:
         depth = -p.order
-        r = radius or _circle_radius(prod, p.location)
-        sampled = circle_coefficients(prod.evaluator, p.location, range(p.order, 0), r, samples)
+        r = _circle_radius(prod, p.location)
+        sampled = circle_coefficients(prod.evaluator, p.location, range(p.order, 0), r)
         stored = p.total()
         dev = max(
             abs(sampled.get(k, 0.0) - stored.get(k, 0.0)) for k in range(p.order, 0)
@@ -433,12 +414,7 @@ def polar_consistency_check(
     return report
 
 
-def eval_vertical(
-    h: ChargedMeromorphicFunction,
-    sigma: float,
-    t_grid,
-    exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-):
+def eval_vertical(h: ChargedMeromorphicFunction, sigma: float, t_grid):
     """Sample h(sigma + i t); points inside a pole exclusion disk raise."""
     if not (h.strip[0] - 1e-12 <= sigma <= h.strip[1] + 1e-12):
         raise ValueError(f"sigma = {sigma} outside declared strip {h.strip}")
@@ -446,7 +422,7 @@ def eval_vertical(
     s = sigma + 1j * t
     flagged = []
     for p in h.poles:
-        near = np.abs(s - p.location) < exclusion_radius
+        near = np.abs(s - p.location) < EXCLUSION_RADIUS
         if np.any(near):
             flagged.extend(s[near].tolist())
     if flagged:

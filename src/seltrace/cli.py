@@ -2,7 +2,8 @@
 
     seltrace verify <suite>|all [--config PATH] [--tol K=V ...] [--out PATH]
                                 [--format json|csv] [--seed N]
-    seltrace tf report --h gaussian --width W [--residual] [--cusp-data FILE]
+    seltrace tf report --h gaussian --width W [--no-residual] [--cusp-data FILE]
+                       [--skip-truncation-fit] [--out PATH]
     seltrace auto ct|eis|maass-selberg|plancherel ...
     seltrace special eval --fn NAME [--re X] [--im Y] [--nu V] [--y V] [--n N]
 
@@ -41,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = tf_sub.add_parser("report", help="two-term Laurent report for a test-function pair")
     pr.add_argument("--h", default="gaussian", choices=("gaussian",))
     pr.add_argument("--width", type=float, default=0.5)
-    pr.add_argument("--residual", action="store_true", default=True)
     pr.add_argument("--no-residual", dest="residual", action="store_false")
     pr.add_argument("--cusp-data", default=None, help="JSON file with {'eigenvalues_t': [...]}")
     pr.add_argument("--skip-truncation-fit", action="store_true")
@@ -116,7 +116,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_tf_report(args) -> int:
     from .traceformula import (
-        GeometricTermConfig,
+        MEASURE_LEDGER,
         convolve_test_functions,
         gaussian_test_function,
         identity_term,
@@ -129,11 +129,10 @@ def _cmd_tf_report(args) -> int:
     )
 
     T = gaussian_test_function(args.width)
-    cfgG = GeometricTermConfig()
     T12 = convolve_test_functions(T, T)
     sp = spectral_side(T, T, residual_on=args.residual)
     v_spec = tf_minus1_spectral(T, T)
-    v_geo = tf_minus1_geometric(T, T, cfgG)
+    v_geo = tf_minus1_geometric(T, T)
     hyper = 0.5 * weighted_orbital_integral(T12, -1)
     ident = identity_term(T12)
     tate, _ = tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
@@ -155,7 +154,7 @@ def _cmd_tf_report(args) -> int:
             "tate_a0": _c2(tate.a_0),
             "tate_aminus1": _c2(tate.a_minus1),
         },
-        "measure_ledger": cfgG.ledger,
+        "measure_ledger": MEASURE_LEDGER,
     }
     if not args.skip_truncation_fit:
         fit = two_term_laurent_kernel(T, T)

@@ -31,7 +31,6 @@ from .special import PoleError, gamma, intertwining_c, kbessel, xi, zeta, diviso
 from .torus import (
     AsymptoticallyFiniteFunction,
     CriticalExponentError,
-    MellinOptions,
     mellin,
 )
 from .util import (
@@ -141,8 +140,8 @@ class BoundaryFunction:
     def cusp_terms(self):
         return tuple(t for t in self.model.terms if t.side == "infinity")
 
-    def transform(self, opts: MellinOptions | None = None) -> ChargedMeromorphicFunction:
-        return mellin(self.model, opts)
+    def transform(self) -> ChargedMeromorphicFunction:
+        return mellin(self.model)
 
     def asymptote(self):
         """(s0, coefficient) of the leading cusp term, or None."""
@@ -256,17 +255,22 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
     return np.concatenate(cs), np.concatenate(ds)
 
 
-def _psi_values(f: BoundaryFunction, z: np.ndarray, tol: float = 1e-10, c_cap=None) -> np.ndarray:
+# target accuracy of a pseudo-Eisenstein value; the coset enumeration keeps
+# every orbit height where |f| exceeds 1e-3 of it
+_PSI_TOL = 1e-10
+
+
+def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
     """Sum of f over the heights of the Gamma_inf \\ Gamma orbit of z.
 
     Cosets are enumerated adaptively: a bottom row (c, d) is kept only when
     some grid point can reach an orbit height where |f| exceeds the funnel
-    threshold derived from `tol`."""
+    threshold derived from `_PSI_TOL`."""
     z = np.asarray(z, dtype=complex)
     y = z.imag
     x = z.real
     out = np.asarray(f(y), dtype=complex)
-    h_min = _funnel_threshold(f, tol * 1e-3)
+    h_min = _funnel_threshold(f, _PSI_TOL * 1e-3)
     # a row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2) >= h_min only
     # if (c x + d)^2 <= y / h_min - c^2 y^2, sampled over the grid's heights
     y_lo = float(np.min(y))
@@ -290,10 +294,8 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, tol: float = 1e-10, c_cap=No
     return out
 
 
-def pseudo_eisenstein_function(
-    f: BoundaryFunction, coset_bound: int | None = None, tol: float = 1e-10
-) -> "PseudoEisenstein":
-    return PseudoEisenstein(f=f, coset_bound=coset_bound, tol=tol)
+def pseudo_eisenstein_function(f: BoundaryFunction, coset_bound: int | None = None) -> "PseudoEisenstein":
+    return PseudoEisenstein(f=f, coset_bound=coset_bound)
 
 
 @dataclass(frozen=True)
@@ -302,14 +304,13 @@ class PseudoEisenstein(AutomorphicFunction):
 
     With coset_bound=None the bottom-row enumeration is adaptive (driven by
     the funnel decay of f and the target tolerance); an explicit bound caps
-    |c| and emits a TruncationWarning when the estimated tail exceeds tol.
+    |c| and emits a TruncationWarning when the estimated tail exceeds 1e-8.
     """
 
     f: BoundaryFunction = None
     coset_bound: int | None = None
-    tol: float = 1e-10
 
-    def __init__(self, f: BoundaryFunction, coset_bound: int | None = None, tol: float = 1e-10):
+    def __init__(self, f: BoundaryFunction, coset_bound: int | None = None):
         def ev(z):
             z = np.asarray(z, dtype=complex)
             if coset_bound is not None:
@@ -321,7 +322,7 @@ class PseudoEisenstein(AutomorphicFunction):
                         f"pseudo-Eisenstein coset tail estimate {tail:.2e} > 1e-8",
                         TruncationWarning,
                     )
-            return _psi_values(f, z, tol=tol, c_cap=coset_bound)
+            return _psi_values(f, z, c_cap=coset_bound)
 
         def ct(y):
             y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -329,7 +330,6 @@ class PseudoEisenstein(AutomorphicFunction):
 
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "coset_bound", coset_bound)
-        object.__setattr__(self, "tol", tol)
         AutomorphicFunction.__init__(
             self, evaluator=ev, ct=ct, asymptote=f.asymptote(), label=f"Psi({f.label})"
         )
@@ -344,7 +344,11 @@ def pseudo_eisenstein(f: BoundaryFunction, z, coset_bound: int | None = None):
 # Radon transform
 
 
-def _horocycle_F(f: BoundaryFunction, warr: np.ndarray, dr: float = 0.04) -> np.ndarray:
+# r-step of the horocycle trapezoid in `_horocycle_F`
+_HOROCYCLE_DR = 0.04
+
+
+def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
     """F(w) = int_R f(1/(w (1+tau^2))) dtau, stably for all w scales.
 
     With tau = sinh(r) and f(h) = sqrt(h) G(sqrt(h)) in the model coordinate,
@@ -353,7 +357,7 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray, dr: float = 0.04) -> np.
     grows only like |log w|."""
     warr = np.atleast_1d(np.asarray(warr, dtype=float))
     r_max = 0.5 * float(np.max(np.abs(np.log(warr)))) + 42.0
-    r = np.arange(0.0, r_max, dr)
+    r = np.arange(0.0, r_max, _HOROCYCLE_DR)
     sech = 1.0 / np.cosh(r)
     out = np.empty(warr.shape, dtype=complex)
     chunk = max(1, int(4e6 // len(r)))
@@ -362,25 +366,24 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray, dr: float = 0.04) -> np.
         args = np.multiply.outer(1.0 / np.sqrt(wc), sech)
         vals = f.model_values(args.ravel()).reshape(args.shape)
         # even in r; half weight at r = 0
-        out[i : i + chunk] = 2.0 * (vals.sum(axis=1) - 0.5 * vals[:, 0]) * dr
+        out[i : i + chunk] = 2.0 * (vals.sum(axis=1) - 0.5 * vals[:, 0]) * _HOROCYCLE_DR
     return out / np.sqrt(warr)
 
 
-def radon_transform(f: BoundaryFunction, y, c_max: int | None = None, tol: float = 1e-12):
+def radon_transform(f: BoundaryFunction, y):
     """Rf(y) = constant term of Psi f minus f, via the coprime-row series
 
         Rf(y) = sum_{c >= 1} phi(c) * y * F(c^2 y),
         F(w)  = int_R f(1/(w (1+tau^2))) dtau.
 
     The c-sum is truncated once the peak argument 1/(c^2 y) drops below the
-    funnel threshold of f.
+    funnel threshold of f, the height under which |f| stays below 1e-12.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    h_min = _funnel_threshold(f, tol)
-    if c_max is None:
-        c_max = int(math.floor(1.0 / math.sqrt(h_min * float(np.min(y))))) + 1
+    h_min = _funnel_threshold(f, 1e-12)
+    c_max = int(math.floor(1.0 / math.sqrt(h_min * float(np.min(y))))) + 1
     cs = np.arange(1, c_max + 1, dtype=float)
     phis = np.array([_euler_phi(int(c)) for c in range(1, c_max + 1)], dtype=float)
     W = np.multiply.outer(cs * cs, y)
@@ -409,13 +412,11 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def radon_mellin(
-    f: BoundaryFunction,
-    s,
-    n_w: int = 600,
-    w_split: float = 1.0,
-    opts: MellinOptions | None = None,
-):
+# w where `radon_mellin` switches from the subtracted to the plain integrand
+_RADON_W_SPLIT = 1.0
+
+
+def radon_mellin(f: BoundaryFunction, s):
     """Boundary Mellin transform of Rf, continued to Re s <= 0.
 
     Termwise Mellin of the coprime-row series gives
@@ -440,8 +441,8 @@ def radon_mellin(
     phi0 = 2.0 * np.sum(f.model_values(x_nodes) * uw)
 
     # B(s) in v = log w: Gauss-Legendre panels split exactly at the
-    # subtraction boundary v = log(w_split)
-    v_split = math.log(w_split)
+    # subtraction boundary v = log(_RADON_W_SPLIT)
+    v_split = math.log(_RADON_W_SPLIT)
     vlo, wlo_w = panel_gl_nodes(np.linspace(-20.0, v_split, 41), 12)
     vhi, whi_w = panel_gl_nodes(np.linspace(v_split, 20.0, 41), 12)
     wlo = np.exp(vlo)
@@ -460,7 +461,7 @@ def radon_mellin(
         ex_hi = np.exp(0.5 * (1.0 - sv) * vhi)
         B = np.sum(Flo * ex_lo * wlo_w) + np.sum(Fhi * ex_hi * whi_w)
         # subtracted piece: int_0^split w^(-s/2) d*w = -(2/s) split^(-s/2)
-        B += phi0 * (-2.0 / sv) * w_split ** (-0.5 * sv)
+        B += phi0 * (-2.0 / sv) * _RADON_W_SPLIT ** (-0.5 * sv)
         flat[i] = 0.5 * zeta(-sv) / zeta(1.0 - sv) * B
     return out[0] if scalar else out
 
@@ -477,7 +478,7 @@ def _eisenstein_pole_guard(s: complex):
 class EisensteinSeries(AutomorphicFunction):
     """E_s(z) via the Fourier expansion in the classical parameter w=(1+s)/2."""
 
-    def __init__(self, s: complex, n_terms: int | None = None):
+    def __init__(self, s: complex):
         s = complex(s)
         _eisenstein_pole_guard(s)
         w = 0.5 * (1.0 + s)
@@ -485,7 +486,7 @@ class EisensteinSeries(AutomorphicFunction):
 
         def ev(z):
             z = np.asarray(z, dtype=complex)
-            return eisenstein_grid_values(s, z, n_terms)
+            return eisenstein_grid_values(s, z)
 
         def ct(y):
             y = np.asarray(y, dtype=float)
@@ -500,8 +501,10 @@ class EisensteinSeries(AutomorphicFunction):
         object.__setattr__(self, "c_value", cs)
 
 
-def eisenstein_grid_values(s: complex, z: np.ndarray, n_terms: int | None = None):
-    """Vectorized Fourier-expansion evaluation of E_s on an array of points."""
+def eisenstein_grid_values(s: complex, z: np.ndarray):
+    """Vectorized Fourier-expansion evaluation of E_s on an array of points.
+
+    The expansion keeps the terms n <= ceil(48 / (2 pi min y))."""
     s = complex(s)
     _eisenstein_pole_guard(s)
     z = np.asarray(z, dtype=complex)
@@ -515,8 +518,7 @@ def eisenstein_grid_values(s: complex, z: np.ndarray, n_terms: int | None = None
     cs = complex(intertwining_c(s))
     out = y**w + cs * y ** (1.0 - w)
     ymin = float(np.min(y))
-    if n_terms is None:
-        n_terms = max(1, int(np.ceil(48.0 / (2.0 * np.pi * ymin))))
+    n_terms = max(1, int(np.ceil(48.0 / (2.0 * np.pi * ymin))))
     pref = 4.0 / complex(xi(1.0 + s))
     nu = w - 0.5
     for n in range(1, n_terms + 1):
@@ -526,12 +528,16 @@ def eisenstein_grid_values(s: complex, z: np.ndarray, n_terms: int | None = None
     return out
 
 
-def eisenstein(s: complex, z, n_terms: int | None = None) -> complex:
+def eisenstein(s: complex, z) -> complex:
     """E_s at one point via the Fourier expansion."""
-    return complex(eisenstein_grid_values(s, np.atleast_1d(_as_z(z)), n_terms)[0])
+    return complex(eisenstein_grid_values(s, np.atleast_1d(_as_z(z)))[0])
 
 
-def lattice_eisenstein(s: complex, z, m_max: int = 60) -> complex:
+# rows m of the lattice sum in `lattice_eisenstein` summed directly
+_LATTICE_M_MAX = 60
+
+
+def lattice_eisenstein(s: complex, z) -> complex:
     """Oracle evaluator: full-lattice sum with analytic n- and m-tails.
 
     E_s(z) = (1/(2 zeta(2w))) sum_{(m,n) != 0} y^w / |m z + n|^(2w), Re w > 1.
@@ -582,7 +588,7 @@ def lattice_eisenstein(s: complex, z, m_max: int = 60) -> complex:
         )
         return y**w * (ssum + tail)
 
-    for m in range(1, m_max + 1):
+    for m in range(1, _LATTICE_M_MAX + 1):
         total += 2.0 * n_sum(m)
 
     # m-tail via the integral asymptotics and Euler-Maclaurin in m
@@ -594,7 +600,7 @@ def lattice_eisenstein(s: complex, z, m_max: int = 60) -> complex:
     def gp(mv):
         return (1.0 - 2.0 * w) * mv ** (-2.0 * w)
 
-    M = float(m_max)
+    M = float(_LATTICE_M_MAX)
     m_tail = (M + 1) ** (2 - 2 * w) / (2 * w - 2) + 0.5 * g(M + 1) - gp(M + 1) / 12.0
     total += 2.0 * const * m_tail
     return complex(total / (2.0 * zeta(2.0 * w)))
@@ -604,12 +610,12 @@ def lattice_eisenstein(s: complex, z, m_max: int = 60) -> complex:
 # Truncation and fundamental-domain quadrature
 
 
-def truncate(phi, T: float, z, n_x: int = 64):
+def truncate(phi, T: float, z):
     """Truncated function: subtract the constant term above height e^(2T)."""
     zz = reduce_to_fundamental_domain(_as_z(z))
     val = phi(zz) if not isinstance(phi, AutomorphicFunction) else complex(phi(zz))
     if zz.imag > math.exp(2.0 * T):
-        val = val - complex(constant_term(phi, zz.imag, n_x=n_x))
+        val = val - complex(constant_term(phi, zz.imag))
     return val
 
 
@@ -658,24 +664,20 @@ def fd_integrate(
     integrand,
     Ymax: float = 12.0,
     tail=None,
-    decay_certified: bool = False,
     nx: int = 200,
     ny: int = 200,
-    v_breaks=(),
 ):
     """Integral over the standard fundamental domain with dmu = dx dy / y^2.
 
     `integrand` maps complex arrays to values.  Above Ymax an analytic tail
-    (value or callable of Ymax) must be supplied unless decay there is
-    certified by the caller.
+    (value or callable of Ymax) must be supplied.
     """
-    if tail is None and not decay_certified:
-        raise TailMissingError("supply an analytic tail above Ymax or certify decay")
-    Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, v_breaks)
+    if tail is None:
+        raise TailMissingError("supply an analytic tail above Ymax")
+    Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny)
     ev = integrand.on_grid if isinstance(integrand, AutomorphicFunction) else integrand
     total = np.sum(ev(Z1) * W1) + np.sum(ev(Z2) * W2)
-    if tail is not None:
-        total = total + (tail(Ymax) if callable(tail) else tail)
+    total = total + (tail(Ymax) if callable(tail) else tail)
     return complex(total)
 
 
@@ -745,13 +747,13 @@ def _boundary_b(f: BoundaryFunction, F: ChargedMeromorphicFunction):
     return b
 
 
-def rank_one_plancherel(
-    phi1: PseudoEisenstein,
-    phi2: PseudoEisenstein,
-    t_max: float = 40.0,
-    dt: float = 5e-3,
-    opts: MellinOptions | None = None,
-):
+# trapezoid rule of the continuous part of `rank_one_plancherel`: t in
+# (0, _RANK_ONE_T_MAX] at step _RANK_ONE_DT
+_RANK_ONE_T_MAX = 40.0
+_RANK_ONE_DT = 5e-3
+
+
+def rank_one_plancherel(phi1: PseudoEisenstein, phi2: PseudoEisenstein):
     """Spectral decomposition of the regularized pairing of two
     pseudo-Eisenstein series, normalized against the raw fundamental-domain
     quadrature (so it matches fd_integrate(phi1 * phi2) directly).
@@ -766,8 +768,8 @@ def rank_one_plancherel(
     if not isinstance(phi1, PseudoEisenstein) or not isinstance(phi2, PseudoEisenstein):
         raise TypeError("rank_one_plancherel expects pseudo-Eisenstein inputs")
     f1, f2 = phi1.f, phi2.f
-    F1 = f1.transform(opts)
-    F2 = f2.transform(opts)
+    F1 = f1.transform()
+    F2 = f2.transform()
     e1 = f1.cusp_exponents()
     e2 = f2.cusp_exponents()
     for a in e1:
@@ -786,7 +788,8 @@ def rank_one_plancherel(
     b1 = _boundary_b(f1, F1)
     b2 = _boundary_b(f2, F2)
 
-    t = np.arange(dt, t_max + dt, dt)
+    dt = _RANK_ONE_DT
+    t = np.arange(dt, _RANK_ONE_T_MAX + dt, dt)
     vals = b1(1j * t) * b2(-1j * t)
     # the integrand vanishes at t = 0 since c(0) = -1; trapezoid rule with a
     # zero left endpoint and half weight at t_max
@@ -820,21 +823,17 @@ def rank_one_plancherel(
     return complex(total), breakdown
 
 
-def constant_term_symmetry_check(
-    phi: PseudoEisenstein,
-    t_grid=None,
-) -> float:
-    """max_t | ct^(it) - c(-it) ct^(-it) | for the constant term of Psi f.
+def constant_term_symmetry_check(phi: PseudoEisenstein) -> float:
+    """max_t | ct^(it) - c(-it) ct^(-it) | for the constant term of Psi f,
+    over 40 points t in [0.05, 10].
 
     The two Mellin routes are independent of the identity under test: the
     f-part by direct quadrature, the Radon part through the coprime-row
     series and the zeta-ratio continuation.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.05, 10.0, 40)
     f = phi.f
     F = f.transform()
-    t = np.asarray(t_grid, dtype=float)
+    t = np.linspace(0.05, 10.0, 40)
     ct_plus = F(1j * t) + radon_mellin(f, 1j * t)
     ct_minus = F(-1j * t) + radon_mellin(f, -1j * t)
     dev = np.abs(ct_plus - intertwining_c(-1j * t) * ct_minus)

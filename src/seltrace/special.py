@@ -247,7 +247,11 @@ def intertwining_c(s):
     return out[0] if scalar else out
 
 
-def c_log_derivative(s, h: float = 1e-4, cross_check: bool = False):
+# step of the central differences in `c_log_derivative`
+_CLOGD_STEP = 1e-4
+
+
+def c_log_derivative(s, cross_check: bool = False):
     """(c'/c)(s) by Richardson-extrapolated central differences of c.
 
     `s` may be an array.  With cross_check=True the same quantity is
@@ -255,6 +259,7 @@ def c_log_derivative(s, h: float = 1e-4, cross_check: bool = False):
     returned.
     """
     s = np.asarray(s, dtype=complex)
+    h = _CLOGD_STEP
     near = (np.abs(s - 1.0) < 10 * h) | (np.abs(s) < 10 * h)
     if np.any(near):
         raise PoleProximityError(s[near], "c'/c too close to a pole/removable point")

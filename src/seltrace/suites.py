@@ -12,7 +12,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -659,14 +659,7 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
 
 
 def _scaled_woi(T, factor: float):
-    class Scaled:
-        def __init__(self, base):
-            self.k = lambda u: factor * np.asarray(base.k(u))
-            self.h = base.h
-            self.g = base.g
-            self.k_fast = base.k_fast
-
-    return weighted_orbital_integral(Scaled(T), -1)
+    return weighted_orbital_integral(replace(T, k=lambda u: factor * np.asarray(T.k(u))), -1)
 
 
 def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:

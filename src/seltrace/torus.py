@@ -161,15 +161,17 @@ class AsymptoticallyFiniteFunction:
     def infinity_exponents(self):
         return [t.exponent for t in self.terms if t.side == "infinity"]
 
-    def check_tail_decay(self, n_powers: int | None = None, u_samples=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0), tol: float = 1e-8):
-        """Sampled certificate: core(x) x^(+-N) -> 0 at x = e^(+-u)."""
-        n = int(n_powers if n_powers is not None else min(self.tail_decay_hint, 8))
-        u = np.asarray(u_samples, dtype=float)
+    def check_tail_decay(self):
+        """Sampled certificate: core(x) x^(+-N) -> 0 at x = e^(+-u), for
+        u = 5, 10, ..., 30 and N = min(tail_decay_hint, 8); a core fails when
+        the last sample exceeds 1e-8 and the samples do not decrease."""
+        n = int(min(self.tail_decay_hint, 8))
+        u = np.asarray((5.0, 10.0, 15.0, 20.0, 25.0, 30.0), dtype=float)
         for sgn in (+1.0, -1.0):
             # x -> inf: core * x^n must die; x -> 0: core * x^-n must die
             x = np.exp(sgn * u)
             vals = np.abs(self.core_values(x)) * x ** (sgn * n)
-            if vals[-1] > tol and not np.all(np.diff(vals) <= 0):
+            if vals[-1] > 1e-8 and not np.all(np.diff(vals) <= 0):
                 raise TailDecayError(
                     f"core fails x^{'+' if sgn>0 else '-'}{n} decay sampling: {vals}"
                 )
@@ -203,19 +205,16 @@ def log_gaussian_core(mu: float = 0.0, sigma: float = 1.0, amp: complex = 1.0):
 # Mellin transform
 
 
-@dataclass
-class MellinOptions:
-    u_max: float = 36.0
-    du: float = 0.02
-    strip: tuple[float, float] = (-8.0, 8.0)
+# half-width of the core quadrature in u = log x
+_CORE_U_MAX = 36.0
 
 
-def _core_transform(f: AsymptoticallyFiniteFunction, opts: MellinOptions):
+def _core_transform(f: AsymptoticallyFiniteFunction):
     # composite Gauss-Legendre panels with an edge pinned at u = 0: cores are
     # smooth except possibly for a sharp-carrier jump at x = 1, and panel
     # width 0.25 keeps the rule spectrally accurate for |Im s| <= ~40
-    n_panels = int(math.ceil(opts.u_max / 0.25))
-    edges_pos = np.linspace(0.0, opts.u_max, n_panels + 1)
+    n_panels = int(math.ceil(_CORE_U_MAX / 0.25))
+    edges_pos = np.linspace(0.0, _CORE_U_MAX, n_panels + 1)
     u_pos, w_pos = panel_gl_nodes(edges_pos, 16)
     u = np.concatenate([-u_pos[::-1], u_pos])
     w = np.concatenate([w_pos[::-1], w_pos])
@@ -245,32 +244,16 @@ def _core_transform(f: AsymptoticallyFiniteFunction, opts: MellinOptions):
     return ev
 
 
-def mellin(
-    f: AsymptoticallyFiniteFunction,
-    opts: MellinOptions | None = None,
-    check_decay: bool = True,
-) -> ChargedMeromorphicFunction:
+@lru_cache(maxsize=256)
+def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
     """Charged Mellin transform: entire quadrature part + exact pole terms.
 
-    Default-option transforms are memoized per function (they are immutable),
-    which makes repeated pairings against a fixed corpus cheap.
+    Transforms are memoized per function (functions are immutable), which
+    makes repeated pairings against a fixed corpus cheap.
     """
-    if opts is None:
-        return _default_mellin(f, check_decay)
-    return _build_mellin(f, opts, check_decay)
-
-
-@lru_cache(maxsize=256)
-def _default_mellin(f: AsymptoticallyFiniteFunction, check_decay: bool) -> ChargedMeromorphicFunction:
-    return _build_mellin(f, MellinOptions(), check_decay)
-
-
-def _build_mellin(
-    f: AsymptoticallyFiniteFunction, opts: MellinOptions, check_decay: bool
-) -> ChargedMeromorphicFunction:
-    if check_decay and f.core is not None:
+    if f.core is not None:
         f.check_tail_decay()
-    core_ev = _core_transform(f, opts)
+    core_ev = _core_transform(f)
 
     def merge(pole_map, lau):
         key = next((k for k in pole_map if abs(k - lau.location) < 1e-12), None)
@@ -313,7 +296,6 @@ def _build_mellin(
     return ChargedMeromorphicFunction(
         evaluator=ev,
         poles=pole_list,
-        strip=opts.strip,
         decay_class=decay,
         label=f.label,
         sharp_poles=sharp_list,
@@ -479,12 +461,12 @@ def mellin_inverse(
     return out[0] if scalar else out
 
 
-def regularized_integral(f: AsymptoticallyFiniteFunction, opts: MellinOptions | None = None):
+def regularized_integral(f: AsymptoticallyFiniteFunction):
     """Regularized integral over the half-line = Mellin transform at s = 0."""
     for a in f.zero_exponents() + f.infinity_exponents():
         if abs(a) < 1e-12:
             raise CriticalExponentError("exponent 0 present; regularized integral undefined")
-    F = mellin(f, opts)
+    F = mellin(f)
     return complex(F(0.0))
 
 
@@ -546,7 +528,6 @@ def product_asfinite(
 def regularized_inner_product_direct(
     f1: AsymptoticallyFiniteFunction,
     f2: AsymptoticallyFiniteFunction,
-    opts: MellinOptions | None = None,
 ):
     """Bilinear regularized pairing via the product's regularized integral."""
     for a1 in f1.zero_exponents():
@@ -557,7 +538,7 @@ def regularized_inner_product_direct(
         for a2 in f2.infinity_exponents():
             if abs(a1 + a2) < 1e-12:
                 raise CriticalExponentError(f"infinity-side exponents {a1} + {a2} = 0")
-    return regularized_integral(product_asfinite(f1, f2), opts)
+    return regularized_integral(product_asfinite(f1, f2))
 
 
 _cached_negation = lru_cache(maxsize=128)(negate_argument)
@@ -678,7 +659,6 @@ def plancherel_inner_product(
     f1: AsymptoticallyFiniteFunction,
     f2: AsymptoticallyFiniteFunction,
     sigma: float = 0.0,
-    opts: MellinOptions | None = None,
     ctr: ContourOptions | None = None,
 ):
     """Spectral-side pairing: contour integral of F1(s) F2(-s) plus residues.
@@ -695,8 +675,8 @@ def plancherel_inner_product(
     stays put.
     """
     ctr = ctr or ContourOptions()
-    F1 = mellin(f1, opts)
-    F2n = _cached_negation(mellin(f2, opts))
+    F1 = mellin(f1)
+    F2n = _cached_negation(mellin(f2))
     H = charged_product(F1, F2n)
     contour_honest = _split_contour(F1, F2n, sigma, ctr)
 
@@ -724,30 +704,33 @@ def plancherel_inner_product(
     return complex(total), breakdown
 
 
+# the |t|-bands of `pw_decay_profile`, and the radius of the disks around
+# poles that it leaves out
+_PW_T_BANDS = (2.0, 5.0, 10.0, 20.0, 40.0)
+_PW_EXCLUSION_RADIUS = 0.05
+
+
 def pw_decay_profile(
     f: AsymptoticallyFiniteFunction,
     strip: tuple[float, float] = (-1.0, 1.0),
     n_power: int = 6,
-    opts: MellinOptions | None = None,
-    t_bands=(2.0, 5.0, 10.0, 20.0, 40.0),
-    exclusion_radius: float = 0.05,
 ) -> dict:
     """Sample sup |F(sigma+it)| (1+|t|)^N over a strip, flagging growth.
 
     The report carries the sup and a verdict: decay is "confirmed" when the
     weighted sup decreases from each t-band to the next past the first knee.
     """
-    F = mellin(f, opts)
+    F = mellin(f)
     sigmas = np.linspace(strip[0], strip[1], 9)
     band_sups = []
-    for lo, hi in zip((0.0,) + tuple(t_bands[:-1]), t_bands):
+    for lo, hi in zip((0.0,) + _PW_T_BANDS[:-1], _PW_T_BANDS):
         sup = 0.0
         t = np.linspace(lo, hi, 160)
         for sg in sigmas:
             s = sg + 1j * t
             mask = np.ones_like(t, dtype=bool)
             for p in F.poles:
-                mask &= np.abs(s - p.location) > exclusion_radius
+                mask &= np.abs(s - p.location) > _PW_EXCLUSION_RADIUS
             if not np.any(mask):
                 continue
             vals = np.abs(F(s[mask])) * (1.0 + np.abs(t[mask])) ** n_power
@@ -757,7 +740,7 @@ def pw_decay_profile(
     tail = band_sups[1:]
     # quadrature noise times the polynomial weight sets an honest floor below
     # which band sups are indistinguishable from zero
-    floor = 1e-12 * (1.0 + t_bands[-1]) ** n_power * (1.0 + overall)
+    floor = 1e-12 * (1.0 + _PW_T_BANDS[-1]) ** n_power * (1.0 + overall)
     decaying = all(b <= max(a * 1.05, floor) for a, b in zip(tail[:-1], tail[1:]))
     return {
         "sup": overall,
@@ -783,7 +766,6 @@ def almost_l2_plancherel(
     f1: AsymptoticallyFiniteFunction,
     f2data: AlmostL2Data,
     ctr: ContourOptions | None = None,
-    opts: MellinOptions | None = None,
 ):
     """Plancherel pairing at sigma = 0 using only Re <= 0 data for f2.
 
@@ -796,7 +778,7 @@ def almost_l2_plancherel(
     if f1.zero_exponents():
         raise CriticalExponentError("f1 must be rapidly decaying near 0")
     ctr = ctr or ContourOptions()
-    F1 = mellin(f1, opts)
+    F1 = mellin(f1)
     F2 = f2data.transform
 
     for a1 in f1.infinity_exponents():

@@ -21,7 +21,7 @@ Normalization anchors (each cross-checked in the test suite):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -38,7 +38,7 @@ __all__ = [
     "FitError",
     "EllipticInputError",
     "SphericalTestFunction",
-    "GeometricTermConfig",
+    "MEASURE_LEDGER",
     "spherical_from_h",
     "gaussian_test_function",
     "kernel_constant_terms",
@@ -70,22 +70,18 @@ class EllipticInputError(SeltraceError):
 
 @dataclass(frozen=True)
 class SphericalTestFunction:
-    """Compatible triple (h, g, k) with provenance of the supplied member.
+    """Compatible triple (h, g, k), built from h.
 
     `k` integrates the Abel inversion by quadrature on each call (accurate,
     for orbital integrals); `k_fast` interpolates a dense precomputed table
-    (for the large modular-group sums)."""
+    (for the large modular-group sums).  `t_max` is the cut of the spectral
+    line that the triple was built on."""
 
     h: Callable
     g: Callable
     k: Callable
     k_fast: Callable = None
-    provenance: str = "h"
     t_max: float = 26.0
-    dt: float = 0.01
-
-    def h_line(self, t):
-        return self.h(1j * np.asarray(t, dtype=float))
 
 
 def _fourier_g(h: Callable, t_max: float, dt: float):
@@ -108,14 +104,16 @@ def _g_cl_derivative(h: Callable, t_max: float, dt: float):
     return gclp
 
 
-def spherical_from_h(
-    h: Callable,
-    t_max: float = 26.0,
-    dt: float = 0.01,
-    rho_max: float = 26.0,
-    n_k_grid: int = 6000,
-) -> SphericalTestFunction:
-    """Build (h, g, k) from the spectral multiplier h.
+# spherical_from_h's quadrature budget: the t-steps of the Fourier rules for
+# g and g_cl', the rho-range of the g_cl' table, and the number of k_fast nodes
+_G_DT = 0.01
+_G_CL_DT = 0.02
+_RHO_MAX = 26.0
+_N_K_GRID = 6000
+
+
+def spherical_from_h(h: Callable, t_max: float = 26.0) -> SphericalTestFunction:
+    """Build (h, g, k) from the spectral multiplier h, cut at |t| <= t_max.
 
     g comes from Fourier quadrature of h on the line; k from the Abel
     inversion k(u) = -(2/pi) int_0^inf Q'(u + xi^2) d xi, where
@@ -126,17 +124,17 @@ def spherical_from_h(
     probe = np.abs(np.asarray(h(1j * np.array([0.0, 0.5 * t_max, t_max]))))
     if probe[-1] > 1e-9 * (1.0 + probe[0]):
         raise DecayError("h must decay rapidly on the spectral line")
-    g = _fourier_g(h, t_max, dt)
-    gclp = _g_cl_derivative(h, t_max, max(dt, 0.02))
+    g = _fourier_g(h, t_max, _G_DT)
+    gclp = _g_cl_derivative(h, t_max, _G_CL_DT)
 
     # dense g_cl' table; Q'(v) after that costs one interpolation
-    rho_tab = np.linspace(0.0, rho_max, 52001)
+    rho_tab = np.linspace(0.0, _RHO_MAX, 52001)
     gclp_tab = np.real(gclp(rho_tab))
     eps = rho_tab[1]
     qp_origin = gclp_tab[1] / (2.0 * eps)
     peak = float(np.max(np.abs(gclp_tab)))
     supp = np.nonzero(np.abs(gclp_tab) > 1e-17 * peak)[0]
-    rho_cut = float(rho_tab[supp[-1]]) if supp.size else rho_max
+    rho_cut = float(rho_tab[supp[-1]]) if supp.size else _RHO_MAX
     v_cut = 4.0 * math.sinh(0.5 * rho_cut) ** 2
 
     def Qp(v):
@@ -163,7 +161,7 @@ def spherical_from_h(
         out[uf >= v_cut] = 0.0
         return out.reshape(shape) if shape else float(out[0])
 
-    u_tab = np.concatenate([[0.0], np.geomspace(1e-4, v_cut + 1.0, n_k_grid - 1)])
+    u_tab = np.concatenate([[0.0], np.geomspace(1e-4, v_cut + 1.0, _N_K_GRID - 1)])
     k_tab = np.asarray(k(u_tab))
 
     def k_fast(u):
@@ -171,7 +169,7 @@ def spherical_from_h(
         out = np.interp(u, u_tab, k_tab, right=0.0)
         return out if u.shape else float(out)
 
-    return SphericalTestFunction(h=h, g=g, k=k, k_fast=k_fast, provenance="h", t_max=t_max, dt=dt)
+    return SphericalTestFunction(h=h, g=g, k=k, k_fast=k_fast, t_max=t_max)
 
 
 @lru_cache(maxsize=16)
@@ -237,11 +235,12 @@ def kernel_constant_terms(T: SphericalTestFunction):
 # Spectral first coefficient
 
 
-def tf_minus1_spectral(T1, T2, sigma: float = 0.0, t_max: float = 26.0, dt: float = 0.01) -> complex:
-    """-(1/2 pi i) int over Re s = sigma of h1(s) h2(-s) ds."""
+def tf_minus1_spectral(T1, T2, sigma: float = 0.0) -> complex:
+    """-(1/2 pi i) int over Re s = sigma of h1(s) h2(-s) ds, by the trapezoid
+    rule on |t| <= 26 at step 0.01."""
     h1 = T1.h if isinstance(T1, SphericalTestFunction) else T1
     h2 = T2.h if isinstance(T2, SphericalTestFunction) else T2
-    t, w = trap_grid(t_max, dt)
+    t, w = trap_grid(26.0, 0.01)
     s = sigma + 1j * t
     vals = np.asarray(h1(s)) * np.asarray(h2(-s))
     return complex(-np.sum(vals * w) / (2.0 * np.pi))
@@ -251,25 +250,21 @@ def tf_minus1_spectral(T1, T2, sigma: float = 0.0, t_max: float = 26.0, dt: floa
 # Truncation fits
 
 
-def two_term_laurent(
-    F_model,
-    phi_model,
-    T_grid=None,
-    u_min: float = -40.0,
-) -> TwoTermLaurent:
+def two_term_laurent(F_model, phi_model) -> TwoTermLaurent:
     """Model-space truncation fit: I(T) = int_{x <= e^T} F phi d*x.
 
-    Fits I(T) = -a_{-1} T + a_0 on the tail of the grid and verifies that the
-    fit residuals decay along the grid (they are exponentially small in T for
-    asymptotically constant inputs).  Each truncated integral is evaluated on
-    Gauss-Legendre panels with edges pinned at u = 0 (possible sharp-carrier
-    jump) and at the truncation height itself.
+    Fits I(T) = -a_{-1} T + a_0 on the tail of the grid T = 2, 2.5, ..., 6
+    and verifies that the fit residuals decay along the grid (they are
+    exponentially small in T for asymptotically constant inputs).  Each
+    truncated integral runs from u = log x = -40 on Gauss-Legendre panels with
+    edges pinned at u = 0 (possible sharp-carrier jump) and at the truncation
+    height itself.
     """
-    T_grid = np.asarray(T_grid if T_grid is not None else np.arange(2.0, 6.01, 0.5))
+    T_grid = np.arange(2.0, 6.01, 0.5)
 
     def I_of(T):
         edges = np.concatenate([
-            np.linspace(u_min, 0.0, 81),
+            np.linspace(-40.0, 0.0, 81),
             np.linspace(0.0, float(T), max(2, int(math.ceil(4 * T)) + 1))[1:],
         ])
         un, uw = panel_gl_nodes(edges, 10)
@@ -373,9 +368,6 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
 def two_term_laurent_kernel(
     T1: SphericalTestFunction,
     T2: SphericalTestFunction,
-    T_grid=None,
-    nx: int = 160,
-    ny: int = 160,
     u_max: float = 250.0,
 ):
     """Kernel-pair truncation fit.
@@ -383,13 +375,14 @@ def two_term_laurent_kernel(
     I(T) = integral over the fundamental domain up to height e^{2T} of the
     diagonal kernel sum of the convolved test function; the model
     I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential term is the
-    exact subleading correction of the level-1 translation tail).
+    exact subleading correction of the level-1 translation tail) on
+    T = 0.75, 1, ..., 2.25, with a 160 x 160 fundamental-domain rule.
     """
-    T_grid = np.asarray(T_grid if T_grid is not None else np.arange(0.75, 2.26, 0.25))
+    T_grid = np.arange(0.75, 2.26, 0.25)
     T12 = convolve_test_functions(T1, T2)
     Ymax = math.exp(2.0 * float(T_grid[-1]))
     v_breaks = tuple(2.0 * T_grid[:-1])
-    Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, v_breaks)
+    Z1, W1, Z2, W2 = _fd_grids(Ymax, 160, 160, v_breaks)
     vals1 = kernel_diagonal_sum(T12.k_fast, Z1, u_max)
     vals2 = kernel_diagonal_sum(T12.k_fast, Z2, u_max)
     base = float(np.real(np.sum(vals1 * W1)))
@@ -427,11 +420,12 @@ def unit_hecke_global_factor(alpha) -> float:
     return 1.0 if abs(t.numerator) == 1 and abs(t.denominator) == 1 else 0.0
 
 
-def _arch_orbital_nodes(n: int = 900, x_head: float = 6.0, l_max: float = 9.0):
+def _arch_orbital_nodes():
     """Nodes for int_0^inf of slowly decaying point-pair integrands: a dense
-    head plus a log-spaced tail out to x = e^l_max."""
-    x1, w1 = gl_nodes(0.0, x_head, n)
-    l, lw = panel_gl_nodes(np.linspace(math.log(x_head), l_max, 24), 10)
+    900-node head on [0, 6] plus a log-spaced tail out to x = e^9."""
+    x_head = 6.0
+    x1, w1 = gl_nodes(0.0, x_head, 900)
+    l, lw = panel_gl_nodes(np.linspace(math.log(x_head), 9.0, 24), 10)
     x2 = np.exp(l)
     w2 = x2 * lw
     return np.concatenate([x1, x2]), np.concatenate([w1, w2])
@@ -467,24 +461,21 @@ def identity_term(T: SphericalTestFunction) -> complex:
     return complex(FUNDAMENTAL_DOMAIN_VOLUME * float(np.asarray(T.k(0.0))))
 
 
-def tate_zeta_term(
-    F_profile: Callable,
-    h_step: float = 1e-3,
-    x_max: float = 30.0,
-) -> tuple[TwoTermLaurent, Callable]:
+def tate_zeta_term(F_profile: Callable) -> tuple[TwoTermLaurent, Callable]:
     """Two-term Laurent data at s = 0 of Z(F, 1 - s/2) for F = F_inf x lattice.
 
     Z(F, w) = Z_inf(F_inf, w) zeta(w) with
-    Z_inf(w) = int_R F_inf(x) |x|^(w-1) dx.  The simple pole at w = 1 has
-    residue Z_inf(1); the constant term is extracted by a symmetric limit
-    with Richardson refinement.  Returns (laurent, Z_callable).
+    Z_inf(w) = int_R F_inf(x) |x|^(w-1) dx, by the trapezoid rule in
+    u = log x on |u| <= 30.  The simple pole at w = 1 has residue Z_inf(1);
+    the constant term is extracted by a symmetric limit at steps 1e-3 and
+    5e-4 with Richardson refinement.  Returns (laurent, Z_callable).
     """
-    u, uw = trap_grid(x_max, 0.01)
+    u, uw = trap_grid(30.0, 0.01)
+    # the profile does not depend on w, so every Z_inf call shares it
+    vals = np.asarray(F_profile(np.exp(u)), dtype=complex)
 
     def z_inf(w):
         w = complex(w)
-        x = np.exp(u)
-        vals = np.asarray(F_profile(x), dtype=complex)
         return 2.0 * np.sum(vals * np.exp(w * u) * uw)
 
     def Z(w):
@@ -495,69 +486,39 @@ def tate_zeta_term(
     def fp(h):
         return 0.5 * (Z(1.0 + h) + Z(1.0 - h))
 
-    c1 = fp(h_step)
-    c2 = fp(0.5 * h_step)
+    step = 1e-3
+    c1 = fp(step)
+    c2 = fp(0.5 * step)
     C = (4.0 * c2 - c1) / 3.0
     return TwoTermLaurent(a_minus1=complex(-2.0 * R), a_0=complex(C)), Z
 
 
-@dataclass
-class GeometricTermConfig:
-    """Measure normalizations and the split-class list for the geometric side.
-
-    The volume constants are pinned to the declared normalization and carried
-    through the formulas explicitly, so alternative conventions rescale
-    predictably; `ledger` documents each choice.
-    """
-
-    vol_H: float = FUNDAMENTAL_DOMAIN_VOLUME
-    vol_A1: float = 1.0
-    vol_M1: float = 1.0
-    vol_Gm1: float = 1.0
-    hyperbolic_classes: tuple = (
-        Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2),
-        Fraction(-1, 2), Fraction(3), Fraction(-3), Fraction(3, 2),
-    )
-    class_norm_bound: float = 12.0
-    ledger: dict = field(default_factory=lambda: {
-        "measure": "dmu = dx dy / y^2 on the half-plane; Vol(F) = pi/3",
-        "boundary": "x = sqrt(y); boundary measure x^-2 d*x (half of dmu push-forward)",
-        "volumes": "Vol([A]^1) = Vol([M]^1) = Vol([Gm]^1) = 1 in the declared normalization",
-        "alpha_insertion": "the class representative is inserted in the integrand, "
-                           "Phi(k^-1 n alpha k); the alpha-free display diverges",
-    })
-
-    def classes_within_bound(self):
-        out = []
-        for t in self.hyperbolic_classes:
-            norm = abs(float(t)) + 1.0 / abs(float(t))
-            if norm <= self.class_norm_bound:
-                out.append(t)
-        return out
+# the measure normalizations of the geometric side, emitted with every
+# `tf report`; Vol([A]^1) = 1 is the factor in `tf_minus1_geometric`
+MEASURE_LEDGER = {
+    "measure": "dmu = dx dy / y^2 on the half-plane; Vol(F) = pi/3",
+    "boundary": "x = sqrt(y); boundary measure x^-2 d*x (half of dmu push-forward)",
+    "volumes": "Vol([A]^1) = Vol([M]^1) = Vol([Gm]^1) = 1 in the declared normalization",
+    "alpha_insertion": "the class representative is inserted in the integrand, "
+                       "Phi(k^-1 n alpha k); the alpha-free display diverges",
+}
 
 
-def tf_minus1_geometric(
-    T1: SphericalTestFunction,
-    T2: SphericalTestFunction,
-    config: GeometricTermConfig | None = None,
-) -> complex:
+def tf_minus1_geometric(T1: SphericalTestFunction, T2: SphericalTestFunction) -> complex:
     """-Vol([A]^1) sum over split alpha of the plain orbital integral of the
     convolved kernel over N x K, with the finite-place unit-Hecke factors.
 
-    At level 1 only alpha = +-1 survive; each contributes int k(x^2) dx."""
-    config = config or GeometricTermConfig()
+    At level 1 only alpha = +-1 survive, each with factor 1; both have
+    |alpha| = 1, so each contributes the same 2 int_0^inf k(x^2) dx."""
     T12 = convolve_test_functions(T1, T2)
     x, w = _arch_orbital_nodes()
+    term = 2.0 * np.sum(np.asarray(T12.k(x**2)) * w)
     total = 0.0 + 0.0j
-    for t in config.classes_within_bound():
-        factor = unit_hecke_global_factor(t)
-        if factor == 0.0:
-            continue
-        ta = abs(float(t))
-        v0 = (math.sqrt(ta) - 1.0 / math.sqrt(ta)) ** 2
-        kv = np.asarray(T12.k(ta * x**2 + v0))
-        total += factor * 2.0 * np.sum(kv * w)
-    return complex(-config.vol_A1 * total)
+    total += term  # alpha = 1
+    total += term  # alpha = -1
+    # -Vol([A]^1) total with Vol([A]^1) = 1; a product, not a negation, so
+    # the imaginary part stays +0.0 as in the reports
+    return complex(-1.0 * total)
 
 
 # ----------------------------------------------------------------------------
@@ -568,8 +529,6 @@ def spectral_side(
     T1: SphericalTestFunction,
     T2: SphericalTestFunction,
     residual_on: bool = True,
-    t_max: float = 14.0,
-    dt: float = 0.02,
     cusp_eigenvalues=None,
 ) -> dict:
     """Computable spectral terms of the constant Laurent coefficient.
@@ -578,7 +537,8 @@ def spectral_side(
     residual_term   h1(1) h2(1)   [trivial-line contribution; the
                     intertwining-residue scalar (6/pi) h1(1) h2(1) is recorded
                     alongside, see `residual_defdiscrete_scalar`]
-    continuous_term -(1/4 pi) int (c'/c)(it) h1(it) h2(it) dt
+    continuous_term -(1/4 pi) int (c'/c)(it) h1(it) h2(it) dt, by the
+                    trapezoid rule on |t| <= 14 at step 0.02
 
     Cuspidal terms are never computed; optional eigenvalue data (t_j with
     s_j = i t_j) is folded into `cusp_display_sum` for display only.
@@ -593,7 +553,7 @@ def spectral_side(
     h21 = complex(np.asarray(h2(np.ones(1, dtype=complex)))[0])
     residual = h11 * h21 if residual_on else 0.0 + 0.0j
 
-    t, w = trap_grid(t_max, dt)
+    t, w = trap_grid(14.0, 0.02)
     mask = np.abs(t) > 1e-9
     tt = t[mask]
     integrand = np.real(c_log_derivative(1j * tt)) * np.real(

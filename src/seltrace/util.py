@@ -129,12 +129,13 @@ def smooth_eta_inf(x):
     return smooth_eta(1.0 / np.clip(x, 1e-300, None))
 
 
-def reduce_to_fundamental_domain(z: complex, max_iter: int = 200) -> complex:
-    """Reduce z in the upper half-plane to {|x| <= 1/2, |z| >= 1} under PSL2(Z)."""
+def reduce_to_fundamental_domain(z: complex) -> complex:
+    """Reduce z in the upper half-plane to {|x| <= 1/2, |z| >= 1} under PSL2(Z),
+    in at most 200 inversion steps."""
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("point must lie in the upper half-plane")
-    for _ in range(max_iter):
+    for _ in range(200):
         z = complex(z.real - np.round(z.real), z.imag)
         n2 = z.real * z.real + z.imag * z.imag
         if n2 >= 1.0 - 1e-15:

@@ -146,18 +146,23 @@ class TestHarness:
 
     def test_cold_and_warm_reports_identical(self, tmp_path):
         # the second run of each suite reads every memo the first one filled
+        names = (
+            "functional-equations", "charged-core", "hc-bound", "torus-plancherel",
+            "kernel-relations", "tf-minus1", "geometric-terms", "tate-zeta",
+            "constant-term-symmetry", "mellin-roundtrip",
+        )
         script = (
             "import sys\n"
             "from seltrace.suites import emit_report, run_suite\n"
             "for rnd in ('cold', 'warm'):\n"
-            "    for name in ('functional-equations', 'charged-core', 'hc-bound', 'torus-plancherel'):\n"
+            "    for name in sys.argv[2:]:\n"
             "        emit_report(run_suite(name), f'{sys.argv[1]}/{name}.{rnd}.json')\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, timeout=900
+            [sys.executable, "-c", script, str(tmp_path), *names], capture_output=True, text=True, timeout=900
         )
         assert out.returncode == 0, out.stderr
-        for name in ("functional-equations", "charged-core", "hc-bound", "torus-plancherel"):
+        for name in names:
             cold = (tmp_path / f"{name}.cold.json").read_bytes()
             warm = (tmp_path / f"{name}.warm.json").read_bytes()
             assert cold == warm, name

@@ -12,7 +12,6 @@ from seltrace.torus import (
     AsymptoticallyFiniteFunction,
     CriticalExponentError,
     ExponentTerm,
-    MellinOptions,
     TailDecayError,
     almost_l2_plancherel,
     breakdown_to_csv,

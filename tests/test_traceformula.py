@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from seltrace.halfplane import FUNDAMENTAL_DOMAIN_VOLUME
 from seltrace.special import intertwining_c
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm
 from seltrace.traceformula import (
     EllipticInputError,
     FitError,
-    GeometricTermConfig,
+    MEASURE_LEDGER,
     convolve_test_functions,
     gaussian_test_function,
     identity_term,
@@ -242,10 +243,10 @@ class TestGeometricTerms:
         assert abs(identity_term(gauss_T08) - math.pi / 3.0 * k0) < 1e-14
 
     def test_config_ledger_attached(self):
-        cfg = GeometricTermConfig()
-        assert cfg.vol_H == pytest.approx(math.pi / 3.0)
-        assert "measure" in cfg.ledger and "alpha_insertion" in cfg.ledger
-        assert all(v > 0 for v in (cfg.vol_A1, cfg.vol_M1, cfg.vol_Gm1))
+        assert FUNDAMENTAL_DOMAIN_VOLUME == pytest.approx(math.pi / 3.0)
+        assert set(MEASURE_LEDGER) == {"measure", "boundary", "volumes", "alpha_insertion"}
+        assert "Vol(F) = pi/3" in MEASURE_LEDGER["measure"]
+        assert "Vol([A]^1) = Vol([M]^1) = Vol([Gm]^1) = 1" in MEASURE_LEDGER["volumes"]
 
 
 class TestTateZeta:
