@@ -217,9 +217,13 @@ def constant_function(value: complex, label="") -> ChargedMeromorphicFunction:
 # circle sampling
 
 
-def _circle_radius(h: ChargedMeromorphicFunction, s0: complex, default=5e-2) -> float:
+# radius of the Laurent sampling circle when no other pole is near
+_CIRCLE_RADIUS = 5e-2
+
+
+def _circle_radius(h: ChargedMeromorphicFunction, s0: complex) -> float:
     dists = [abs(p.location - s0) for p in h.poles if abs(p.location - s0) > 1e-10]
-    r = default if not dists else min(default, 0.4 * min(dists))
+    r = _CIRCLE_RADIUS if not dists else min(_CIRCLE_RADIUS, 0.4 * min(dists))
     return max(r, 1e-6)
 
 

@@ -258,6 +258,9 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
 # target accuracy of a pseudo-Eisenstein value; the coset enumeration keeps
 # every orbit height where |f| exceeds 1e-3 of it
 _PSI_TOL = 1e-10
+# (row, point) entries per block of `_psi_values`; 1e6 entries keep a
+# rank-one fundamental-domain quadrature near 110 MB peak RSS
+_PSI_CHUNK = 1_000_000
 
 
 def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
@@ -265,10 +268,14 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
 
     Cosets are enumerated adaptively: a bottom row (c, d) is kept only when
     some grid point can reach an orbit height where |f| exceeds the funnel
-    threshold derived from `_PSI_TOL`."""
+    threshold derived from `_PSI_TOL`.  The row (c, -d) lifts -conj(z) to the
+    height (c, d) lifts z to, so Psi f(-conj z) = Psi f(z): the sum runs once
+    per distinct (|x|, y) over a d-window symmetric in x, the one an unfolded
+    grid spanning [-max|x|, max|x|] enumerates."""
     z = np.asarray(z, dtype=complex)
-    y = z.imag
-    x = z.real
+    folded, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
+    y = folded.imag
+    x = folded.real
     out = np.asarray(f(y), dtype=complex)
     h_min = _funnel_threshold(f, _PSI_TOL * 1e-3)
     # a row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2) >= h_min only
@@ -278,20 +285,18 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
     if c_cap is not None:
         c_max = min(c_max, c_cap)
     ys = np.linspace(y_lo, float(np.max(y)), 16)
+    x_hi = float(np.max(x))
     cs, ds = coprime_rows(
-        float(np.min(x)), float(np.max(x)),
-        [np.max(ys / h_min - c * c * ys * ys) for c in range(1, c_max + 1)],
+        -x_hi, x_hi, [np.max(ys / h_min - c * c * ys * ys) for c in range(1, c_max + 1)]
     )
-    if len(cs) == 0:
-        return out
-    chunk = max(1, int(4e6 // max(z.size, 1)))
+    chunk = max(1, _PSI_CHUNK // folded.size)
     for i in range(0, len(cs), chunk):
         cc = cs[i : i + chunk, None]
         dd = ds[i : i + chunk, None]
         denom = (cc * x[None, :] + dd) ** 2 + (cc * y[None, :]) ** 2
         heights = y[None, :] / denom
         out = out + np.sum(f(heights.ravel()).reshape(heights.shape), axis=0)
-    return out
+    return out[point_of.reshape(-1)].reshape(z.shape)
 
 
 def pseudo_eisenstein_function(f: BoundaryFunction, coset_bound: int | None = None) -> "PseudoEisenstein":
@@ -385,7 +390,7 @@ def radon_transform(f: BoundaryFunction, y):
     h_min = _funnel_threshold(f, 1e-12)
     c_max = int(math.floor(1.0 / math.sqrt(h_min * float(np.min(y))))) + 1
     cs = np.arange(1, c_max + 1, dtype=float)
-    phis = np.array([_euler_phi(int(c)) for c in range(1, c_max + 1)], dtype=float)
+    phis = _totients(c_max).astype(float)
     W = np.multiply.outer(cs * cs, y)
     # F(w) only samples f on (0, 1/w]; entries with 1/w below the funnel
     # threshold contribute nothing
@@ -397,19 +402,17 @@ def radon_transform(f: BoundaryFunction, y):
     return out[0] if scalar else out
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+def _totients(n: int) -> np.ndarray:
+    """Euler's phi(1), ..., phi(n) by a sieve: phi(c) = c prod_{p | c} (1 - 1/p)."""
+    phi = np.arange(n + 1)
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    for p in np.flatnonzero(prime):
+        phi[p::p] -= phi[p::p] // p
+    return phi[1:]
 
 
 # w where `radon_mellin` switches from the subtracted to the plain integrand
@@ -521,10 +524,18 @@ def eisenstein_grid_values(s: complex, z: np.ndarray):
     n_terms = max(1, int(np.ceil(48.0 / (2.0 * np.pi * ymin))))
     pref = 4.0 / complex(xi(1.0 + s))
     nu = w - 0.5
+    # grids repeat heights and abscissae: K and cos run once per distinct
+    # value (the K rule's node cap depends only on min y, so each value is
+    # the one a per-point call gives)
+    heights, height_of = np.unique(y, return_inverse=True)
+    xs, x_of = np.unique(x, return_inverse=True)
+    height_of = height_of.reshape(y.shape)
+    x_of = x_of.reshape(x.shape)
+    root = np.sqrt(heights)
     for n in range(1, n_terms + 1):
         an = n ** (w - 0.5) * divisor_sigma(n, 1.0 - 2.0 * w)
-        kv = kbessel(nu, 2.0 * np.pi * n * y)
-        out = out + pref * an * np.sqrt(y) * kv * np.cos(2.0 * np.pi * n * x)
+        radial = pref * an * root * kbessel(nu, 2.0 * np.pi * n * heights)
+        out = out + radial[height_of] * np.cos(2.0 * np.pi * n * xs)[x_of]
     return out
 
 
@@ -628,6 +639,8 @@ def _fd_grids(Ymax: float, nx: int, ny: int, v_breaks=()):
     Weights carry the hyperbolic measure dx dy/y^2.
     """
     xs, wx = gl_nodes(-0.5, 0.5, nx)
+    # exactly antisymmetric nodes, so that mirror points share their values
+    xs = 0.5 * (xs - xs[::-1])
     n1 = max(12, ny // 4)
     Z1 = []
     W1 = []

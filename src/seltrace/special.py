@@ -117,14 +117,16 @@ _BERNOULLI_EVEN = [
 ]
 
 
-def _zeta_em(s: complex, N: int | None = None, K: int = 14) -> complex:
-    """Euler-Maclaurin evaluation; guard path near the eta removable points."""
-    if N is None:
-        N = max(60, int(1.2 * abs(s.imag)) + 20)
+def _zeta_em(s: complex) -> complex:
+    """Euler-Maclaurin evaluation; guard path near the eta removable points.
+
+    Sums n < N = max(60, 1.2 |Im s| + 20) directly and corrects with every
+    tabulated Bernoulli term."""
+    N = max(60, int(1.2 * abs(s.imag)) + 20)
     n = np.arange(1, N)
     out = np.sum(n ** (-s)) + N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** (-s)
     coeff = s  # rising product s (s+1) ... (s+2j-2)
-    for j, b in enumerate(_BERNOULLI_EVEN[:K], start=1):
+    for j, b in enumerate(_BERNOULLI_EVEN, start=1):
         out += b / _factorial(2 * j) * coeff * N ** (-s - (2 * j - 1))
         coeff *= (s + 2 * j - 1) * (s + 2 * j)
     return out
@@ -211,14 +213,20 @@ def _c_raw(s):
     return xi(s) / xi(s + 1.0)
 
 
-@lru_cache(maxsize=8)
-def _c_taylor_at_zero(order: int = 6, radius: float = 1e-2) -> np.ndarray:
+# order of the Taylor germ of c at 0, and the radius of the 64-point circle
+# its coefficients are sampled on
+_C_TAYLOR_ORDER = 6
+_C_TAYLOR_RADIUS = 1e-2
+
+
+@lru_cache(maxsize=1)
+def _c_taylor_at_zero() -> np.ndarray:
     m = 64
     th = 2.0 * np.pi * np.arange(m) / m
-    ring = radius * np.exp(1j * th)
+    ring = _C_TAYLOR_RADIUS * np.exp(1j * th)
     vals = _c_raw(ring)
     coeffs = np.fft.fft(vals) / m
-    return coeffs[: order + 1] / radius ** np.arange(order + 1)
+    return coeffs[: _C_TAYLOR_ORDER + 1] / _C_TAYLOR_RADIUS ** np.arange(_C_TAYLOR_ORDER + 1)
 
 
 def intertwining_c(s):
@@ -315,11 +323,17 @@ class KBesselValue(NamedTuple):
     underflowed: bool
 
 
-@lru_cache(maxsize=8)
-def _de_nodes(t_lo: float = -3.8, t_hi: float = 3.6, h: float = 0.018):
-    t = np.arange(t_lo, t_hi + h, h)
+# the exp-sinh rule of `kbessel`: t in [_DE_T_LO, _DE_T_HI] at step _DE_H
+_DE_T_LO = -3.8
+_DE_T_HI = 3.6
+_DE_H = 0.018
+
+
+@lru_cache(maxsize=1)
+def _de_nodes():
+    t = np.arange(_DE_T_LO, _DE_T_HI + _DE_H, _DE_H)
     u = np.exp(0.5 * np.pi * np.sinh(t))
-    w = h * 0.5 * np.pi * np.cosh(t) * u
+    w = _DE_H * 0.5 * np.pi * np.cosh(t) * u
     return u, w
 
 

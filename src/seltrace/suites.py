@@ -602,8 +602,9 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     rep.add("model_fit_mixed_aminus1", "1 + e^-x tail", -1.0, lau2.a_minus1, 1e-6)
     rep.add("model_fit_mixed_a0", "1 + e^-x tail", e1_val, lau2.a_0, 1e-6)
     # full constant-coefficient consistency: fit a0 against the computable
-    # spectral terms (cuspidal content of the narrow Gaussian pair is below
-    # 1e-40, so the remainder is quadrature noise)
+    # spectral terms (the cuspidal content of the width-0.5 pair is
+    # h(i t_1)^2 = 1.8e-20 at t_1 = 19.07, so the remainder is quadrature
+    # noise)
     sp = spectral_side(Tn, Tn)
     rep.add("tf0_cusp_remainder", "width 0.5 pair", sp["computable_sum"], fit.a_0, 5e-3)
     return rep

@@ -470,6 +470,10 @@ def regularized_integral(f: AsymptoticallyFiniteFunction):
     return complex(F(0.0))
 
 
+def _sharp_twin(t: ExponentTerm) -> ExponentTerm:
+    return ExponentTerm(t.exponent, t.log_poly, t.side, "sharp")
+
+
 def product_asfinite(
     f1: AsymptoticallyFiniteFunction, f2: AsymptoticallyFiniteFunction
 ) -> AsymptoticallyFiniteFunction:
@@ -491,17 +495,15 @@ def product_asfinite(
     sharp_terms = tuple(new_terms)
     # pairs whose product is not captured (exactly) by a sharp term: same-side
     # smooth carriers, and cross-side smooth overlaps near x = 1
-    leftover_pairs = []
+    same_side, cross_side = [], []
     for t1 in f1.terms:
         for t2 in f2.terms:
             if t1.side == t2.side:
                 if t1.carrier == "sharp" and t2.carrier == "sharp":
                     continue  # identical to the sharp product term
-                conv = np.convolve(np.asarray(t1.log_poly), np.asarray(t2.log_poly))
-                sharp = ExponentTerm(t1.exponent + t2.exponent, tuple(conv), t1.side, "sharp")
-                leftover_pairs.append((t1, t2, sharp))
+                same_side.append((t1, t2, _sharp_twin(t1), _sharp_twin(t2)))
             elif t1.carrier == "smooth" or t2.carrier == "smooth":
-                leftover_pairs.append((t1, t2, None))
+                cross_side.append((t1, t2))
 
     def core(x):
         # grouped to avoid the catastrophic cancellation of evaluating
@@ -511,11 +513,13 @@ def product_asfinite(
         c2 = f2.core_values(x)
         for t1 in f1.terms:
             total = total + t1(x) * c2
-        for t1, t2, sharp in leftover_pairs:
-            prod = t1(x) * t2(x)
-            if sharp is not None:
-                prod = prod - sharp(x)
-            total = total + prod
+        # t1 t2 - s1 s2 = (t1 - s1) t2 + s1 (t2 - s2) with s the sharp twins:
+        # each difference is exactly 0 wherever both carriers are 0 or 1, so
+        # the leftover vanishes off the carriers' transition bands
+        for t1, t2, s1, s2 in same_side:
+            total = total + ((t1(x) - s1(x)) * t2(x) + s1(x) * (t2(x) - s2(x)))
+        for t1, t2 in cross_side:
+            total = total + t1(x) * t2(x)
         return total
 
     hint = min(f1.tail_decay_hint, f2.tail_decay_hint)

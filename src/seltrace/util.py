@@ -49,10 +49,16 @@ def panel_gl_nodes(edges, n: int):
 
 
 def trap_grid(t_max: float, dt: float):
-    """Symmetric uniform grid on [-t_max, t_max] with trapezoid weights."""
+    """Symmetric uniform grid on [-t_max, t_max] with trapezoid weights.
+
+    The n = round(2 t_max / dt) steps are 2 t_max / n wide, and the weights
+    use that spacing; it is dt itself where n dt = 2 t_max to rounding."""
     n = int(round(2.0 * t_max / dt))
     t = np.linspace(-t_max, t_max, n + 1)
-    w = np.full(n + 1, dt)
+    step = 2.0 * t_max / n
+    if abs(step - dt) <= 8.0 * np.finfo(float).eps * dt:
+        step = dt
+    w = np.full(n + 1, step)
     w[0] *= 0.5
     w[-1] *= 0.5
     return t, w

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seltrace import halfplane
 from seltrace.halfplane import (
     AutomorphicFunction,
     DegenerateParameterError,
@@ -15,6 +16,7 @@ from seltrace.halfplane import (
     constant_term,
     coprime_rows,
     eisenstein,
+    eisenstein_grid_values,
     fd_integrate,
     lattice_eisenstein,
     maass_selberg,
@@ -25,7 +27,7 @@ from seltrace.halfplane import (
     schwartz_boundary,
     truncate,
 )
-from seltrace.special import PoleError, intertwining_c
+from seltrace.special import PoleError, divisor_sigma, intertwining_c, kbessel, xi
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm, log_gaussian_core
 from seltrace.util import reduce_to_fundamental_domain
 
@@ -104,6 +106,55 @@ class TestCoprimeRows:
         assert cs.size == 0 and ds.size == 0
 
 
+def _psi_unfolded(f, z):
+    """Psi f on every point separately (no mirror folding), over the row
+    window `_psi_values` enumerates for the grid."""
+    y, x = z.imag, z.real
+    out = np.asarray(f(y), dtype=complex)
+    h_min = halfplane._funnel_threshold(f, halfplane._PSI_TOL * 1e-3)
+    y_lo = float(np.min(y))
+    c_max = int(math.floor(1.0 / math.sqrt(h_min * y_lo))) + 1
+    ys = np.linspace(y_lo, float(np.max(y)), 16)
+    x_hi = float(np.max(np.abs(x)))
+    cs, ds = coprime_rows(-x_hi, x_hi, [np.max(ys / h_min - c * c * ys * ys) for c in range(1, c_max + 1)])
+    for c, d in zip(cs, ds):
+        out = out + f(y / ((c * x + d) ** 2 + (c * y) ** 2))
+    return out
+
+
+def _fd_points(Ymax, nx, ny):
+    Z1, _, Z2, _ = halfplane._fd_grids(Ymax, nx, ny)
+    return np.concatenate([Z1, Z2])
+
+
+class TestPsiFolding:
+    @pytest.mark.parametrize("nx", [140, 160, 200])
+    def test_fd_abscissae_are_antisymmetric(self, nx):
+        _, _, Z2, _ = halfplane._fd_grids(16.0, nx, nx)
+        xs = Z2[:nx].real
+        assert np.array_equal(xs, -xs[::-1])
+
+    def test_mirror_image_is_bitwise_equal(self):
+        z = _fd_points(16.0, 40, 40)
+        assert np.array_equal(PSI_STD.on_grid(z), PSI_STD.on_grid(-z.conj()))
+
+    def test_matches_unfolded_sum(self):
+        # an off-grid sample: abscissae of both signs, some shared |x|
+        rng = np.random.default_rng(5)
+        x = rng.choice([-0.41, -0.2, 0.0, 0.2, 0.33, 0.41], size=60)
+        z = x + 1j * rng.uniform(0.9, 6.0, size=60)
+        got = PSI_STD.on_grid(z)
+        want = _psi_unfolded(F_STD, z)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_chunking_does_not_change_the_sum(self, monkeypatch):
+        z = _fd_points(16.0, 40, 40)
+        whole = PSI_STD.on_grid(z)
+        monkeypatch.setattr(halfplane, "_PSI_CHUNK", 1000)
+        pieces = PSI_STD.on_grid(z)
+        assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
+
+
 class TestConstantTerm:
     def test_constant_function(self):
         one = AutomorphicFunction(evaluator=lambda z: np.ones_like(z, dtype=complex))
@@ -145,6 +196,21 @@ class TestRadon:
         zf = boundary_from_model(AsymptoticallyFiniteFunction())
         assert abs(radon_transform(zf, 2.0)) == 0.0
 
+    def test_totient_sieve(self):
+        def euler_phi(n):
+            # trial-division reference
+            out, m, p = n, n, 2
+            while p * p <= m:
+                if m % p == 0:
+                    while m % p == 0:
+                        m //= p
+                    out -= out // p
+                p += 1
+            return out - out // m if m > 1 else out
+
+        assert halfplane._totients(1000).tolist() == [euler_phi(c) for c in range(1, 1001)]
+        assert halfplane._totients(1).tolist() == [1]
+
 
 class TestEisenstein:
     def test_fourier_vs_lattice(self):
@@ -174,6 +240,22 @@ class TestEisenstein:
 
     def test_vanishes_at_zero_parameter(self):
         assert eisenstein(0.0, 0.3 + 1.4j) == 0.0
+
+    def test_grid_values_match_dense_evaluation(self):
+        # the fundamental-domain grid repeats heights and abscissae; values
+        # taken once per distinct height and abscissa are the dense ones
+        s = 0.2 + 1.7j
+        z = _fd_points(math.exp(3.0), 60, 60)
+        assert np.unique(z.imag).size < z.size // 4
+        w = 0.5 * (1.0 + s)
+        y, x = z.imag, z.real
+        want = y**w + complex(intertwining_c(s)) * y ** (1.0 - w)
+        pref = 4.0 / complex(xi(1.0 + s))
+        for n in range(1, int(np.ceil(48.0 / (2.0 * np.pi * np.min(y)))) + 1):
+            an = n ** (w - 0.5) * divisor_sigma(n, 1.0 - 2.0 * w)
+            kv = kbessel(w - 0.5, 2.0 * np.pi * n * y)
+            want = want + pref * an * np.sqrt(y) * kv * np.cos(2.0 * np.pi * n * x)
+        assert np.array_equal(eisenstein_grid_values(s, z), want)
 
 
 class TestTruncate:

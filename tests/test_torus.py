@@ -138,6 +138,31 @@ class TestDirectPairing:
         with pytest.raises(CriticalExponentError):
             regularized_inner_product_direct(SHARP_SQRT, SHARP_INVSQRT)
 
+    def test_smooth_depth2_term_against_sharp_partner(self):
+        # the product's leftover core cancels exactly below x = 1/2, so it
+        # passes the x^-8 tail sampling that its rounding residue used to fail
+        mp = pytest.importorskip("mpmath")
+        a, poly = 0.475 + 0.539j, (0.8 - 0.1j, 0.7 + 0.9j)
+        f = AsymptoticallyFiniteFunction(
+            core=log_gaussian_core(0.1, 0.7, 1.1), terms=(ExponentTerm(a, poly, "zero", "smooth"),)
+        )
+        got = regularized_inner_product_direct(f, SHARP_SQRT)
+
+        def eta(x):
+            if x <= 0.5:
+                return 1
+            t = 2 * x - 1
+            return 1 / (1 + mp.exp(1 / (1 - t) - 1 / t))
+
+        def integrand(x):
+            lx = mp.log(x)
+            term = eta(x) * x ** mp.mpc(a) * (mp.mpc(poly[0]) + mp.mpc(poly[1]) * lx)
+            return (1.1 * mp.exp(-((lx - 0.1) ** 2) / (2 * 0.7**2)) + term) * x ** -0.5
+
+        # the product is integrable at 0 and vanishes past x = 1
+        want = complex(mp.quad(integrand, [0, 0.5, 1]))
+        assert abs(got - want) < 1e-9
+
     def test_bilinear_symmetry(self):
         a = regularized_inner_product_direct(GAUSS, SHARP_X)
         b = regularized_inner_product_direct(SHARP_X, GAUSS)

@@ -269,6 +269,13 @@ class TestTriangle:
         v_geo = tf_minus1_geometric(gauss_T1, gauss_T1)
         assert abs(v_spec - v_geo) < 1e-6
 
+    def test_geometric_first_coefficient_where_dt_does_not_divide_t_max(self):
+        # W = 0.45 builds its triple on t_max = 12/W = 26.67, which the
+        # Fourier steps do not divide; the rules must weight by true spacing
+        W = 0.45
+        T = gaussian_test_function(W)
+        assert abs(tf_minus1_geometric(T, T) + 1.0 / (W * math.sqrt(2.0 * math.pi))) < 1e-6
+
     def test_unipotent_slice_matches_tate(self, gauss_T05):
         # the alpha = 1 slice of the geometric sum equals the Tate residue
         T12 = convolve_test_functions(gauss_T05, gauss_T05)

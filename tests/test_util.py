@@ -98,3 +98,14 @@ def test_two_dimensional_s_through_mellin():
     assert np.max(np.abs(got - rows)) <= 1e-13 * np.max(np.abs(rows))
     closed = math.sqrt(2.0 * math.pi) * np.exp(0.5 * S**2)
     assert np.max(np.abs(got - closed)) < 1e-12
+
+
+@pytest.mark.parametrize("t_max, dt", [(26.0, 0.01), (12.0 / 0.45, 0.01), (12.0 / 0.47, 0.02)])
+def test_trap_grid_weights_follow_the_node_spacing(t_max, dt):
+    t, w = trap_grid(t_max, dt)
+    step = np.diff(t)
+    assert np.max(np.abs(w[1:-1] - step.mean())) <= 1e-15
+    assert abs(np.sum(w) - 2.0 * t_max) <= 1e-12 * t_max
+    if abs(t.size - 1 - 2.0 * t_max / dt) < 1e-9:
+        # dt divides 2 t_max: the weights are dt itself
+        assert np.all(w[1:-1] == dt)
