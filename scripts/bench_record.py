@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark over a list of seeds and write BENCH_<pr>.json.
 
-    python scripts/bench_record.py --pr 6 --seeds 9001-9010 \\
+    python scripts/bench_record.py --pr N --seeds 9001-9010 \\
         --side parent=../seltrace-parent --side change=.
 
 Each --side names a checkout to measure.  For every seed and workload the
@@ -13,8 +13,7 @@ checkout, holds per side: the commit, nproc, the numpy version, every run's
 end-to-end metrics, their median and quartiles per workload, the traced
 run's per-layer metrics and its per-operation check ratios of round 0.  With
 two sides it also counts, per workload and metric, the pairs the last side
-wins.  An existing file gets the sides named here replaced and keeps the
-others.
+wins.
 """
 
 from __future__ import annotations
@@ -72,14 +71,12 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", required=True, type=int, help="number in the file name BENCH_<pr>.json")
     ap.add_argument("--seeds", required=True, help="e.g. 9001-9010 or 9001,9002")
     ap.add_argument("--side", action="append", required=True, metavar="LABEL=CHECKOUT")
-    ap.add_argument("--workload", action="append", default=None,
-                    help="workloads to run (default: every one in BENCHMARK.json)")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {}
     for spec in args.side:
@@ -97,13 +94,7 @@ def main(argv=None) -> int:
                 print(f"{label} {workload} seed {seed}: "
                       + " ".join(f"{k}={v:.6g}" for k, v in _values(rec).items()), flush=True)
 
-    out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
-    doc = {}
-    if os.path.exists(out_path):
-        with open(out_path) as fh:
-            doc = json.load(fh)
-    doc.update(pr=args.pr, seconds=seconds, seeds=seeds)
-    doc.setdefault("sides", {})
+    doc = {"pr": args.pr, "seconds": seconds, "seeds": seeds, "sides": {}}
     for label, checkout in sides.items():
         first = runs[label][workloads[0]][0]
         side = {"commit": first["commit"], "source_sha256": first["source_sha256"],
@@ -137,6 +128,7 @@ def main(argv=None) -> int:
                 wins[workload][metric] = {"pairs": len(a), "won_by": new, "wins": won}
         doc["pair_wins"] = wins
 
+    out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -258,8 +258,9 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
 # target accuracy of a pseudo-Eisenstein value; the coset enumeration keeps
 # every orbit height where |f| exceeds 1e-3 of it
 _PSI_TOL = 1e-10
-# (row, point) entries per block of `_psi_values`; 1e6 entries keep a
-# rank-one fundamental-domain quadrature near 110 MB peak RSS
+# (row, point) entries per block of `_psi_values`: the torus-automorphic
+# benchmark, whose largest arrays are these blocks, peaks at 110 MB RSS with
+# 1e6 entries and at 293 MB with 4e6
 _PSI_CHUNK = 1_000_000
 
 
@@ -405,13 +406,9 @@ def radon_transform(f: BoundaryFunction, y):
 def _totients(n: int) -> np.ndarray:
     """Euler's phi(1), ..., phi(n) by a sieve: phi(c) = c prod_{p | c} (1 - 1/p)."""
     phi = np.arange(n + 1)
-    prime = np.ones(n + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if prime[p]:
-            prime[p * p :: p] = False
-    for p in np.flatnonzero(prime):
-        phi[p::p] -= phi[p::p] // p
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
     return phi[1:]
 
 
@@ -526,7 +523,7 @@ def eisenstein_grid_values(s: complex, z: np.ndarray):
     nu = w - 0.5
     # grids repeat heights and abscissae: K and cos run once per distinct
     # value (the K rule's node cap depends only on min y, so each value is
-    # the one a per-point call gives)
+    # bitwise the one a call on every point gives)
     heights, height_of = np.unique(y, return_inverse=True)
     xs, x_of = np.unique(x, return_inverse=True)
     height_of = height_of.reshape(y.shape)

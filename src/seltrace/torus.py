@@ -514,8 +514,8 @@ def product_asfinite(
         for t1 in f1.terms:
             total = total + t1(x) * c2
         # t1 t2 - s1 s2 = (t1 - s1) t2 + s1 (t2 - s2) with s the sharp twins:
-        # each difference is exactly 0 wherever both carriers are 0 or 1, so
-        # the leftover vanishes off the carriers' transition bands
+        # a term and its twin agree exactly wherever the smooth carrier is 0
+        # or 1, so the leftover is exactly 0 off the transition bands
         for t1, t2, s1, s2 in same_side:
             total = total + ((t1(x) - s1(x)) * t2(x) + s1(x) * (t2(x) - s2(x)))
         for t1, t2 in cross_side:
