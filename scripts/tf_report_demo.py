@@ -4,7 +4,7 @@
 Usage: python scripts/tf_report_demo.py [width] [out.json]
 
 Includes the truncation fit, so the cuspidal remainder line is populated;
-a report takes about 3 s on a 2-core host.
+a report takes about 1.2 s on a 2-core host.
 """
 
 import sys

@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
         mark = "PASS" if rec["pass"] else "FAIL"
         print(f"[{mark}] {rec['id']}: dev={rec['deviation']:.3e} tol={rec['tolerance']:.1e}")
     print(f"suite {rep.suite}: {'PASS' if rep.passed else 'FAIL'} "
-          f"({len(rep.records)} checks, max dev {rep.max_deviation:.3e})")
+          f"({len(rep.records)} checks, max dev {rep.max_deviation:.3e}, {rep.headroom})")
     if args.out:
         emit_report(rep, args.out, args.format, args.include_timing)
         print(f"wrote {args.out}")
@@ -128,9 +128,13 @@ def _cmd_tf_report(args) -> int:
         weighted_orbital_integral,
     )
 
+    cusp_t = None
+    if args.cusp_data:
+        with open(args.cusp_data) as fh:
+            cusp_t = json.load(fh).get("eigenvalues_t", [])
     T = gaussian_test_function(args.width)
     T12 = convolve_test_functions(T, T)
-    sp = spectral_side(T, T, residual_on=args.residual)
+    sp = spectral_side(T, T, residual_on=args.residual, cusp_eigenvalues=cusp_t)
     v_spec = tf_minus1_spectral(T, T)
     v_geo = tf_minus1_geometric(T, T)
     hyper = 0.5 * weighted_orbital_integral(T12, -1)
@@ -166,11 +170,8 @@ def _cmd_tf_report(args) -> int:
             ident + hyper + tate.a_0
         )
         report["elliptic_remainder"] = _c2(fit.a_0 - (ident + hyper + tate.a_0))
-    if args.cusp_data:
-        with open(args.cusp_data) as fh:
-            data = json.load(fh)
-        sp2 = spectral_side(T, T, cusp_eigenvalues=data.get("eigenvalues_t", []))
-        report["cusp_display_sum"] = _c2(sp2["cusp_display_sum"])
+    if cusp_t is not None:
+        report["cusp_display_sum"] = _c2(sp["cusp_display_sum"])
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

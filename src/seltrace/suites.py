@@ -132,6 +132,16 @@ class SuiteReport:
     def max_deviation(self) -> float:
         return max((r["deviation"] for r in self.records), default=0.0)
 
+    @property
+    def headroom(self) -> str:
+        """'headroom=<worst deviation/tolerance> <record id>' over the records
+        with a positive tolerance; for the summary lines, never the payload."""
+        rated = [(r["deviation"] / r["tolerance"], r["id"]) for r in self.records if r["tolerance"] > 0]
+        if not rated:
+            return "headroom=n/a"
+        ratio, check_id = max(rated, key=lambda pair: pair[0])
+        return f"headroom={ratio:.3g} {check_id}"
+
     def payload(self, include_timing: bool = False) -> dict:
         out = {
             "suite": self.suite,
@@ -730,7 +740,7 @@ def run_all(config: RunConfig | None = None, names=None):
             warn_empty = True
         lines.append(
             f"{name:26s} checks={n:3d} max_dev={rep.max_deviation:9.2e} "
-            f"time={rep.wall_clock:7.1f}s {'PASS' if rep.passed else 'FAIL'}"
+            f"time={rep.wall_clock:7.1f}s {'PASS' if rep.passed else 'FAIL'} {rep.headroom}"
         )
     if warn_empty:
         lines.append("warning: at least one suite produced zero checks (configuration?)")

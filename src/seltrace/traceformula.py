@@ -73,8 +73,8 @@ class SphericalTestFunction:
     """Compatible triple (h, g, k), built from h.
 
     `k` integrates the Abel inversion by quadrature on each call (accurate,
-    for orbital integrals); `k_fast` interpolates a dense precomputed table
-    (for the large modular-group sums).  `t_max` is the cut of the spectral
+    for orbital integrals); `k_fast` interpolates a dense table, built on its
+    first call (for the large modular-group sums).  `t_max` is the cut of the spectral
     line that the triple was built on."""
 
     h: Callable
@@ -110,6 +110,8 @@ _G_DT = 0.01
 _G_CL_DT = 0.02
 _RHO_MAX = 26.0
 _N_K_GRID = 6000
+# (row, node) entries of Q' that k evaluates at a time
+_ABEL_CHUNK = 250_000
 
 
 def spherical_from_h(h: Callable, t_max: float = 26.0) -> SphericalTestFunction:
@@ -118,53 +120,70 @@ def spherical_from_h(h: Callable, t_max: float = 26.0) -> SphericalTestFunction:
     g comes from Fourier quadrature of h on the line; k from the Abel
     inversion k(u) = -(2/pi) int_0^inf Q'(u + xi^2) d xi, where
     Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2).  g_cl' is
-    tabulated densely once, so both the per-call quadrature k and the
-    table-interpolated k_fast are cheap.
+    tabulated densely, so both the per-call quadrature k and the
+    table-interpolated k_fast are cheap.  The g_cl' table is built on the
+    first call of k or k_fast, and the k_fast table on the first call of
+    k_fast: a triple used only through h and g never builds either.
     """
     probe = np.abs(np.asarray(h(1j * np.array([0.0, 0.5 * t_max, t_max]))))
     if probe[-1] > 1e-9 * (1.0 + probe[0]):
         raise DecayError("h must decay rapidly on the spectral line")
     g = _fourier_g(h, t_max, _G_DT)
-    gclp = _g_cl_derivative(h, t_max, _G_CL_DT)
 
-    # dense g_cl' table; Q'(v) after that costs one interpolation
-    rho_tab = np.linspace(0.0, _RHO_MAX, 52001)
-    gclp_tab = np.real(gclp(rho_tab))
-    eps = rho_tab[1]
-    qp_origin = gclp_tab[1] / (2.0 * eps)
-    peak = float(np.max(np.abs(gclp_tab)))
-    supp = np.nonzero(np.abs(gclp_tab) > 1e-17 * peak)[0]
-    rho_cut = float(rho_tab[supp[-1]]) if supp.size else _RHO_MAX
-    v_cut = 4.0 * math.sinh(0.5 * rho_cut) ** 2
+    @lru_cache(maxsize=1)
+    def abel():
+        """(Q', v_cut, xi nodes, xi weights) of the Abel inversion."""
+        # dense g_cl' table; Q'(v) after that costs one interpolation
+        rho_tab = np.linspace(0.0, _RHO_MAX, 52001)
+        gclp_tab = np.real(_g_cl_derivative(h, t_max, _G_CL_DT)(rho_tab))
+        eps = rho_tab[1]
+        qp_origin = gclp_tab[1] / (2.0 * eps)
+        peak = float(np.max(np.abs(gclp_tab)))
+        supp = np.nonzero(np.abs(gclp_tab) > 1e-17 * peak)[0]
+        rho_cut = float(rho_tab[supp[-1]]) if supp.size else _RHO_MAX
+        v_cut = 4.0 * math.sinh(0.5 * rho_cut) ** 2
 
-    def Qp(v):
-        v = np.asarray(v, dtype=float)
-        rho = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(v, 0.0)))
-        gp = np.interp(rho, rho_tab, gclp_tab, right=0.0)
-        out = np.empty(v.shape, dtype=float)
-        small = rho < 1e-6
-        np.divide(gp, 2.0 * np.sinh(np.where(small, 1.0, rho)), out=out)
-        out[small] = qp_origin
-        return out
+        def Qp(v):
+            v = np.asarray(v, dtype=float)
+            rho = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(v, 0.0)))
+            gp = np.interp(rho, rho_tab, gclp_tab, right=0.0)
+            out = np.empty(v.shape, dtype=float)
+            small = rho < 1e-6
+            np.divide(gp, 2.0 * np.sinh(np.where(small, 1.0, rho)), out=out)
+            out[small] = qp_origin
+            return out
 
-    # Abel inversion in xi = e^l so the quadrature tracks the support of Q'
-    l_nodes, l_w = panel_gl_nodes(np.linspace(-16.0, 0.5 * math.log(v_cut) + 0.5, 60), 10)
-    xi_nodes = np.exp(l_nodes)
-    xi_weights = xi_nodes * l_w
+        # Abel inversion in xi = e^l so the quadrature tracks the support of Q'
+        l_nodes, l_w = panel_gl_nodes(np.linspace(-16.0, 0.5 * math.log(v_cut) + 0.5, 60), 10)
+        xi_nodes = np.exp(l_nodes)
+        return Qp, v_cut, xi_nodes, xi_nodes * l_w
 
     def k(u):
+        Qp, v_cut, xi_nodes, xi_weights = abel()
         u = np.asarray(u, dtype=float)
         shape = u.shape
         uf = np.atleast_1d(u).ravel()
-        vals = Qp(uf[:, None] + xi_nodes[None, :] ** 2)
+        # k vanishes from v_cut on, so Q' is evaluated only on the rows with
+        # u < v_cut, a block of rows at a time; the matrix keeps every row,
+        # because the BLAS product blocks rows by position and a shorter
+        # matrix rounds some rows differently
+        live = np.nonzero(uf < v_cut)[0]
+        vals = np.zeros((uf.size, xi_nodes.size))
+        step = max(1, _ABEL_CHUNK // xi_nodes.size)
+        for i in range(0, live.size, step):
+            rows = live[i : i + step]
+            vals[rows] = Qp(uf[rows, None] + xi_nodes[None, :] ** 2)
         out = -(2.0 / np.pi) * (vals @ xi_weights)
         out[uf >= v_cut] = 0.0
         return out.reshape(shape) if shape else float(out[0])
 
-    u_tab = np.concatenate([[0.0], np.geomspace(1e-4, v_cut + 1.0, _N_K_GRID - 1)])
-    k_tab = np.asarray(k(u_tab))
+    @lru_cache(maxsize=1)
+    def k_table():
+        u_tab = np.concatenate([[0.0], np.geomspace(1e-4, abel()[1] + 1.0, _N_K_GRID - 1)])
+        return u_tab, np.asarray(k(u_tab))
 
     def k_fast(u):
+        u_tab, k_tab = k_table()
         u = np.asarray(u, dtype=float)
         out = np.interp(u, u_tab, k_tab, right=0.0)
         return out if u.shape else float(out)
@@ -316,10 +335,15 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
     are exactly the m with (x - Re w - m)^2 <= u_max y Im w - (y - Im w)^2.
     Only those (point, m) pairs are expanded, `_KERNEL_CHUNK` (row, point)
     entries at a time.
+
+    The reflection z -> -conj(z) normalizes PSL2(Z) and preserves u, so the
+    sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y),
+    over the rows of the x-window [-max|x|, max|x|], which covers every
+    point's own window.
     """
     z = np.asarray(z, dtype=complex)
     shape = z.shape
-    z = z.ravel()
+    z, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
     x, y = z.real, z.imag
     out = np.full(z.size, float(np.asarray(k(np.zeros(1)))[0]))
 
@@ -335,9 +359,8 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
     y_sorted = y[by_height]
     y_lo = float(y_sorted[0])
     c_max = int(math.floor(math.sqrt(t_max) / y_lo))
-    cs, ds = coprime_rows(
-        float(np.min(x)), float(np.max(x)), [t_max - (c * y_lo) ** 2 for c in range(1, c_max + 1)]
-    )
+    x_hi = float(np.max(x))
+    cs, ds = coprime_rows(-x_hi, x_hi, [t_max - (c * y_lo) ** 2 for c in range(1, c_max + 1)])
     acc = np.zeros(z.size)
     for c in range(1, c_max + 1):
         # points with c y > sqrt(t_max) have no live row of this c
@@ -362,7 +385,7 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
             owner, m = _ranges(m_lo, m_count)
             u = ((dx[owner] - m) ** 2 + dy2[owner]) / yy[owner]
             acc += np.bincount(pts[live[1][owner]], weights=_live_values(k, u, u_max), minlength=z.size)
-    return (out + acc).reshape(shape)
+    return (out + acc)[point_of.reshape(-1)].reshape(shape)
 
 
 def two_term_laurent_kernel(

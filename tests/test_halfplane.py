@@ -29,7 +29,7 @@ from seltrace.halfplane import (
 )
 from seltrace.special import PoleError, divisor_sigma, intertwining_c, kbessel, xi
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm, log_gaussian_core
-from seltrace.util import reduce_to_fundamental_domain
+from seltrace.util import DecayError, reduce_to_fundamental_domain
 
 F_STD = schwartz_boundary(0.0, 0.5)
 PSI_STD = pseudo_eisenstein_function(F_STD)
@@ -210,6 +210,38 @@ class TestRadon:
 
         assert halfplane._totients(1000).tolist() == [euler_phi(c) for c in range(1, 1001)]
         assert halfplane._totients(1).tolist() == [1]
+
+
+class TestFunnelGuard:
+    def test_threshold_of_fast_funnel(self):
+        hs = np.exp(-np.linspace(0.0, 45.0, 200))
+        h_min = halfplane._funnel_threshold(F_STD, 1e-12)
+        assert h_min > hs[-1]
+        assert np.all(np.abs(F_STD(hs[hs <= h_min])) < 1e-12)
+
+    def test_slow_funnel_raises(self):
+        # |f| reads 3.2e-12 at the lowest probe height e^-45
+        with pytest.raises(DecayError, match="decays too slowly"):
+            halfplane._funnel_threshold(schwartz_boundary(0.0, 8.0), 1e-12)
+
+    def test_radon_refuses_huge_coset_range(self):
+        # the funnel threshold exists, but y = 1 needs about 5.7e7 cosets
+        with pytest.raises(DecayError, match="cosets"):
+            radon_transform(schwartz_boundary(0.0, 4.0), 1.0)
+
+    def test_radon_budget_counts_heights(self, monkeypatch):
+        h_min = halfplane._funnel_threshold(F_STD, 1e-12)
+        c_max = int(math.floor(1.0 / math.sqrt(h_min))) + 1
+        monkeypatch.setattr(halfplane, "_RADON_BUDGET", 5 * c_max)
+        assert np.all(np.isfinite(radon_transform(F_STD, np.ones(5))))
+        with pytest.raises(DecayError):
+            radon_transform(F_STD, np.ones(6))
+
+    def test_cli_exit_3(self, capsys):
+        from seltrace import cli
+
+        assert cli.main(["auto", "ct", "--y", "1.0", "--sigma", "8.0"]) == 3
+        assert capsys.readouterr().err.startswith("error: DecayError:")
 
 
 class TestEisenstein:

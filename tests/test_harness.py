@@ -1,6 +1,7 @@
 """Config parsing, suite harness, CLI, determinism, fault injection."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from seltrace.config import ConfigError, RunConfig, load_config
-from seltrace.suites import SUITE_NAMES, UnknownSuiteError, emit_report, run_suite
+from seltrace.suites import SUITE_NAMES, SuiteReport, UnknownSuiteError, emit_report, run_suite
 
 
 class TestConfig:
@@ -167,6 +168,30 @@ class TestHarness:
             warm = (tmp_path / f"{name}.warm.json").read_bytes()
             assert cold == warm, name
 
+    def test_headroom(self):
+        rep = SuiteReport(suite="s")
+        assert rep.headroom == "headroom=n/a"
+        rep.add("loose", "", 0.0, 1e-9, 1e-6)
+        rep.add("tight", "", 0.0, 5e-4, 1e-3)
+        rep.add_bool("flag", "", False)
+        assert rep.headroom == "headroom=0.5 tight"
+
+    def test_headroom_in_summary_lines_not_payload(self, tmp_path):
+        from seltrace.suites import run_all
+
+        code, reports, lines = run_all(RunConfig(), names=["charged-core", "hc-bound"])
+        assert code == 0
+        ratio, check_id = max(
+            ((r["deviation"] / r["tolerance"], r["id"]) for r in reports[0].records if r["tolerance"] > 0),
+            key=lambda pair: pair[0],
+        )
+        assert lines[0].endswith(f"PASS headroom={ratio:.3g} {check_id}")
+        assert lines[1].endswith("PASS headroom=n/a")
+        path = tmp_path / "all.json"
+        emit_report(reports, str(path))
+        assert "headroom" not in path.read_text()
+        assert all(set(p) == {"suite", "records", "config", "passed"} for p in json.loads(path.read_text()))
+
     def test_empty_corpus_selection_flagged(self):
         from seltrace.suites import run_all
 
@@ -261,6 +286,31 @@ class TestCLI:
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
         assert "truncation_fit" in json.loads(texts[0])
+
+    def test_verify_suite_headroom(self, capsys):
+        from seltrace import cli
+
+        assert cli.main(["verify", "charged-core"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("suite charged-core: PASS") and "headroom=" in summary
+
+    def test_tf_report_cusp_data(self, tmp_path):
+        # the cusp data adds its display sum and changes no other field
+        from seltrace import cli
+
+        t = [2.0, 5.5]
+        cusp = tmp_path / "cusp.json"
+        cusp.write_text(json.dumps({"eigenvalues_t": t}))
+        args = ["tf", "report", "--width", "0.5", "--skip-truncation-fit", "--out"]
+        assert cli.main(args + [str(tmp_path / "plain.json")]) == 0
+        assert cli.main(args + [str(tmp_path / "cusp_out.json"), "--cusp-data", str(cusp)]) == 0
+        plain = json.loads((tmp_path / "plain.json").read_text())
+        with_cusp = json.loads((tmp_path / "cusp_out.json").read_text())
+        display = with_cusp.pop("cusp_display_sum")
+        assert with_cusp == plain
+        # h(it)^2 = exp(-(W t)^2 / 2)
+        want = sum(math.exp(-((0.5 * tj) ** 2) / 2.0) for tj in t)
+        assert abs(display[0] - want) < 1e-14 and display[1] == 0.0
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         from seltrace import cli, traceformula

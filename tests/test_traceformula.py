@@ -1,11 +1,12 @@
 """Trace-formula layer: transform chain, Laurent fits, geometric terms."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from seltrace.halfplane import FUNDAMENTAL_DOMAIN_VOLUME
+from seltrace.halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids
 from seltrace.special import intertwining_c
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm
 from seltrace.traceformula import (
@@ -26,7 +27,7 @@ from seltrace.traceformula import (
     weight_v,
     weighted_orbital_integral,
 )
-from seltrace.util import gl_nodes, panel_gl_nodes
+from seltrace.util import DecayError, gl_nodes, panel_gl_nodes, trap_grid
 
 
 class TestTransformChain:
@@ -62,6 +63,46 @@ class TestTransformChain:
         T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)))
         assert abs(complex(T0.g(0.3))) < 1e-14
         assert abs(float(np.asarray(T0.k(0.5)))) < 1e-14
+
+
+class TestLazyAbelTables:
+    def test_slow_multiplier_fails_at_construction(self):
+        from seltrace.traceformula import spherical_from_h
+
+        with pytest.raises(DecayError):
+            spherical_from_h(lambda s: np.ones_like(np.asarray(s, dtype=complex)))
+
+    @pytest.mark.parametrize("chunk", [None, 5000])
+    def test_k_skips_dead_rows_bitwise(self, chunk, monkeypatch):
+        from seltrace import traceformula
+
+        if chunk is not None:
+            monkeypatch.setattr(traceformula, "_ABEL_CHUNK", chunk)
+        T12 = convolve_test_functions(gaussian_test_function(0.47), gaussian_test_function(0.47))
+        Qp, v_cut, xi_nodes, xi_weights = inspect.getclosurevars(T12.k).nonlocals["abel"]()
+        # the profile grid `tate_zeta_term` evaluates k on in a `tf report`
+        u, _ = trap_grid(30.0, 0.01)
+        x2 = np.exp(u) ** 2
+        assert np.mean(x2 >= v_cut) > 0.2
+        want = -(2.0 / np.pi) * (Qp(x2[:, None] + xi_nodes[None, :] ** 2) @ xi_weights)
+        want[x2 >= v_cut] = 0.0
+        assert np.array_equal(T12.k(x2), want)
+
+    def test_report_builds_one_g_cl_table(self, monkeypatch, tmp_path):
+        # only the convolved triple's k is used; the Gaussian's table is never
+        # built.  The width is one no other test builds, so both triples are new.
+        from seltrace import cli, traceformula
+
+        calls = []
+        build = traceformula._g_cl_derivative
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(traceformula, "_g_cl_derivative", counting)
+        assert cli.main(["tf", "report", "--width", "0.4917", "--out", str(tmp_path / "tf.json")]) == 0
+        assert len(calls) == 1
 
 
 class TestMemo:
@@ -118,6 +159,14 @@ class TestKernelDiagonalSum:
         got = kernel_diagonal_sum(k, z, u_max=30.0)
         want = np.array([_brute_force_kernel_sum(k, complex(zj), u_max=30.0) for zj in z])
         assert np.max(np.abs(got - want)) < 1e-10 * np.max(want)
+
+    def test_mirror_grid_is_bitwise_equal(self):
+        def k(u):
+            return np.exp(-np.asarray(u, dtype=float) / 4.0)
+
+        Z1, _, Z2, _ = _fd_grids(16.0, 40, 40)
+        z = np.concatenate([Z1, Z2])
+        assert np.array_equal(kernel_diagonal_sum(k, z, 30.0), kernel_diagonal_sum(k, -z.conj(), 30.0))
 
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
         from seltrace import traceformula
