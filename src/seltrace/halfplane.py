@@ -20,7 +20,6 @@ phi(w) = xi(2w-1)/xi(2w), i.e. the scattering scalar c(s) = xi(s)/xi(s+1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +42,6 @@ from .util import (
 )
 
 __all__ = [
-    "TruncationWarning",
     "DegenerateParameterError",
     "TailMissingError",
     "HalfPlanePoint",
@@ -75,10 +73,6 @@ FUNDAMENTAL_DOMAIN_VOLUME = np.pi / 3.0
 # regularized [H]-pairings in the boundary normalization are half the raw
 # fundamental-domain quadrature
 PAIRING_HALF = 0.5
-
-
-class TruncationWarning(UserWarning):
-    pass
 
 
 class DegenerateParameterError(SeltraceError):
@@ -197,11 +191,11 @@ class AutomorphicFunction:
         return self.evaluator(np.asarray(z_array, dtype=complex))
 
 
-def constant_term(phi, y, n_x: int = 64):
+def constant_term(phi, y):
     """Average over the closed horocycle at height y.
 
-    Uses the exact constant term when phi carries one; otherwise a periodic
-    trapezoid rule in x, spectrally accurate for smooth integrands.
+    Uses the exact constant term when phi carries one; otherwise a 64-node
+    periodic trapezoid rule in x, spectrally accurate for smooth integrands.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
@@ -209,7 +203,7 @@ def constant_term(phi, y, n_x: int = 64):
     if isinstance(phi, AutomorphicFunction) and phi.ct is not None:
         out = np.asarray(phi.ct(y), dtype=complex)
         return out[0] if scalar else out
-    xs = (np.arange(n_x) + 0.5) / n_x - 0.5
+    xs = (np.arange(64) + 0.5) / 64 - 0.5
     ev = phi.on_grid if isinstance(phi, AutomorphicFunction) else phi
     Z = xs[None, :] + 1j * y[:, None]
     vals = ev(Z.ravel()).reshape(Z.shape)
@@ -244,6 +238,16 @@ def _funnel_threshold(f: BoundaryFunction, tol: float) -> float:
     return float(hs[keep])
 
 
+def _row_windows(x_lo: float, x_hi: float, radius2):
+    """The c with radius2[c - 1] > 0 and the integer window [d_lo, d_hi] of
+    each, which covers every d with (c x + d)^2 <= radius2[c - 1] for some x
+    in [x_lo, x_hi]."""
+    r2 = np.asarray(radius2, dtype=float)
+    c = np.nonzero(r2 > 0)[0] + 1
+    B = np.sqrt(r2[c - 1])
+    return c, np.floor(-c * x_hi - B).astype(int), np.ceil(-c * x_lo + B).astype(int)
+
+
 def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndarray]:
     """Coprime bottom rows (c, d) of PSL2(Z), c >= 1, in order of c then d.
 
@@ -251,11 +255,8 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
     covers every d with (c x + d)^2 <= radius2[c - 1] for some x in
     [x_lo, x_hi], coprime ones only; a c with radius2 <= 0 has no rows."""
     cs, ds = [], []
-    for c, bound2 in enumerate(radius2, start=1):
-        if bound2 <= 0:
-            continue
-        B = math.sqrt(bound2)
-        d = np.arange(int(math.floor(-c * x_hi - B)), int(math.ceil(-c * x_lo + B)) + 1)
+    for c, d_lo, d_hi in zip(*_row_windows(x_lo, x_hi, radius2)):
+        d = np.arange(d_lo, d_hi + 1)
         d = d[np.gcd(c, np.abs(d)) == 1]
         cs.append(np.full(d.size, c))
         ds.append(d)
@@ -271,9 +272,13 @@ _PSI_TOL = 1e-10
 # benchmark, whose largest arrays are these blocks, peaks at 110 MB RSS with
 # 1e6 entries and at 293 MB with 4e6
 _PSI_CHUNK = 1_000_000
+# most (row, point) entries of the row windows `_psi_values` takes on:
+# `verify all` peaks at 5.2e7 (c <= 59 over 4480 folded points) and a
+# torus-automorphic bench round at 4.2e7, so this leaves a margin of 1.9
+_PSI_BUDGET = 1e8
 
 
-def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
+def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     """Sum of f over the heights of the Gamma_inf \\ Gamma orbit of z.
 
     Cosets are enumerated adaptively: a bottom row (c, d) is kept only when
@@ -281,7 +286,10 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
     threshold derived from `_PSI_TOL`.  The row (c, -d) lifts -conj(z) to the
     height (c, d) lifts z to, so Psi f(-conj z) = Psi f(z): the sum runs once
     per distinct (|x|, y) over a d-window symmetric in x, the one an unfolded
-    grid spanning [-max|x|, max|x|] enumerates."""
+    grid spanning [-max|x|, max|x|] enumerates.
+
+    Raises DecayError, before any row is built, when the sum needs more than
+    `_PSI_BUDGET` (row, point) entries."""
     z = np.asarray(z, dtype=complex)
     folded, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
     y = folded.imag
@@ -292,13 +300,18 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
     # if (c x + d)^2 <= y / h_min - c^2 y^2, sampled over the grid's heights
     y_lo = float(np.min(y))
     c_max = int(math.floor(1.0 / math.sqrt(h_min * y_lo))) + 1
-    if c_cap is not None:
-        c_max = min(c_max, c_cap)
+    # every c < c_max - 1 has a nonempty window, so this many entries are
+    # certain before the c_max windows are sized
+    _check_psi_budget((c_max - 2) * folded.size, c_max)
     ys = np.linspace(y_lo, float(np.max(y)), 16)
     x_hi = float(np.max(x))
-    cs, ds = coprime_rows(
-        -x_hi, x_hi, [np.max(ys / h_min - c * c * ys * ys) for c in range(1, c_max + 1)]
-    )
+    c = np.arange(1, c_max + 1)
+    radius2 = np.full(c_max, -np.inf)
+    for yv in ys:
+        radius2 = np.maximum(radius2, yv / h_min - c * c * yv * yv)
+    _, d_lo, d_hi = _row_windows(-x_hi, x_hi, radius2)
+    _check_psi_budget(float(np.sum(d_hi - d_lo + 1)) * folded.size, c_max)
+    cs, ds = coprime_rows(-x_hi, x_hi, radius2)
     chunk = max(1, _PSI_CHUNK // folded.size)
     for i in range(0, len(cs), chunk):
         cc = cs[i : i + chunk, None]
@@ -309,50 +322,45 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray, c_cap=None) -> np.ndarray:
     return out[point_of.reshape(-1)].reshape(z.shape)
 
 
-def pseudo_eisenstein_function(f: BoundaryFunction, coset_bound: int | None = None) -> "PseudoEisenstein":
-    return PseudoEisenstein(f=f, coset_bound=coset_bound)
+def _check_psi_budget(entries: float, c_max: int):
+    if entries > _PSI_BUDGET:
+        raise DecayError(
+            f"pseudo-Eisenstein sum needs {entries:.2e} (row, point) entries over "
+            f"{c_max} values of c (> {_PSI_BUDGET:.0e}): the funnel decays too slowly"
+        )
+
+
+def pseudo_eisenstein_function(f: BoundaryFunction) -> "PseudoEisenstein":
+    return PseudoEisenstein(f=f)
 
 
 @dataclass(frozen=True)
 class PseudoEisenstein(AutomorphicFunction):
     """Psi f, carrying its boundary datum for spectral-side computations.
 
-    With coset_bound=None the bottom-row enumeration is adaptive (driven by
-    the funnel decay of f and the target tolerance); an explicit bound caps
-    |c| and emits a TruncationWarning when the estimated tail exceeds 1e-8.
+    The bottom-row enumeration is adaptive, driven by the funnel decay of f
+    and the target tolerance `_PSI_TOL` (see `_psi_values`).
     """
 
     f: BoundaryFunction = None
-    coset_bound: int | None = None
 
-    def __init__(self, f: BoundaryFunction, coset_bound: int | None = None):
+    def __init__(self, f: BoundaryFunction):
         def ev(z):
-            z = np.asarray(z, dtype=complex)
-            if coset_bound is not None:
-                ymin = float(np.min(z.imag))
-                probe = 1.0 / (coset_bound**2 * ymin)
-                tail = 4.0 * float(np.abs(f(np.asarray([probe]))[0]))
-                if tail > 1e-8:
-                    warnings.warn(
-                        f"pseudo-Eisenstein coset tail estimate {tail:.2e} > 1e-8",
-                        TruncationWarning,
-                    )
-            return _psi_values(f, z, c_cap=coset_bound)
+            return _psi_values(f, z)
 
         def ct(y):
             y = np.atleast_1d(np.asarray(y, dtype=float))
             return np.asarray(f(y), dtype=complex) + radon_transform(f, y)
 
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "coset_bound", coset_bound)
         AutomorphicFunction.__init__(
             self, evaluator=ev, ct=ct, asymptote=f.asymptote(), label=f"Psi({f.label})"
         )
 
 
-def pseudo_eisenstein(f: BoundaryFunction, z, coset_bound: int | None = None):
+def pseudo_eisenstein(f: BoundaryFunction, z):
     """Point evaluation of the pseudo-Eisenstein series Psi f."""
-    return complex(pseudo_eisenstein_function(f, coset_bound)(_as_z(z)))
+    return complex(pseudo_eisenstein_function(f)(_as_z(z)))
 
 
 # ----------------------------------------------------------------------------

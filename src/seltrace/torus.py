@@ -306,66 +306,67 @@ def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
 # Inversion and Plancherel
 
 
-@dataclass
-class ContourOptions:
-    t_max: float = 40.0
-    dt: float = 1e-2
-    tail_tol: float = 1e-9
+# Contour budgets: trapezoid step, line half-lengths and the decay tolerance
+# of the inversion's tail band.  Sub-exponential (bump-carrier) remainders
+# need a longer inversion line than the pairing integrals; 120 stays inside
+# the core quadrature's accurate band (panel width 0.25, order 16)
+_LINE_DT = 1e-2
+_PAIRING_T_MAX = 40.0
+_INVERSE_T_MAX = 120.0
+_TAIL_TOL = 1e-9
 
 
-@dataclass
-class InversionContourOptions(ContourOptions):
-    # sub-exponential (bump-carrier) remainders need a longer contour than
-    # the pairing integrals; 120 stays inside the core quadrature's accurate
-    # band (panel width 0.25, order 16)
-    t_max: float = 120.0
-
-
-def _polar_inverse_value(p: ChargedLaurent, x: float, sigma: float):
-    """Closed-form (1/2 pi i) int over Re s = sigma of (polar part) x^s ds.
-
-    Each monomial a (s-s0)^(-m) inverts to a x^s0 (log x)^(m-1) / (m-1)!,
-    supported on x > 1 when the pole lies left of the contour and on x < 1
-    (with a minus sign) when it lies right; on-contour poles take the
-    principal-value half of both."""
-    lx = math.log(x)
-    base = 0.0 + 0.0j
-    for m, a in p.total().items():
-        k = -m - 1
-        base += a * x**p.location.real * np.exp(1j * p.location.imag * lx) * lx**k / math.factorial(k)
-    dre = p.location.real - sigma
+def _side(location: complex, sigma: float) -> int:
+    """-1, 0 or +1 as a pole at `location` lies left of, on or right of the
+    contour Re s = sigma."""
+    dre = location.real - sigma
     if abs(dre) < 1e-12:
-        w = 0.5 * ((x > 1.0) - (x < 1.0))
-    elif dre < 0:
-        w = 1.0 if x > 1.0 else 0.0
-    else:
-        w = -1.0 if x < 1.0 else 0.0
-    return w * base
+        return 0
+    return -1 if dre < 0 else 1
 
 
-def _charged_res_with_power(coeffs: dict, x: float) -> complex:
+def _charged_term(side: int, res_plus, res_minus):
+    """What a charged pole on `side` of the contour adds to the contour
+    integral: -Res+ left of it, +Res- right of it, and the principal-value
+    half (Res- - Res+)/2 on it."""
+    if side == 0:
+        return 0.5 * (res_minus - res_plus)
+    return -res_plus if side < 0 else res_minus
+
+
+def _x_power(s0: complex, x: np.ndarray):
+    return x**s0.real * np.exp(1j * s0.imag * np.log(x))
+
+
+def _charged_res_with_power(coeffs: dict, x: np.ndarray):
     """Res at s0 of (polar part) * x^s, divided by x^s0: for a coefficient a
     at order -(k+1) this is a (log x)^k / k!."""
-    lx = math.log(x)
-    out = 0.0 + 0.0j
+    lx = np.log(x)
+    out = np.zeros(x.shape, dtype=complex)
     for m, a in coeffs.items():
         k = -m - 1
-        out += a * lx**k / math.factorial(k)
+        out = out + a * lx**k / math.factorial(k)
     return out
 
 
-def _residue_corrections_inverse(p: ChargedLaurent, x: float, sigma: float):
+def _polar_inverse_value(p: ChargedLaurent, x: np.ndarray, sigma: float):
+    """Closed-form (1/2 pi i) int over Re s = sigma of (polar part) x^s ds.
+
+    For x > 1 the contour closes to the left and picks up the residue of a
+    pole left of it; for x < 1 it closes to the right and picks up minus the
+    residue of a pole right of it; an on-contour pole gives the
+    principal-value half of both.  That is the charged term with
+    Res+ = -1(x > 1) and Res- = -1(x < 1) times the residue."""
+    w = _charged_term(_side(p.location, sigma), -(x > 1.0).astype(float), -(x < 1.0).astype(float))
+    return w * _x_power(p.location, x) * _charged_res_with_power(p.total(), x)
+
+
+def _residue_corrections_inverse(p: ChargedLaurent, x: np.ndarray, sigma: float):
     """- Res+ of F(s) x^s (poles left of the contour) + Res- (right side),
     with principal-value halves on the contour itself."""
     rp = _charged_res_with_power(p.plus, x)
     rm = _charged_res_with_power(p.minus, x)
-    xa = x**p.location.real * np.exp(1j * p.location.imag * math.log(x))
-    dre = p.location.real - sigma
-    if abs(dre) < 1e-12:
-        return 0.5 * xa * (rm - rp)
-    if dre < 0:
-        return -xa * rp
-    return xa * rm
+    return _x_power(p.location, x) * _charged_term(_side(p.location, sigma), rp, rm)
 
 
 def _line_grid(center: float, dt: float, n: int):
@@ -413,51 +414,41 @@ def _line_remainder(vals: np.ndarray, s: np.ndarray, dt: float, pole_set):
     return vals
 
 
-def _check_contour_decay(remainder_vals, ctr: ContourOptions, decay_class):
-    band = remainder_vals[-max(8, len(remainder_vals) // 50):]
-    level = float(np.max(np.abs(band)))
-    # crude tail estimate: level * remaining width under 1/t^2 decay
-    est = level * ctr.t_max
-    if decay_class[0] == "rapid":
-        return
-    if est > ctr.tail_tol * 1e3 and level > ctr.tail_tol:
-        raise DecayError(
-            f"contour remainder level {level:.2e} near t_max={ctr.t_max} too large"
-        )
+def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
+    """Inverse transform at abscissa sigma with charged residue bookkeeping.
 
-
-def mellin_inverse(
-    F: ChargedMeromorphicFunction,
-    sigma: float,
-    x,
-    ctr: ContourOptions | None = None,
-):
-    """Inverse transform at abscissa sigma with charged residue bookkeeping."""
-    ctr = ctr or InversionContourOptions()
+    The contour runs over |Im s| <= `_INVERSE_T_MAX` at step `_LINE_DT`.
+    Raises DecayError when a transform with polynomial decay has not decayed
+    by the end of it, or when the abscissa passes through a non-rational pole.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
     rational = F.rational_poles
     for p in F.poles:
-        if p not in rational and abs(p.location.real - sigma) < 1e-12:
+        if p not in rational and _side(p.location, sigma) == 0:
             raise DecayError(
                 "abscissa passes through a non-rational pole; shift sigma"
             )
-    t, w = trap_grid(ctr.t_max, ctr.dt)
+    t, w = trap_grid(_INVERSE_T_MAX, _LINE_DT)
     s = sigma + 1j * t
     with np.errstate(all="ignore"):
         vals = F(s)
-    remainder = _line_remainder(vals, s, ctr.dt, rational)
-    _check_contour_decay(remainder, ctr, F.decay_class)
-    contour = exp_sum(-1j * np.log(xs), t, remainder * w) / (2.0 * np.pi) * xs**sigma
-
-    out = contour.astype(complex)
-    for i, xv in enumerate(xs):
-        for p in rational:
-            out[i] += _polar_inverse_value(p, float(xv), sigma)
-        for p in F.poles:
-            out[i] += _residue_corrections_inverse(p, float(xv), sigma)
+    remainder = _line_remainder(vals, s, _LINE_DT, rational)
+    if F.decay_class[0] != "rapid":
+        level = float(np.max(np.abs(remainder[-max(8, len(remainder) // 50):])))
+        # crude tail estimate: level * remaining width under 1/t^2 decay
+        if level * _INVERSE_T_MAX > _TAIL_TOL * 1e3 and level > _TAIL_TOL:
+            raise DecayError(
+                f"contour remainder level {level:.2e} near t_max={_INVERSE_T_MAX} too large"
+            )
+    out = exp_sum(-1j * np.log(xs), t, remainder * w) / (2.0 * np.pi) * xs**sigma
+    out = out.astype(complex)
+    for p in rational:
+        out = out + _polar_inverse_value(p, xs, sigma)
+    for p in F.poles:
+        out = out + _residue_corrections_inverse(p, xs, sigma)
     return out[0] if scalar else out
 
 
@@ -579,10 +570,10 @@ def _rational_pair_contour(poles1, poles2, sigma: float) -> complex:
                         k = mm - 1
                         coeff = (-1.0) ** k * math.comb(nn + k - 1, k) * (loc - other) ** (-(nn + k))
                         res = a * b * coeff
-                        dre = loc.real - sigma
-                        if abs(dre) < 1e-12:
+                        side = _side(loc, sigma)
+                        if side == 0:
                             total += 0.5 * res
-                        elif dre < 0:
+                        elif side < 0:
                             total += res
     return total
 
@@ -591,7 +582,6 @@ def _split_contour(
     F1: ChargedMeromorphicFunction,
     F2n: ChargedMeromorphicFunction,
     sigma: float,
-    ctr: ContourOptions,
 ) -> complex:
     """(1/2 pi i) PV-integral of F1(s) F2n(s) over Re s = sigma.
 
@@ -607,7 +597,7 @@ def _split_contour(
         p
         for F in (F1, F2n)
         for p in F.poles
-        if abs(p.location.real - sigma) < 1e-12 and p.is_polar()
+        if _side(p.location, sigma) == 0 and p.is_polar()
     ]
     for p in online:
         if p.order < -1:
@@ -617,16 +607,16 @@ def _split_contour(
         raise DecayError("multiple distinct on-contour pole ordinates are unsupported")
     center = ordinates[0] if ordinates else 0.0
 
-    n = int(round(ctr.t_max / ctr.dt))
-    t, w = _line_grid(center, ctr.dt, n)
+    n = int(round(_PAIRING_T_MAX / _LINE_DT))
+    t, w = _line_grid(center, _LINE_DT, n)
     s_line = sigma + 1j * t
 
     rp1 = F1.rational_poles
     rp2 = F2n.rational_poles
     # partner transforms recur across pairings, so their lines are memoized
-    line = (float(sigma), float(center), float(ctr.dt), n)
-    e1 = _line_remainder(_line_values(F1, *line), s_line, ctr.dt, rp1)
-    e2 = _line_remainder(_line_values(F2n, *line), s_line, ctr.dt, rp2)
+    line = (float(sigma), float(center), _LINE_DT, n)
+    e1 = _line_remainder(_line_values(F1, *line), s_line, _LINE_DT, rp1)
+    e2 = _line_remainder(_line_values(F2n, *line), s_line, _LINE_DT, rp2)
     with np.errstate(all="ignore"):
         p1 = np.zeros_like(s_line)
         for p in rp1:
@@ -636,13 +626,16 @@ def _split_contour(
             p2 = p2 + p.polar_eval(s_line)
     with np.errstate(all="ignore"):
         mixed = e1 * e2 + e1 * p2 + p1 * e2
-    # the quadrature integrand must have decayed by the end of the contour
+    # the quadrature integrand must have decayed by the end of the contour:
+    # a tail band above 1e-10 of its scale means the cut at |t| = t_max
+    # drops a visible part of the pairing
     band = np.abs(mixed[-40:])
     band = band[np.isfinite(band)]
     scale = 1.0 + float(np.nanmax(np.abs(np.where(np.isfinite(mixed), mixed, 0.0))))
-    if band.size and np.max(band) > 2e-5 * scale:
+    if band.size and np.max(band) > 1e-10 * scale:
         raise DecayError(
-            "contour integrand has not decayed by t_max; declared decay is insufficient"
+            f"contour integrand is still {np.max(band):.2e} (scale {scale:.2e}) at "
+            f"t_max={_PAIRING_T_MAX}; declared decay is insufficient"
         )
     if ordinates:
         # patch the center node: for a simple pole the symmetric combination
@@ -663,7 +656,6 @@ def plancherel_inner_product(
     f1: AsymptoticallyFiniteFunction,
     f2: AsymptoticallyFiniteFunction,
     sigma: float = 0.0,
-    ctr: ContourOptions | None = None,
 ):
     """Spectral-side pairing: contour integral of F1(s) F2(-s) plus residues.
 
@@ -678,29 +670,23 @@ def plancherel_inner_product(
     moving sigma across a pole reallocates between entries while the total
     stays put.
     """
-    ctr = ctr or ContourOptions()
     F1 = mellin(f1)
     F2n = _cached_negation(mellin(f2))
     H = charged_product(F1, F2n)
-    contour_honest = _split_contour(F1, F2n, sigma, ctr)
+    contour_honest = _split_contour(F1, F2n, sigma)
 
     breakdown = []
     total = contour_honest
     for p in H.poles:
-        rp = p.plus.get(-1, 0.0 + 0.0j)
-        rm = p.minus.get(-1, 0.0 + 0.0j)
-        dre = p.location.real - sigma
-        if abs(dre) < 1e-12:
-            term = 0.5 * (rm - rp)
-            row = {"term_kind": "pv_half_residue", "location": p.location, "charge": "both", "value": term}
-        elif dre < 0:
-            term = -rp
-            row = {"term_kind": "residue", "location": p.location, "charge": "plus", "value": term}
-        else:
-            term = rm
-            row = {"term_kind": "residue", "location": p.location, "charge": "minus", "value": term}
+        side = _side(p.location, sigma)
+        term = _charged_term(side, p.plus.get(-1, 0.0 + 0.0j), p.minus.get(-1, 0.0 + 0.0j))
         if term != 0:
-            breakdown.append(row)
+            breakdown.append({
+                "term_kind": "residue" if side else "pv_half_residue",
+                "location": p.location,
+                "charge": ("plus", "both", "minus")[side + 1],
+                "value": term,
+            })
         total += term
     breakdown.insert(
         0, {"term_kind": "contour", "location": complex(sigma, 0.0), "charge": "", "value": contour_honest}
@@ -769,7 +755,6 @@ class AlmostL2Data:
 def almost_l2_plancherel(
     f1: AsymptoticallyFiniteFunction,
     f2data: AlmostL2Data,
-    ctr: ContourOptions | None = None,
 ):
     """Plancherel pairing at sigma = 0 using only Re <= 0 data for f2.
 
@@ -781,7 +766,6 @@ def almost_l2_plancherel(
     """
     if f1.zero_exponents():
         raise CriticalExponentError("f1 must be rapidly decaying near 0")
-    ctr = ctr or ContourOptions()
     F1 = mellin(f1)
     F2 = f2data.transform
 
@@ -793,7 +777,7 @@ def almost_l2_plancherel(
         if abs(p.location.real) < 1e-9 and p.location.imag != 0.0:
             raise DecayError("on-line exponents away from 0 are not supported here")
 
-    t, w = trap_grid(ctr.t_max, ctr.dt)
+    t, w = trap_grid(_PAIRING_T_MAX, _LINE_DT)
     # honest contour integral of F1(s) F2(-s) on Re s = 0; the decay is
     # governed by the assumed strip estimate for F2
     s = 1j * t
@@ -805,7 +789,7 @@ def almost_l2_plancherel(
     # minus residues of F1 at f1's infinity exponents, Re > 0
     for p in F1.poles:
         rm = p.minus.get(-1, 0.0 + 0.0j)
-        if rm == 0 or p.location.real <= 1e-12:
+        if rm == 0 or _side(p.location, 0.0) < 1:
             continue
         term = rm * complex(F2(-p.location))
         total += term

@@ -14,7 +14,7 @@ import pytest
 from seltrace.config import RunConfig
 from seltrace.corpus import default_corpus
 from seltrace.suites import emit_report, run_all, run_suite
-from seltrace.torus import ContourOptions, plancherel_inner_product, regularized_inner_product_direct
+from seltrace.torus import plancherel_inner_product, regularized_inner_product_direct
 
 _ALL = {}
 
@@ -63,14 +63,13 @@ def test_criterion_01_torus_plancherel():
         (corps["smooth_log_term"], corps["gauss_narrow"], None),
         (corps["gauss_unitary_pv"], corps["gauss_unit"], None),
     ]
-    ctr = ContourOptions(t_max=40.0, dt=0.02)
     for f1, f2, _ in pairs:  # warm the transform cache outside the clock
-        plancherel_inner_product(f1, f2, 0.0, ctr=ctr)
+        plancherel_inner_product(f1, f2, 0.0)
     t0 = time.perf_counter()
     worst = 0.0
     for f1, f2, exact in pairs:
         direct = regularized_inner_product_direct(f1, f2)
-        spectral, _ = plancherel_inner_product(f1, f2, 0.0, ctr=ctr)
+        spectral, _ = plancherel_inner_product(f1, f2, 0.0)
         worst = max(worst, abs(direct - spectral))
         if exact is not None:
             worst = max(worst, abs(spectral - exact))

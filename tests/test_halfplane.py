@@ -49,20 +49,43 @@ class TestPseudoEisenstein:
         assert abs(v - PSI_STD(z0 + 1.0)) < 1e-8
         assert abs(v - PSI_STD(-1.0 / z0)) < 1e-8
 
-    def test_slow_funnel_profile_warns_or_converges(self):
-        # y^2 e^-y decays only quadratically toward the funnel; with an
-        # explicit small coset bound the tail estimate must warn
+    def test_slow_funnel_profile_refused_past_budget(self, monkeypatch):
+        # y^2 e^-y decays only quadratically toward the funnel: at 0.1+1.1i
+        # the coset sum needs c up to 1859 and millions of rows; past the
+        # budget it is refused before any row is built
         def fy_model(x):
             x = np.asarray(x, dtype=float)
             y = x**2
             return np.where(y > 0, y**2 * np.exp(-y), 0.0) / np.where(x > 0, x, 1.0)
 
         f = boundary_from_model(AsymptoticallyFiniteFunction(core=fy_model, tail_decay_hint=2.0))
-        from seltrace.halfplane import TruncationWarning
+        built = []
+        monkeypatch.setattr(halfplane, "coprime_rows", lambda *a: built.append(a))
+        monkeypatch.setattr(halfplane, "_PSI_BUDGET", 1e5)
+        with pytest.raises(DecayError, match="1859 values of c"):
+            pseudo_eisenstein_function(f)(0.1 + 1.1j)
+        assert not built
 
-        phi = pseudo_eisenstein_function(f, coset_bound=6)
-        with pytest.warns(TruncationWarning):
-            phi(0.1 + 1.1j)
+    def test_budget_counts_window_entries(self, monkeypatch):
+        # the estimate counts (row, point) entries of the row windows: more
+        # than the coprime rows the sum enumerates, and less than twice them
+        z = _fd_points(16.0, 40, 40)
+        points = np.unique(np.abs(z.real) + 1j * z.imag).size
+        rows = []
+        real_rows = halfplane.coprime_rows
+
+        def spy(*a):
+            cs, ds = real_rows(*a)
+            rows.append(cs.size)
+            return cs, ds
+
+        monkeypatch.setattr(halfplane, "coprime_rows", spy)
+        want = PSI_STD.on_grid(z)
+        monkeypatch.setattr(halfplane, "_PSI_BUDGET", 2 * rows[0] * points)
+        assert np.array_equal(PSI_STD.on_grid(z), want)
+        monkeypatch.setattr(halfplane, "_PSI_BUDGET", rows[0] * points)
+        with pytest.raises(DecayError, match="entries"):
+            PSI_STD.on_grid(z)
 
     def test_zero_function(self):
         zf = boundary_from_model(AsymptoticallyFiniteFunction())
@@ -162,7 +185,7 @@ class TestConstantTerm:
 
     def test_psi_constant_term_is_f_plus_Rf(self):
         y = 1.7
-        quad = constant_term(AutomorphicFunction(evaluator=PSI_STD.on_grid), y, n_x=128)
+        quad = constant_term(AutomorphicFunction(evaluator=PSI_STD.on_grid), y)
         series = complex(F_STD(y)) + complex(radon_transform(F_STD, y))
         assert abs(quad - series) < 1e-8
 

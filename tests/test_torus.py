@@ -24,6 +24,7 @@ from seltrace.torus import (
     regularized_inner_product_direct,
     regularized_integral,
 )
+from seltrace.util import DecayError
 
 GAUSS = AsymptoticallyFiniteFunction(core=log_gaussian_core(), label="gauss")
 SHARP_X = AsymptoticallyFiniteFunction(terms=(ExponentTerm(1.0, side="zero"),))
@@ -99,6 +100,14 @@ class TestInversion:
         # term the other 1/2
         assert abs(mellin_inverse(F0, 0.0, 0.5) - 1.0) < 1e-10
         assert abs(mellin_inverse(F0, 0.0, 2.0)) < 1e-10
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+    def test_sharp_x_left_on_and_right_of_its_pole(self, sigma):
+        # 1/(1 - s) has its plus pole at 1: right of sigma = 0.5, on the
+        # contour at 1.0 (principal value plus half residues), left of 1.5
+        xs = np.array([0.05, 0.3, 0.7, 0.99, 1.01, 1.5, 4.0, 20.0])
+        got = mellin_inverse(mellin(SHARP_X), sigma, xs)
+        assert np.max(np.abs(got - SHARP_X(xs))) < 1e-12
 
 
 class TestRegularizedIntegral:
@@ -208,6 +217,17 @@ class TestPlancherel:
             d = regularized_inner_product_direct(f1, f2)
             s, _ = plancherel_inner_product(f1, f2, 0.0)
             assert abs(d - s) < 1e-6
+
+    def test_undecayed_contour_refused(self):
+        # a smooth zero-side term against a sharp zero-side partner: the
+        # pairing integrand is still 1.3e-5 (scale 7.2) at |t| = 40, and the
+        # cut there would miss the direct value by 2.1e-5
+        f = AsymptoticallyFiniteFunction(
+            core=log_gaussian_core(0.1, 0.7, 1.1),
+            terms=(ExponentTerm(0.475 + 0.539j, (0.8 - 0.1j, 0.7 + 0.9j), "zero", "smooth"),),
+        )
+        with pytest.raises(DecayError, match="t_max=40"):
+            plancherel_inner_product(f, SHARP_SQRT, 0.0)
 
     def test_admissibility_propagates(self):
         from seltrace.charged import AdmissibilityError
