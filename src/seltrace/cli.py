@@ -2,8 +2,7 @@
 
     seltrace verify <suite>|all [--config PATH] [--tol K=V ...] [--out PATH]
                                 [--format json|csv] [--seed N]
-    seltrace tf report --h gaussian --width W [--no-residual] [--cusp-data FILE]
-                       [--skip-truncation-fit] [--out PATH]
+    seltrace tf report --h gaussian --width W [--cusp-data FILE] [--out PATH]
     seltrace auto ct|eis|maass-selberg|plancherel ...
     seltrace special eval --fn NAME [--re X] [--im Y] [--nu V] [--y V] [--n N]
 
@@ -14,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from . import traceformula as tf
+from .config import ConfigError, load_config
 from .suites import SUITE_NAMES, UnknownSuiteError, emit_report, run_all, run_suite
 from .util import SeltraceError
 
@@ -42,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = tf_sub.add_parser("report", help="two-term Laurent report for a test-function pair")
     pr.add_argument("--h", default="gaussian", choices=("gaussian",))
     pr.add_argument("--width", type=float, default=0.5)
-    pr.add_argument("--no-residual", dest="residual", action="store_false")
     pr.add_argument("--cusp-data", default=None, help="JSON file with {'eigenvalues_t': [...]}")
-    pr.add_argument("--skip-truncation-fit", action="store_true")
     pr.add_argument("--out", default=None)
 
     pa = sub.add_parser("auto", help="automorphic layer evaluations")
@@ -115,37 +114,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tf_report(args) -> int:
-    from .traceformula import (
-        MEASURE_LEDGER,
-        convolve_test_functions,
-        gaussian_test_function,
-        identity_term,
-        spectral_side,
-        tate_zeta_term,
-        tf_minus1_geometric,
-        tf_minus1_spectral,
-        two_term_laurent_kernel,
-        weighted_orbital_integral,
-    )
-
-    cusp_t = None
-    if args.cusp_data:
-        with open(args.cusp_data) as fh:
-            cusp_t = json.load(fh).get("eigenvalues_t", [])
-    T = gaussian_test_function(args.width)
-    T12 = convolve_test_functions(T, T)
-    sp = spectral_side(T, T, residual_on=args.residual, cusp_eigenvalues=cusp_t)
-    v_spec = tf_minus1_spectral(T, T)
-    v_geo = tf_minus1_geometric(T, T)
-    hyper = 0.5 * weighted_orbital_integral(T12, -1)
-    ident = identity_term(T12)
-    tate, _ = tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
+    if not (math.isfinite(args.width) and args.width > 0.0):
+        raise ConfigError(f"--width must be a positive number, got {args.width!r}")
+    cusp_t = _read_cusp_data(args.cusp_data) if args.cusp_data else None
+    T = tf.gaussian_test_function(args.width)
+    T12 = tf.convolve_test_functions(T, T)
+    sp = tf.spectral_side(T, T, cusp_eigenvalues=cusp_t)
+    v_spec = tf.tf_minus1_spectral(T, T)
+    v_geo = tf.tf_minus1_geometric(T, T)
+    hyper = 0.5 * tf.weighted_orbital_integral(T12, -1)
+    ident = tf.identity_term(T12)
+    tate, _ = tf.tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
+    fit = tf.two_term_laurent_kernel(T, T)
     report = {
         "test_function": {"family": "gaussian", "width": args.width},
         "tf_minus1": {
             "spectral": _c2(v_spec),
             "geometric": _c2(v_geo),
             "deviation_geo_spec": abs(v_geo - v_spec),
+            "deviation_fit_spec": abs(fit.a_minus1 - v_spec),
+            "deviation_fit_geo": abs(fit.a_minus1 - v_geo),
         },
         "tf0_terms": {
             "M0_term": _c2(sp["M0_term"]),
@@ -158,18 +146,12 @@ def _cmd_tf_report(args) -> int:
             "tate_a0": _c2(tate.a_0),
             "tate_aminus1": _c2(tate.a_minus1),
         },
-        "measure_ledger": MEASURE_LEDGER,
+        "measure_ledger": tf.MEASURE_LEDGER,
+        "truncation_fit": {"a_minus1": _c2(fit.a_minus1), "a_0": _c2(fit.a_0)},
+        "cuspidal_remainder": _c2(fit.a_0 - sp["computable_sum"]),
+        "geometric_computable_sum": _c2(ident + hyper + tate.a_0),
+        "elliptic_remainder": _c2(fit.a_0 - (ident + hyper + tate.a_0)),
     }
-    if not args.skip_truncation_fit:
-        fit = two_term_laurent_kernel(T, T)
-        report["truncation_fit"] = {"a_minus1": _c2(fit.a_minus1), "a_0": _c2(fit.a_0)}
-        report["tf_minus1"]["deviation_fit_spec"] = abs(fit.a_minus1 - v_spec)
-        report["tf_minus1"]["deviation_fit_geo"] = abs(fit.a_minus1 - v_geo)
-        report["cuspidal_remainder"] = _c2(fit.a_0 - sp["computable_sum"])
-        report["geometric_computable_sum"] = _c2(
-            ident + hyper + tate.a_0
-        )
-        report["elliptic_remainder"] = _c2(fit.a_0 - (ident + hyper + tate.a_0))
     if cusp_t is not None:
         report["cusp_display_sum"] = _c2(sp["cusp_display_sum"])
     text = json.dumps(report, indent=1, sort_keys=True)
@@ -180,6 +162,17 @@ def _cmd_tf_report(args) -> int:
     else:
         print(text)
     return 0
+
+
+def _read_cusp_data(path: str) -> list:
+    try:
+        with open(path) as fh:
+            t = json.load(fh)["eigenvalues_t"]
+        if not isinstance(t, list):
+            raise TypeError("'eigenvalues_t' is not a list")
+        return [float(v) for v in t]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"--cusp-data {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def _c2(v) -> list:

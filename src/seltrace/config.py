@@ -17,7 +17,7 @@ DEFAULT_TOLERANCES = {
     "analytic": 1e-8,
     "quadrature": 1e-6,
     "fd": 1e-4,
-    "tf": 1e-3,
+    "tf": 1e-5,
 }
 
 
@@ -42,7 +42,6 @@ class RunConfig:
     corpus: tuple = ()  # empty means the default selection per suite
     seed: int = 1234
     fault_injection: str = ""
-    kernel_u_max: float = 250.0
 
     def __post_init__(self):
         for k, v in self.tolerances.items():
@@ -66,7 +65,6 @@ _SCALAR_FIELDS = {
     "ny": int,
     "seed": int,
     "fault_injection": str,
-    "kernel_u_max": float,
 }
 
 

@@ -70,18 +70,21 @@ class EllipticInputError(SeltraceError):
 
 @dataclass(frozen=True)
 class SphericalTestFunction:
-    """Compatible triple (h, g, k), built from h.
+    """Compatible triple (h, g, k), built from h, and its truncations.
 
     `k` integrates the Abel inversion by quadrature on each call (accurate,
     for orbital integrals); `k_fast` interpolates a dense table, built on its
-    first call (for the large modular-group sums).  `t_max` is the cut of the spectral
-    line that the triple was built on."""
+    first call (for the large modular-group sums).  `t_max` is the cut of the
+    spectral line that the triple was built on, and `reach()` the cut of the
+    kernel sums: the largest node of the `k_fast` table where
+    |k| >= `_K_REACH` |k(0)|."""
 
     h: Callable
     g: Callable
     k: Callable
-    k_fast: Callable = None
-    t_max: float = 26.0
+    k_fast: Callable
+    t_max: float
+    reach: Callable
 
 
 def _fourier_g(h: Callable, t_max: float, dt: float):
@@ -110,11 +113,13 @@ _G_DT = 0.01
 _G_CL_DT = 0.02
 _RHO_MAX = 26.0
 _N_K_GRID = 6000
+# the kernel sums keep |k| >= _K_REACH |k(0)|: u <= 249.2 at width 0.5
+_K_REACH = 5e-8
 # (row, node) entries of Q' that k evaluates at a time
 _ABEL_CHUNK = 250_000
 
 
-def spherical_from_h(h: Callable, t_max: float = 26.0) -> SphericalTestFunction:
+def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     """Build (h, g, k) from the spectral multiplier h, cut at |t| <= t_max.
 
     g comes from Fourier quadrature of h on the line; k from the Abel
@@ -188,11 +193,15 @@ def spherical_from_h(h: Callable, t_max: float = 26.0) -> SphericalTestFunction:
         out = np.interp(u, u_tab, k_tab, right=0.0)
         return out if u.shape else float(out)
 
-    return SphericalTestFunction(h=h, g=g, k=k, k_fast=k_fast, t_max=t_max)
+    def reach():
+        u_tab, k_tab = k_table()
+        return float(u_tab[np.nonzero(np.abs(k_tab) >= _K_REACH * abs(k_tab[0]))[0][-1]])
+
+    return SphericalTestFunction(h=h, g=g, k=k, k_fast=k_fast, t_max=t_max, reach=reach)
 
 
 @lru_cache(maxsize=16)
-def gaussian_test_function(width: float = 1.0) -> SphericalTestFunction:
+def gaussian_test_function(width: float) -> SphericalTestFunction:
     """h(s) = exp(width^2 s^2 / 4); on the line h(it) = exp(-(width t)^2/4).
 
     Triples are immutable, so each width is built once (memoized)."""
@@ -200,7 +209,7 @@ def gaussian_test_function(width: float = 1.0) -> SphericalTestFunction:
     def h(s):
         return np.exp(0.25 * (width**2) * np.asarray(s, dtype=complex) ** 2)
 
-    return spherical_from_h(h, t_max=max(26.0, 12.0 / width))
+    return spherical_from_h(h, max(26.0, 12.0 / width))
 
 
 @lru_cache(maxsize=16)
@@ -213,7 +222,7 @@ def convolve_test_functions(T1: SphericalTestFunction, T2: SphericalTestFunction
     def h(s):
         return T1.h(s) * T2.h(s)
 
-    return spherical_from_h(h, t_max=max(T1.t_max, T2.t_max))
+    return spherical_from_h(h, max(T1.t_max, T2.t_max))
 
 
 # ----------------------------------------------------------------------------
@@ -254,14 +263,12 @@ def kernel_constant_terms(T: SphericalTestFunction):
 # Spectral first coefficient
 
 
-def tf_minus1_spectral(T1, T2, sigma: float = 0.0) -> complex:
+def tf_minus1_spectral(T1: SphericalTestFunction, T2: SphericalTestFunction, sigma: float = 0.0) -> complex:
     """-(1/2 pi i) int over Re s = sigma of h1(s) h2(-s) ds, by the trapezoid
-    rule on |t| <= 26 at step 0.01."""
-    h1 = T1.h if isinstance(T1, SphericalTestFunction) else T1
-    h2 = T2.h if isinstance(T2, SphericalTestFunction) else T2
-    t, w = trap_grid(26.0, 0.01)
+    rule at step 0.01 on the wider of the two triples' cuts |t| <= t_max."""
+    t, w = trap_grid(max(T1.t_max, T2.t_max), 0.01)
     s = sigma + 1j * t
-    vals = np.asarray(h1(s)) * np.asarray(h2(-s))
+    vals = np.asarray(T1.h(s)) * np.asarray(T2.h(-s))
     return complex(-np.sum(vals * w) / (2.0 * np.pi))
 
 
@@ -318,13 +325,15 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
     return np.where(u <= u_max, np.asarray(k(u), dtype=float), 0.0)
 
 
-# (row, point) entries per step of kernel_diagonal_sum, which bounds the
-# expanded (point, shift) arrays: a `tf report` at width 0.47 peaks at 211 MB
-# RSS with 2.5e5 entries and at 293 MB with 2e6
-_KERNEL_CHUNK = 250_000
+# (point, shift) pairs per step of kernel_diagonal_sum, which bounds its
+# arrays: a `tf report` peaks at 81 MB RSS at width 0.5 and 93 MB at 0.7
+_KERNEL_CHUNK = 1_000_000
+# most terms a kernel sum may take on, estimated before it starts: a report's
+# strip sum estimates 1.2e9 at width 1.0 (89 s) and 2.85e9 at 1.1 (refused)
+_KERNEL_BUDGET = 2e9
 
 
-def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.ndarray:
+def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     """Sum of k(u(z, gamma z)) over the gamma in PSL2(Z) with u <= u_max, on
     an array of points; terms with u > u_max contribute exactly 0.
 
@@ -333,8 +342,8 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
     representative gamma0 per coprime bottom row (c, d): with w = gamma0 z,
     the element T^m gamma0 moves z to w + m, so the live shifts of a point
     are exactly the m with (x - Re w - m)^2 <= u_max y Im w - (y - Im w)^2.
-    Only those (point, m) pairs are expanded, `_KERNEL_CHUNK` (row, point)
-    entries at a time.
+    Only those (point, m) pairs are expanded, in steps of as many rows as
+    can expand at most `_KERNEL_CHUNK` pairs.
 
     The reflection z -> -conj(z) normalizes PSL2(Z) and preserves u, so the
     sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y),
@@ -349,6 +358,11 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
 
     heights, height_of = np.unique(y, return_inverse=True)
     n_hi = np.floor(heights * math.sqrt(u_max)).astype(int)
+    # the disc u <= u_max has area pi u_max and F has pi / 3, so each point
+    # meets about 3 u_max cosets
+    terms = float(np.sum(n_hi)) + 3.0 * u_max * z.size
+    if terms > _KERNEL_BUDGET:
+        raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.0e})")
     owner, n = _ranges(np.ones(heights.size, dtype=int), n_hi)
     kv = _live_values(k, (n / heights[owner]) ** 2, u_max)
     out += 2.0 * np.bincount(owner, weights=kv, minlength=heights.size)[height_of]
@@ -367,7 +381,8 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
         pts = by_height[: np.searchsorted(y_sorted, math.sqrt(t_max) / c, side="right")]
         d_all = ds[cs == c]
         zp, xp, yp = z[pts], x[pts], y[pts]
-        step = max(1, _KERNEL_CHUNK // max(pts.size, 1))
+        # a (row, point) entry has at most 2 sqrt(u_max) / c + 1 live shifts
+        step = max(1, int(_KERNEL_CHUNK / (max(pts.size, 1) * (2.0 * math.sqrt(u_max) / c + 1.0))))
         for i in range(0, d_all.size, step):
             d = d_all[i : i + step]
             a0 = np.array([pow(int(dj), -1, c) for dj in d])
@@ -388,26 +403,25 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float = 100.0) -> np.
     return (out + acc)[point_of.reshape(-1)].reshape(shape)
 
 
-def two_term_laurent_kernel(
-    T1: SphericalTestFunction,
-    T2: SphericalTestFunction,
-    u_max: float = 250.0,
-):
+def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction):
     """Kernel-pair truncation fit.
 
     I(T) = integral over the fundamental domain up to height e^{2T} of the
-    diagonal kernel sum of the convolved test function; the model
-    I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential term is the
-    exact subleading correction of the level-1 translation tail) on
-    T = 0.75, 1, ..., 2.25, with a 160 x 160 fundamental-domain rule.
+    diagonal kernel sum of the convolved test function, cut at its reach;
+    the model I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential
+    term is the exact subleading correction of the level-1 translation tail)
+    on T = 1.5, 1.75, ..., 3, with a 160 x 160 fundamental-domain rule; below
+    y = e^3 the c >= 1 cosets (c y <= sqrt(u_max) ~ 16 at width 0.5) still add.
     """
-    T_grid = np.arange(0.75, 2.26, 0.25)
+    T_grid = np.arange(1.5, 3.01, 0.25)
     T12 = convolve_test_functions(T1, T2)
+    u_max = T12.reach()
     Ymax = math.exp(2.0 * float(T_grid[-1]))
     v_breaks = tuple(2.0 * T_grid[:-1])
     Z1, W1, Z2, W2 = _fd_grids(Ymax, 160, 160, v_breaks)
-    vals1 = kernel_diagonal_sum(T12.k_fast, Z1, u_max)
+    # the strip first: it has the most terms, so a refusal comes before any sum
     vals2 = kernel_diagonal_sum(T12.k_fast, Z2, u_max)
+    vals1 = kernel_diagonal_sum(T12.k_fast, Z1, u_max)
     base = float(np.real(np.sum(vals1 * W1)))
     y2 = Z2.imag
     I = np.array(
@@ -548,12 +562,7 @@ def tf_minus1_geometric(T1: SphericalTestFunction, T2: SphericalTestFunction) ->
 # Spectral side
 
 
-def spectral_side(
-    T1: SphericalTestFunction,
-    T2: SphericalTestFunction,
-    residual_on: bool = True,
-    cusp_eigenvalues=None,
-) -> dict:
+def spectral_side(T1: SphericalTestFunction, T2: SphericalTestFunction, cusp_eigenvalues=None) -> dict:
     """Computable spectral terms of the constant Laurent coefficient.
 
     M0_term         (1/4) c(0) h1(0) h2(0)
@@ -561,34 +570,27 @@ def spectral_side(
                     intertwining-residue scalar (6/pi) h1(1) h2(1) is recorded
                     alongside, see `residual_defdiscrete_scalar`]
     continuous_term -(1/4 pi) int (c'/c)(it) h1(it) h2(it) dt, by the
-                    trapezoid rule on |t| <= 14 at step 0.02
+                    midpoint rule at step 0.02 on t > 0, doubled (it is even),
+                    up to the wider of the two triples' cuts t_max
 
     Cuspidal terms are never computed; optional eigenvalue data (t_j with
     s_j = i t_j) is folded into `cusp_display_sum` for display only.
     """
     h1, h2 = T1.h, T2.h
-    h10 = complex(np.asarray(h1(np.zeros(1, dtype=complex)))[0])
-    h20 = complex(np.asarray(h2(np.zeros(1, dtype=complex)))[0])
-    c0 = complex(intertwining_c(0.0))
-    m0 = 0.25 * c0 * h10 * h20
 
-    h11 = complex(np.asarray(h1(np.ones(1, dtype=complex)))[0])
-    h21 = complex(np.asarray(h2(np.ones(1, dtype=complex)))[0])
-    residual = h11 * h21 if residual_on else 0.0 + 0.0j
+    def at(h, s):
+        return complex(np.asarray(h(np.full(1, s, dtype=complex)))[0])
 
-    t, w = trap_grid(14.0, 0.02)
-    mask = np.abs(t) > 1e-9
-    tt = t[mask]
-    integrand = np.real(c_log_derivative(1j * tt)) * np.real(
-        np.asarray(h1(1j * tt)) * np.asarray(h2(1j * tt))
-    )
-    # (c'/c)(0) is finite; patch the origin node by neighbor average
-    full = np.zeros_like(t)
-    full[mask] = integrand
-    if np.any(~mask):
-        i0 = int(np.nonzero(~mask)[0][0])
-        full[i0] = 0.5 * (full[i0 - 1] + full[i0 + 1])
-    continuous = -np.sum(full * w) / (4.0 * np.pi)
+    m0 = 0.25 * complex(intertwining_c(0.0)) * at(h1, 0.0) * at(h2, 0.0)
+    h11, h21 = at(h1, 1.0), at(h2, 1.0)
+    residual = h11 * h21
+
+    t_cut = max(T1.t_max, T2.t_max)
+    n = int(math.ceil(t_cut / 0.02))
+    dt = t_cut / n
+    t = (np.arange(n) + 0.5) * dt
+    integrand = np.real(c_log_derivative(1j * t)) * np.real(np.asarray(h1(1j * t)) * np.asarray(h2(1j * t)))
+    continuous = -2.0 * dt * np.sum(integrand) / (4.0 * np.pi)
 
     out = {
         "M0_term": m0,

@@ -18,7 +18,7 @@ class TestConfig:
         assert cfg.tol("analytic") == 1e-8
         assert cfg.tol("quadrature") == 1e-6
         assert cfg.tol("fd") == 1e-4
-        assert cfg.tol("tf") == 1e-3
+        assert cfg.tol("tf") == 1e-5
 
     def test_file_parsing(self, tmp_path):
         p = tmp_path / "cfg.txt"
@@ -56,7 +56,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(tolerances={"fd": -1.0})
 
-    @pytest.mark.parametrize("key", ["t_max", "dt", "y_max", "coset_bound", "out_path", "out_format"])
+    @pytest.mark.parametrize(
+        "key", ["t_max", "dt", "y_max", "coset_bound", "out_path", "out_format", "kernel_u_max"]
+    )
     def test_removed_keys_rejected(self, tmp_path, key):
         # keys that no suite read are gone; a file that still sets one fails
         p = tmp_path / "cfg.txt"
@@ -68,9 +70,18 @@ class TestConfig:
         cfg = RunConfig(seed=5, ms_T=(1.0,), tolerances={"fd": 2e-4})
         echo = run_suite("hc-bound", cfg).payload()["config"]
         assert set(echo) == {
-            "tolerances", "nx", "ny", "ms_T", "corpus", "seed", "fault_injection", "kernel_u_max",
+            "tolerances", "nx", "ny", "ms_T", "corpus", "seed", "fault_injection",
         }
         assert echo["seed"] == 5 and echo["ms_T"] == (1.0,) and echo["tolerances"] == {"fd": 2e-4}
+
+    def test_settable_values_do_not_grow(self):
+        # ratchet: the parameters and dataclass fields with defaults in
+        # src/seltrace, as scripts/count_settable.py counts them
+        script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts",
+                              "count_settable.py")
+        out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1].split()[0] == "total"
+        assert int(out.splitlines()[-1].split()[-1]) <= 74
 
 
 class TestHarness:
@@ -85,6 +96,24 @@ class TestHarness:
             "constant-term-symmetry", "rank-one-plancherel",
             "kernel-relations", "tf-minus1", "geometric-terms", "tate-zeta",
         }
+
+    def test_elliptic_check_fails_on_a_wrong_error(self, monkeypatch):
+        # only EllipticInputError passes `elliptic_input_raises`; any other
+        # error at alpha = 1 fails the record and is named in it
+        from seltrace import suites
+
+        woi = suites.weighted_orbital_integral
+
+        def wrong_error(T, alpha, weighted=True):
+            if alpha == 1:
+                raise ValueError("not the typed error")
+            return woi(T, alpha, weighted)
+
+        monkeypatch.setattr(suites, "weighted_orbital_integral", wrong_error)
+        rep = run_suite("geometric-terms")
+        rec = next(r for r in rep.records if r["id"] == "elliptic_input_raises")
+        assert not rec["pass"] and "ValueError" in rec["got"]
+        assert not rep.passed
 
     def test_report_pass_semantics(self):
         rep = run_suite("hc-bound")
@@ -266,8 +295,7 @@ class TestCLI:
 
     def test_tf_report_fast(self, tmp_path):
         out = _run_cli(
-            "tf", "report", "--h", "gaussian", "--width", "0.5",
-            "--skip-truncation-fit", "--out", str(tmp_path / "tf.json"),
+            "tf", "report", "--h", "gaussian", "--width", "0.5", "--out", str(tmp_path / "tf.json"),
         )
         assert out.returncode == 0
         rec = json.loads(open(tmp_path / "tf.json").read())
@@ -301,7 +329,7 @@ class TestCLI:
         t = [2.0, 5.5]
         cusp = tmp_path / "cusp.json"
         cusp.write_text(json.dumps({"eigenvalues_t": t}))
-        args = ["tf", "report", "--width", "0.5", "--skip-truncation-fit", "--out"]
+        args = ["tf", "report", "--width", "0.5", "--out"]
         assert cli.main(args + [str(tmp_path / "plain.json")]) == 0
         assert cli.main(args + [str(tmp_path / "cusp_out.json"), "--cusp-data", str(cusp)]) == 0
         plain = json.loads((tmp_path / "plain.json").read_text())
@@ -311,6 +339,42 @@ class TestCLI:
         # h(it)^2 = exp(-(W t)^2 / 2)
         want = sum(math.exp(-((0.5 * tj) ** 2) / 2.0) for tj in t)
         assert abs(display[0] - want) < 1e-14 and display[1] == 0.0
+
+    def test_tf_report_wide_width(self, tmp_path):
+        # the kernel sum reaches u = 688 here; a fixed u_max = 250 and the old
+        # fit window T = 0.75...2.25 raised FitError
+        from seltrace import cli
+
+        path = tmp_path / "tf.json"
+        assert cli.main(["tf", "report", "--width", "0.6", "--out", str(path)]) == 0
+        rec = json.loads(path.read_text())
+        assert abs(complex(*rec["cuspidal_remainder"])) <= 2e-5
+
+    def test_tf_report_refuses_runaway_kernel_sum(self, capsys):
+        # at W = 1.1 the kernel reaches u = 7.1e4, and the strip sum would take
+        # about 2.9e9 terms; it is refused before any term is summed
+        from seltrace import cli
+
+        assert cli.main(["tf", "report", "--width", "1.1"]) == 3
+        assert capsys.readouterr().err.startswith("error: DecayError: kernel sum to u = 7.066e+04")
+
+    @pytest.mark.parametrize("width", ["0", "-0.5", "nan"])
+    def test_tf_report_rejects_width(self, width, capsys):
+        from seltrace import cli
+
+        assert cli.main(["tf", "report", "--width", width]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --width must be a positive number") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", ['{"t": [2.0]}', '{"eigenvalues_t": 2.0}', '[2.0]', "{"])
+    def test_tf_report_rejects_cusp_data(self, content, tmp_path, capsys):
+        from seltrace import cli
+
+        cusp = tmp_path / "cusp.json"
+        cusp.write_text(content)
+        assert cli.main(["tf", "report", "--width", "0.5", "--cusp-data", str(cusp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--cusp-data" in err and err.count("\n") == 1
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         from seltrace import cli, traceformula

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from seltrace.halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids
-from seltrace.special import intertwining_c
+from seltrace.special import c_log_derivative, intertwining_c
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm
 from seltrace.traceformula import (
     EllipticInputError,
@@ -60,7 +60,7 @@ class TestTransformChain:
     def test_zero_multiplier(self):
         from seltrace.traceformula import spherical_from_h
 
-        T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)))
+        T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)), 26.0)
         assert abs(complex(T0.g(0.3))) < 1e-14
         assert abs(float(np.asarray(T0.k(0.5)))) < 1e-14
 
@@ -70,7 +70,7 @@ class TestLazyAbelTables:
         from seltrace.traceformula import spherical_from_h
 
         with pytest.raises(DecayError):
-            spherical_from_h(lambda s: np.ones_like(np.asarray(s, dtype=complex)))
+            spherical_from_h(lambda s: np.ones_like(np.asarray(s, dtype=complex)), 26.0)
 
     @pytest.mark.parametrize("chunk", [None, 5000])
     def test_k_skips_dead_rows_bitwise(self, chunk, monkeypatch):
@@ -103,6 +103,21 @@ class TestLazyAbelTables:
         monkeypatch.setattr(traceformula, "_g_cl_derivative", counting)
         assert cli.main(["tf", "report", "--width", "0.4917", "--out", str(tmp_path / "tf.json")]) == 0
         assert len(calls) == 1
+
+
+class TestReach:
+    def test_width_half_reach(self, gauss_T05):
+        T12 = convolve_test_functions(gauss_T05, gauss_T05)
+        reach = T12.reach()
+        assert 245.0 <= reach <= 255.0
+        assert abs(T12.k_fast(reach)) >= 5e-8 * abs(T12.k_fast(0.0))
+
+    def test_reach_grows_with_width(self):
+        reach = []
+        for W in (0.45, 0.5, 0.6):
+            T = gaussian_test_function(W)
+            reach.append(convolve_test_functions(T, T).reach())
+        assert reach[0] < reach[1] < reach[2]
 
 
 class TestMemo:
@@ -181,6 +196,21 @@ class TestKernelDiagonalSum:
         pieces = kernel_diagonal_sum(k, z, u_max=30.0)
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(whole)
 
+    def test_budget_refuses_before_summing(self, monkeypatch):
+        from seltrace import traceformula
+
+        seen = []
+
+        def k(u):
+            seen.append(np.size(u))
+            return np.exp(-np.asarray(u, dtype=float) / 4.0)
+
+        monkeypatch.setattr(traceformula, "_KERNEL_BUDGET", 1e3)
+        with pytest.raises(DecayError, match="kernel sum"):
+            kernel_diagonal_sum(k, np.array([0.1 + 1.0j, 0.2 + 3.0j]), u_max=200.0)
+        # only k(0) was evaluated
+        assert seen == [1]
+
 
 class TestKernelConstantTerms:
     def test_relations_on_line(self, gauss_T08):
@@ -195,7 +225,7 @@ class TestKernelConstantTerms:
     def test_zero_function(self):
         from seltrace.traceformula import spherical_from_h
 
-        T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)))
+        T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)), 26.0)
         diag, adiag = kernel_constant_terms(T0)
         assert abs(complex(diag(np.array([0.3j]))[0])) < 1e-14
         assert abs(complex(adiag(np.array([0.3j]))[0])) < 1e-14
@@ -208,8 +238,10 @@ class TestSpectralMinusOne:
         assert abs(v + 0.3989423) < 1e-6
 
     def test_zero(self, gauss_T1):
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
-        assert tf_minus1_spectral(gauss_T1.h, zero) == 0.0
+        from seltrace.traceformula import spherical_from_h
+
+        zero = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)), 26.0)
+        assert tf_minus1_spectral(gauss_T1, zero) == 0.0
 
     def test_sigma_shift(self, gauss_T1):
         v0 = tf_minus1_spectral(gauss_T1, gauss_T1)
@@ -346,14 +378,22 @@ class TestSpectralSide:
         assert abs(sp["continuous_term"].imag) < 1e-8
         assert abs(sp["residual_defdiscrete_scalar"] - (6 / math.pi) * h1 * h1) < 1e-12
 
-    def test_residual_off(self, gauss_T05):
-        sp = spectral_side(gauss_T05, gauss_T05, residual_on=False)
-        assert sp["residual_term"] == 0.0
+    def test_continuous_term_against_finer_midpoint_rule(self, gauss_T05):
+        # the rule has no node at t = 0; an independent midpoint sum at half
+        # the step over the same cut agrees to rounding
+        sp = spectral_side(gauss_T05, gauss_T05)
+        dt = 0.01
+        t = np.arange(-gauss_T05.t_max + 0.5 * dt, gauss_T05.t_max, dt)
+        clogd = np.array([complex(c_log_derivative(1j * tj)) for tj in t])
+        h = np.exp(-((0.5 * t) ** 2) / 4.0)
+        want = -dt * np.sum(clogd.real * h * h) / (4.0 * np.pi)
+        assert t.size == 5200
+        assert abs(sp["continuous_term"] - want) < 1e-11
 
     def test_zero_function(self, gauss_T05):
         from seltrace.traceformula import spherical_from_h
 
-        T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)))
+        T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)), 26.0)
         sp = spectral_side(T0, gauss_T05)
         assert abs(sp["computable_sum"]) < 1e-12
 
