@@ -17,7 +17,7 @@ DEFAULT_TOLERANCES = {
     "analytic": 1e-8,
     "quadrature": 1e-6,
     "fd": 1e-4,
-    "tf": 1e-5,
+    "tf": 1e-6,
 }
 
 

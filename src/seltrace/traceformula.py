@@ -72,17 +72,14 @@ class EllipticInputError(SeltraceError):
 class SphericalTestFunction:
     """Compatible triple (h, g, k), built from h, and its truncations.
 
-    `k` integrates the Abel inversion by quadrature on each call (accurate,
-    for orbital integrals); `k_fast` interpolates a dense table, built on its
-    first call (for the large modular-group sums).  `t_max` is the cut of the
-    spectral line that the triple was built on, and `reach()` the cut of the
-    kernel sums: the largest node of the `k_fast` table where
-    |k| >= `_K_REACH` |k(0)|."""
+    `k` evaluates the point-pair kernel from a table in geodesic distance,
+    built on its first call.  `t_max` is the cut of the spectral line that
+    the triple was built on, and `reach()` the cut of the kernel sums: the
+    u of the last table node where |k| >= `_K_REACH` |k(0)|."""
 
     h: Callable
     g: Callable
     k: Callable
-    k_fast: Callable
     t_max: float
     reach: Callable
 
@@ -108,15 +105,17 @@ def _g_cl_derivative(h: Callable, t_max: float, dt: float):
 
 
 # spherical_from_h's quadrature budget: the t-steps of the Fourier rules for
-# g and g_cl', the rho-range of the g_cl' table, and the number of k_fast nodes
+# g and g_cl', the rho-range of the g_cl' table, and the number of k nodes
 _G_DT = 0.01
 _G_CL_DT = 0.02
 _RHO_MAX = 26.0
 _N_K_GRID = 6000
-# the kernel sums keep |k| >= _K_REACH |k(0)|: u <= 249.2 at width 0.5
+# the kernel sums keep |k| >= _K_REACH |k(0)|: u <= 249.1 at width 0.5
 _K_REACH = 5e-8
-# (row, node) entries of Q' that k evaluates at a time
+# (node, xi) entries of Q' that the table build evaluates at a time, and
+# points that k interpolates at a time
 _ABEL_CHUNK = 250_000
+_K_BLOCK = 1 << 16
 
 
 def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
@@ -124,11 +123,13 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
 
     g comes from Fourier quadrature of h on the line; k from the Abel
     inversion k(u) = -(2/pi) int_0^inf Q'(u + xi^2) d xi, where
-    Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2).  g_cl' is
-    tabulated densely, so both the per-call quadrature k and the
-    table-interpolated k_fast are cheap.  The g_cl' table is built on the
-    first call of k or k_fast, and the k_fast table on the first call of
-    k_fast: a triple used only through h and g never builds either.
+    Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2), with g_cl'
+    interpolated in a dense table.  The inversion runs once, on `_N_K_GRID`
+    equally spaced geodesic distances up to the support of g_cl'; k(u) is
+    the cubic through the four nodes nearest rho(u).  k is even in rho, so
+    the node at -drho mirrors the one at +drho, and k is 0 from the last
+    node on.  The tables are built on the first call of k or reach(): a
+    triple used only through h and g never builds them.
     """
     probe = np.abs(np.asarray(h(1j * np.array([0.0, 0.5 * t_max, t_max]))))
     if probe[-1] > 1e-9 * (1.0 + probe[0]):
@@ -136,8 +137,9 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     g = _fourier_g(h, t_max, _G_DT)
 
     @lru_cache(maxsize=1)
-    def abel():
-        """(Q', v_cut, xi nodes, xi weights) of the Abel inversion."""
+    def table():
+        """(drho, Horner coefficients of the cubic on each node interval,
+        constant term first: the constant terms are k at the nodes)."""
         # dense g_cl' table; Q'(v) after that costs one interpolation
         rho_tab = np.linspace(0.0, _RHO_MAX, 52001)
         gclp_tab = np.real(_g_cl_derivative(h, t_max, _G_CL_DT)(rho_tab))
@@ -147,57 +149,57 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
         supp = np.nonzero(np.abs(gclp_tab) > 1e-17 * peak)[0]
         rho_cut = float(rho_tab[supp[-1]]) if supp.size else _RHO_MAX
         v_cut = 4.0 * math.sinh(0.5 * rho_cut) ** 2
-
-        def Qp(v):
-            v = np.asarray(v, dtype=float)
-            rho = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(v, 0.0)))
-            gp = np.interp(rho, rho_tab, gclp_tab, right=0.0)
-            out = np.empty(v.shape, dtype=float)
-            small = rho < 1e-6
-            np.divide(gp, 2.0 * np.sinh(np.where(small, 1.0, rho)), out=out)
-            out[small] = qp_origin
-            return out
-
         # Abel inversion in xi = e^l so the quadrature tracks the support of Q'
         l_nodes, l_w = panel_gl_nodes(np.linspace(-16.0, 0.5 * math.log(v_cut) + 0.5, 60), 10)
         xi_nodes = np.exp(l_nodes)
-        return Qp, v_cut, xi_nodes, xi_nodes * l_w
+        xi2, xi_weights = xi_nodes**2, xi_nodes * l_w
+
+        drho = rho_cut / (_N_K_GRID - 1)
+        u_nodes = 4.0 * np.sinh(0.5 * drho * np.arange(_N_K_GRID)) ** 2
+        k_nodes = np.empty(_N_K_GRID)
+        # node 0 is a one-row product of its own, so k(0) does not depend on
+        # how the BLAS blocks the rows of the others
+        step = max(1, _ABEL_CHUNK // xi2.size)
+        edges = [0, *range(1, _N_K_GRID, step), _N_K_GRID]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rho = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[lo:hi, None] + xi2[None, :]))
+            qp = np.interp(rho, rho_tab, gclp_tab, right=0.0) / (2.0 * np.sinh(np.maximum(rho, 1e-6)))
+            qp[rho < 1e-6] = qp_origin
+            k_nodes[lo:hi] = -(2.0 / np.pi) * (qp @ xi_weights)
+
+        # cubic through the nodes j-1 .. j+2 on [j, j+1]; k(-drho) = k(drho),
+        # k = 0 from the last node on (the zero last row)
+        padded = np.concatenate([k_nodes[1:2], k_nodes, [0.0, 0.0]])
+        km, k0, k1, k2 = padded[:-3], padded[1:-2], padded[2:-1], padded[3:]
+        coef = np.stack([
+            k0,
+            k1 - k0 / 2.0 - km / 3.0 - k2 / 6.0,
+            (km + k1) / 2.0 - k0,
+            (k0 - k1) / 2.0 + (k2 - km) / 6.0,
+        ])
+        coef[:, -1] = 0.0
+        return drho, coef
 
     def k(u):
-        Qp, v_cut, xi_nodes, xi_weights = abel()
+        drho, (c0, c1, c2, c3) = table()
         u = np.asarray(u, dtype=float)
-        shape = u.shape
-        uf = np.atleast_1d(u).ravel()
-        # k vanishes from v_cut on, so Q' is evaluated only on the rows with
-        # u < v_cut, a block of rows at a time; the matrix keeps every row,
-        # because the BLAS product blocks rows by position and a shorter
-        # matrix rounds some rows differently
-        live = np.nonzero(uf < v_cut)[0]
-        vals = np.zeros((uf.size, xi_nodes.size))
-        step = max(1, _ABEL_CHUNK // xi_nodes.size)
-        for i in range(0, live.size, step):
-            rows = live[i : i + step]
-            vals[rows] = Qp(uf[rows, None] + xi_nodes[None, :] ** 2)
-        out = -(2.0 / np.pi) * (vals @ xi_weights)
-        out[uf >= v_cut] = 0.0
-        return out.reshape(shape) if shape else float(out[0])
-
-    @lru_cache(maxsize=1)
-    def k_table():
-        u_tab = np.concatenate([[0.0], np.geomspace(1e-4, abel()[1] + 1.0, _N_K_GRID - 1)])
-        return u_tab, np.asarray(k(u_tab))
-
-    def k_fast(u):
-        u_tab, k_tab = k_table()
-        u = np.asarray(u, dtype=float)
-        out = np.interp(u, u_tab, k_tab, right=0.0)
-        return out if u.shape else float(out)
+        uf = u.ravel()
+        out = np.empty(uf.size)
+        for i in range(0, uf.size, _K_BLOCK):
+            # u < 0 only by rounding: it is read as u = 0
+            x = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(uf[i : i + _K_BLOCK], 0.0))) / drho
+            np.minimum(x, _N_K_GRID - 1, out=x)
+            j = x.astype(np.intp)
+            x -= j
+            out[i : i + _K_BLOCK] = ((c3[j] * x + c2[j]) * x + c1[j]) * x + c0[j]
+        return out.reshape(u.shape) if u.shape else float(out[0])
 
     def reach():
-        u_tab, k_tab = k_table()
-        return float(u_tab[np.nonzero(np.abs(k_tab) >= _K_REACH * abs(k_tab[0]))[0][-1]])
+        drho, (k_nodes, *_) = table()
+        last = np.nonzero(np.abs(k_nodes) >= _K_REACH * abs(k_nodes[0]))[0][-1]
+        return float(4.0 * math.sinh(0.5 * drho * last) ** 2)
 
-    return SphericalTestFunction(h=h, g=g, k=k, k_fast=k_fast, t_max=t_max, reach=reach)
+    return SphericalTestFunction(h=h, g=g, k=k, t_max=t_max, reach=reach)
 
 
 @lru_cache(maxsize=16)
@@ -326,7 +328,7 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
 
 
 # (point, shift) pairs per step of kernel_diagonal_sum, which bounds its
-# arrays: a `tf report` peaks at 81 MB RSS at width 0.5 and 93 MB at 0.7
+# arrays: a `tf report` peaks at 79 MB RSS at width 0.5 and 92 MB at 0.7
 _KERNEL_CHUNK = 1_000_000
 # most terms a kernel sum may take on, estimated before it starts: a report's
 # strip sum estimates 1.2e9 at width 1.0 (89 s) and 2.85e9 at 1.1 (refused)
@@ -420,8 +422,8 @@ def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction
     v_breaks = tuple(2.0 * T_grid[:-1])
     Z1, W1, Z2, W2 = _fd_grids(Ymax, 160, 160, v_breaks)
     # the strip first: it has the most terms, so a refusal comes before any sum
-    vals2 = kernel_diagonal_sum(T12.k_fast, Z2, u_max)
-    vals1 = kernel_diagonal_sum(T12.k_fast, Z1, u_max)
+    vals2 = kernel_diagonal_sum(T12.k, Z2, u_max)
+    vals1 = kernel_diagonal_sum(T12.k, Z1, u_max)
     base = float(np.real(np.sum(vals1 * W1)))
     y2 = Z2.imag
     I = np.array(

@@ -18,7 +18,7 @@ class TestConfig:
         assert cfg.tol("analytic") == 1e-8
         assert cfg.tol("quadrature") == 1e-6
         assert cfg.tol("fd") == 1e-4
-        assert cfg.tol("tf") == 1e-5
+        assert cfg.tol("tf") == 1e-6
 
     def test_file_parsing(self, tmp_path):
         p = tmp_path / "cfg.txt"
@@ -113,6 +113,25 @@ class TestHarness:
         rep = run_suite("geometric-terms")
         rec = next(r for r in rep.records if r["id"] == "elliptic_input_raises")
         assert not rec["pass"] and "ValueError" in rec["got"]
+        assert not rep.passed
+
+    def test_pole_proximity_check_fails_on_a_wrong_error(self, monkeypatch):
+        # a wrong error at sigma = 1 fails its record, named, and the suite
+        # still runs to the end
+        from seltrace import suites
+
+        ev = suites.eval_vertical
+
+        def wrong_error(F, sigma, t):
+            if sigma == 1.0:
+                raise ValueError("not the typed error")
+            return ev(F, sigma, t)
+
+        monkeypatch.setattr(suites, "eval_vertical", wrong_error)
+        rep = run_suite("charged-core")
+        rec = next(r for r in rep.records if r["id"] == "pole_proximity_raises")
+        assert not rec["pass"] and "ValueError" in rec["got"]
+        assert rep.records[-1]["id"] == "c_unitary_on_line" and rep.records[-1]["pass"]
         assert not rep.passed
 
     def test_report_pass_semantics(self):
@@ -356,7 +375,7 @@ class TestCLI:
         from seltrace import cli
 
         assert cli.main(["tf", "report", "--width", "1.1"]) == 3
-        assert capsys.readouterr().err.startswith("error: DecayError: kernel sum to u = 7.066e+04")
+        assert capsys.readouterr().err.startswith("error: DecayError: kernel sum to u = 7.089e+04")
 
     @pytest.mark.parametrize("width", ["0", "-0.5", "nan"])
     def test_tf_report_rejects_width(self, width, capsys):
