@@ -5,6 +5,11 @@ expansion into a "plus" and a "minus" part; the charge records on which side
 of a Mellin inversion contour the pole is meant to sit.  Regular (order >= 0)
 coefficients are shared between the two charges and are recovered numerically
 by circle sampling when products need them.
+
+This module holds every rule about Laurent data: when two poles are the same
+pole (`same_pole`), how coincident poles merge (`merge_poles`) and how
+coefficients are sampled (`util.circle_coefficients`, `_CIRCLE_POINTS` points
+per circle).
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .util import SeltraceError, PoleProximityError, as_complex_array
+from .util import SeltraceError, PoleProximityError, as_complex_array, circle_coefficients
 
 __all__ = [
     "AdmissibilityError",
     "ChargedLaurent",
     "ChargedMeromorphicFunction",
+    "same_pole",
+    "merge_poles",
     "charged_product",
     "negate_argument",
     "residue",
@@ -32,6 +39,12 @@ __all__ = [
 
 # radius of the disk around each pole in which `eval_vertical` refuses to sample
 EXCLUSION_RADIUS = 1e-3
+# two pole locations closer than this are one pole
+_SAME_POLE = 1e-10
+
+
+def same_pole(a: complex, b: complex) -> bool:
+    return abs(a - b) < _SAME_POLE
 
 
 class AdmissibilityError(SeltraceError):
@@ -42,29 +55,31 @@ def _clean(coeffs: dict) -> dict:
     return {int(k): complex(v) for k, v in coeffs.items() if v != 0}
 
 
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0.0) + v
+    return _clean(out)
+
+
 @dataclass(frozen=True)
 class ChargedLaurent:
     """Charged Laurent data at one point.
 
     `plus` / `minus` map negative orders (<= -1) to coefficients of
-    (s - location)^order; `regular` optionally stores orders >= 0 shared by
-    both charges.
+    (s - location)^order.
     """
 
     location: complex
     plus: dict = field(default_factory=dict)
     minus: dict = field(default_factory=dict)
-    regular: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "location", complex(self.location))
         object.__setattr__(self, "plus", _clean(self.plus))
         object.__setattr__(self, "minus", _clean(self.minus))
-        object.__setattr__(self, "regular", {int(k): complex(v) for k, v in self.regular.items()})
         if any(k > -1 for k in self.plus) or any(k > -1 for k in self.minus):
             raise ValueError("polar coefficients must have order <= -1")
-        if any(k < 0 for k in self.regular):
-            raise ValueError("regular coefficients must have order >= 0")
 
     @property
     def order(self) -> int:
@@ -72,10 +87,7 @@ class ChargedLaurent:
         return min(polar) if polar else 0
 
     def total(self) -> dict:
-        out = dict(self.plus)
-        for k, v in self.minus.items():
-            out[k] = out.get(k, 0.0) + v
-        return _clean(out)
+        return _add(self.plus, self.minus)
 
     def polar_eval(self, s):
         s = as_complex_array(s)
@@ -87,6 +99,23 @@ class ChargedLaurent:
 
     def is_polar(self) -> bool:
         return bool(self.total())
+
+
+def merge_poles(laurents) -> tuple:
+    """Sum the Laurent data of coincident poles (`same_pole`), chargewise.
+
+    Each point keeps the location at which it first appears, and the points
+    keep the order of first appearance; a point whose coefficients all
+    cancel is dropped."""
+    merged: list[ChargedLaurent] = []
+    for lau in laurents:
+        i = next((i for i, m in enumerate(merged) if same_pole(m.location, lau.location)), None)
+        if i is None:
+            merged.append(lau)
+        else:
+            m = merged[i]
+            merged[i] = ChargedLaurent(m.location, _add(m.plus, lau.plus), _add(m.minus, lau.minus))
+    return tuple(m for m in merged if m.plus or m.minus)
 
 
 def _combine_decay(a, b):
@@ -115,22 +144,16 @@ class ChargedMeromorphicFunction:
     strip: tuple[float, float] = (-8.0, 8.0)
     decay_class: tuple = ("unknown", 0)
     label: str = ""
-    # poles whose 1/s polar tails genuinely live in the evaluator's rational
-    # part (sharp carriers); None means "assume all of them"
-    sharp_poles: tuple | None = None
+    # poles whose polar parts the evaluator carries as exact rational terms
+    # (sharp carriers); inversion and pairings subtract them before
+    # quadrature and add them back by residue calculus
+    rational_poles: tuple = ()
 
     def __call__(self, s):
         return self.evaluator(as_complex_array(s))
 
-    @property
-    def rational_poles(self) -> tuple:
-        return self.poles if self.sharp_poles is None else self.sharp_poles
-
     def pole_at(self, s0: complex):
-        for p in self.poles:
-            if abs(p.location - s0) < 1e-10:
-                return p
-        return None
+        return next((p for p in self.poles if same_pole(p.location, s0)), None)
 
     # -- serialization ------------------------------------------------------
 
@@ -163,21 +186,15 @@ def from_pole_table(table: dict) -> ChargedMeromorphicFunction:
     """Rebuild from a pole table; the evaluator is the rational polar sum."""
     if isinstance(table, str):
         table = json.loads(table)
-    grouped: dict[complex, dict] = {}
-    for row in table["poles"]:
-        loc = complex(row["location"]["re"], row["location"]["im"])
-        key = min(grouped, key=lambda g: abs(g - loc)) if grouped else None
-        if key is None or abs(key - loc) > 1e-10:
-            grouped[loc] = {"plus": {}, "minus": {}}
-            key = loc
-        coeff = complex(row["coefficient"]["re"], row["coefficient"]["im"])
-        grouped[key][row["charge"]][int(row["order"])] = coeff
-    poles = tuple(
-        ChargedLaurent(location=loc, plus=data["plus"], minus=data["minus"])
-        for loc, data in grouped.items()
+    rows = (
+        ChargedLaurent(
+            complex(row["location"]["re"], row["location"]["im"]),
+            **{row["charge"]: {row["order"]: complex(row["coefficient"]["re"], row["coefficient"]["im"])}},
+        )
+        for row in table["poles"]
     )
     return rational_from_poles(
-        poles,
+        merge_poles(rows),
         strip=tuple(table.get("strip", (-8.0, 8.0))),
         label=table.get("label", ""),
     )
@@ -196,7 +213,7 @@ def rational_from_poles(poles, strip=(-8.0, 8.0), label="") -> ChargedMeromorphi
     order = min((-p.order for p in poles if p.is_polar()), default=0)
     return ChargedMeromorphicFunction(
         evaluator=ev, poles=poles, strip=strip,
-        decay_class=("polynomial", order), label=label,
+        decay_class=("polynomial", order), label=label, rational_poles=poles,
     )
 
 
@@ -217,28 +234,16 @@ def constant_function(value: complex, label="") -> ChargedMeromorphicFunction:
 # circle sampling
 
 
-# radius of the Laurent sampling circle when no other pole is near
+# radius of the Laurent sampling circle when no other pole is near, and the
+# number of points on it
 _CIRCLE_RADIUS = 5e-2
+_CIRCLE_POINTS = 256
 
 
 def _circle_radius(h: ChargedMeromorphicFunction, s0: complex) -> float:
-    dists = [abs(p.location - s0) for p in h.poles if abs(p.location - s0) > 1e-10]
+    dists = [abs(p.location - s0) for p in h.poles if not same_pole(p.location, s0)]
     r = _CIRCLE_RADIUS if not dists else min(_CIRCLE_RADIUS, 0.4 * min(dists))
     return max(r, 1e-6)
-
-
-def circle_coefficients(f: Callable, s0: complex, orders, radius: float):
-    """Laurent coefficients of f at s0 for the requested orders (FFT on a
-    256-point circle)."""
-    m = 256
-    th = 2.0 * np.pi * np.arange(m) / m
-    ring = s0 + radius * np.exp(1j * th)
-    vals = as_complex_array(f(ring))
-    fft = np.fft.fft(vals) / m
-    out = {}
-    for k in orders:
-        out[k] = fft[k % m] / radius ** k
-    return out
 
 
 def taylor_coefficients(h: ChargedMeromorphicFunction, s0: complex, depth: int):
@@ -259,7 +264,7 @@ def taylor_coefficients(h: ChargedMeromorphicFunction, s0: complex, depth: int):
             vals = vals - own.polar_eval(s)
         return vals
 
-    return circle_coefficients(without_own_polar, s0, range(depth), r)
+    return circle_coefficients(without_own_polar, s0, range(depth), r, _CIRCLE_POINTS)
 
 
 # ----------------------------------------------------------------------------
@@ -282,12 +287,9 @@ def residue(h: ChargedMeromorphicFunction, s0: complex, charge: str = "total") -
 
 def numeric_residue(h, s0: complex, radius: float = 1e-2) -> complex:
     """Contour-circle residue (1/2*pi*i) * loop integral of h around s0, on
-    256 points of the circle."""
+    `_CIRCLE_POINTS` points of the circle."""
     f = h.evaluator if isinstance(h, ChargedMeromorphicFunction) else h
-    th = 2.0 * np.pi * np.arange(256) / 256
-    ring = complex(s0) + radius * np.exp(1j * th)
-    vals = as_complex_array(f(ring))
-    return np.mean(vals * (ring - complex(s0)))
+    return circle_coefficients(f, complex(s0), (-1,), radius, _CIRCLE_POINTS)[-1]
 
 
 def negate_argument(h: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction:
@@ -305,18 +307,15 @@ def negate_argument(h: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction
             location=-p.location,
             plus=flip(p.minus),
             minus=flip(p.plus),
-            regular=flip(p.regular),
         )
 
-    poles = tuple(flip_pole(p) for p in h.poles)
-    sharp = None if h.sharp_poles is None else tuple(flip_pole(p) for p in h.sharp_poles)
     return ChargedMeromorphicFunction(
         evaluator=neg_ev,
-        poles=poles,
+        poles=tuple(flip_pole(p) for p in h.poles),
         strip=(-h.strip[1], -h.strip[0]),
         decay_class=h.decay_class,
         label=f"({h.label})(-s)" if h.label else "",
-        sharp_poles=sharp,
+        rational_poles=tuple(flip_pole(p) for p in h.rational_poles),
     )
 
 
@@ -341,7 +340,7 @@ def charged_product(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFuncti
     """
     locations: list[complex] = []
     for p in list(h1.poles) + list(h2.poles):
-        if not any(abs(p.location - q) < 1e-10 for q in locations):
+        if not any(same_pole(p.location, q) for q in locations):
             locations.append(p.location)
 
     new_poles = []
@@ -356,18 +355,8 @@ def charged_product(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFuncti
             )
         # regular coefficients of each factor, deep enough to feed the other
         # factor's polar depth
-        depth1 = -e2.order
-        depth2 = -e1.order
-        reg1 = (
-            dict(e1.regular)
-            if all(k in e1.regular for k in range(depth1))
-            else taylor_coefficients(h1, s0, depth1)
-        )
-        reg2 = (
-            dict(e2.regular)
-            if all(k in e2.regular for k in range(depth2))
-            else taylor_coefficients(h2, s0, depth2)
-        )
+        reg1 = taylor_coefficients(h1, s0, -e2.order)
+        reg2 = taylor_coefficients(h2, s0, -e1.order)
         lo = e1.order + e2.order
         # the order <= -1 window of (polar + regular)(polar + regular) keeps
         # polar*polar and polar*regular cross terms only, which is exactly the
@@ -406,7 +395,7 @@ def polar_consistency_check(h1: ChargedMeromorphicFunction, h2: ChargedMeromorph
     for p in prod.poles:
         depth = -p.order
         r = _circle_radius(prod, p.location)
-        sampled = circle_coefficients(prod.evaluator, p.location, range(p.order, 0), r)
+        sampled = circle_coefficients(prod.evaluator, p.location, range(p.order, 0), r, _CIRCLE_POINTS)
         stored = p.total()
         dev = max(
             abs(sampled.get(k, 0.0) - stored.get(k, 0.0)) for k in range(p.order, 0)

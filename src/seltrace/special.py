@@ -2,20 +2,20 @@
 
 Everything here is double precision and vectorized over numpy arrays where it
 pays off.  The scattering scalar c(s) = xi(s)/xi(s+1) is the one object whose
-normalization is derived rather than assumed; see `ScatteringScalar` and the
-lattice-sum oracle in the half-plane module.
+normalization is derived rather than assumed; see `scattering_charged` and
+the lattice-sum oracle in the half-plane module.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .util import SeltraceError, PoleProximityError
+from .charged import ChargedLaurent, ChargedMeromorphicFunction
+from .util import SeltraceError, PoleProximityError, circle_coefficients
 
 __all__ = [
     "PoleError",
@@ -29,7 +29,7 @@ __all__ = [
     "kbessel_imag_order",
     "KBesselValue",
     "divisor_sigma",
-    "ScatteringScalar",
+    "scattering_charged",
 ]
 
 
@@ -220,13 +220,8 @@ _C_TAYLOR_RADIUS = 1e-2
 
 
 @lru_cache(maxsize=1)
-def _c_taylor_at_zero() -> np.ndarray:
-    m = 64
-    th = 2.0 * np.pi * np.arange(m) / m
-    ring = _C_TAYLOR_RADIUS * np.exp(1j * th)
-    vals = _c_raw(ring)
-    coeffs = np.fft.fft(vals) / m
-    return coeffs[: _C_TAYLOR_ORDER + 1] / _C_TAYLOR_RADIUS ** np.arange(_C_TAYLOR_ORDER + 1)
+def _c_taylor_at_zero() -> dict:
+    return circle_coefficients(_c_raw, 0.0, range(_C_TAYLOR_ORDER + 1), _C_TAYLOR_RADIUS, 64)
 
 
 def intertwining_c(s):
@@ -249,7 +244,7 @@ def intertwining_c(s):
         co = _c_taylor_at_zero()
         st = s[tiny]
         acc = np.zeros_like(st)
-        for k in range(len(co) - 1, -1, -1):
+        for k in range(_C_TAYLOR_ORDER, -1, -1):
             acc = acc * st + co[k]
         out[tiny] = acc
     return out[0] if scalar else out
@@ -284,33 +279,20 @@ def c_log_derivative(s, cross_check: bool = False):
     return val, log_derivative(xi, s) - log_derivative(xi, s + 1.0)
 
 
-@dataclass(frozen=True)
-class ScatteringScalar:
-    """c(s) with its pole table and strip of numerical validity.
+def scattering_charged() -> ChargedMeromorphicFunction:
+    """c(s) as a charged function on its strip of numerical validity.
 
     The strip keeps clear of the zeta-zero poles of c, which sit on
-    Re s = rho - 1 (left of the unitary line); on the declared strip the only
-    pole is s = 1.
+    Re s = rho - 1 (left of the unitary line); on it the only pole is s = 1,
+    a plus pole of residue 1/xi(2) = 6/pi.
     """
-
-    strip: tuple[float, float] = (-0.45, 3.0)
-    poles: tuple[tuple[complex, complex], ...] = ((1.0 + 0.0j, complex(6.0 / np.pi)),)
-
-    def __call__(self, s):
-        return intertwining_c(s)
-
-    def as_charged(self):
-        from .charged import ChargedLaurent, ChargedMeromorphicFunction
-
-        res = self.poles[0][1]
-        lau = ChargedLaurent(location=1.0 + 0.0j, plus={-1: res}, minus={})
-        return ChargedMeromorphicFunction(
-            evaluator=intertwining_c,
-            poles=(lau,),
-            strip=self.strip,
-            decay_class=("polynomial", 0),
-            label="c(s)",
-        )
+    return ChargedMeromorphicFunction(
+        evaluator=intertwining_c,
+        poles=(ChargedLaurent(1.0, plus={-1: 6.0 / np.pi}),),
+        strip=(-0.45, 3.0),
+        decay_class=("polynomial", 0),
+        label="c(s)",
+    )
 
 
 # ----------------------------------------------------------------------------

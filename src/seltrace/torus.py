@@ -33,7 +33,9 @@ from .charged import (
     ChargedLaurent,
     ChargedMeromorphicFunction,
     charged_product,
+    merge_poles,
     negate_argument,
+    same_pole,
 )
 from .util import (
     DecayError,
@@ -254,33 +256,8 @@ def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
     if f.core is not None:
         f.check_tail_decay()
     core_ev = _core_transform(f)
-
-    def merge(pole_map, lau):
-        key = next((k for k in pole_map if abs(k - lau.location) < 1e-12), None)
-        if key is None:
-            pole_map[lau.location] = lau
-            return
-        old = pole_map[key]
-        plus = dict(old.plus)
-        minus = dict(old.minus)
-        for k, v in lau.plus.items():
-            plus[k] = plus.get(k, 0.0) + v
-        for k, v in lau.minus.items():
-            minus[k] = minus.get(k, 0.0) + v
-        pole_map[key] = ChargedLaurent(location=key, plus=plus, minus=minus)
-
-    poles: dict[complex, ChargedLaurent] = {}
-    sharp: dict[complex, ChargedLaurent] = {}
-    for t in f.terms:
-        lau = t.charged_laurent()
-        if not lau.is_polar():
-            continue
-        merge(poles, lau)
-        if t.carrier == "sharp":
-            merge(sharp, lau)
-
-    pole_list = tuple(p for p in poles.values() if p.is_polar())
-    sharp_list = tuple(p for p in sharp.values() if p.is_polar())
+    pole_list = merge_poles(t.charged_laurent() for t in f.terms)
+    sharp_list = merge_poles(t.charged_laurent() for t in f.terms if t.carrier == "sharp")
 
     def ev(s):
         s = np.asarray(s, dtype=complex)
@@ -298,7 +275,7 @@ def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
         poles=pole_list,
         decay_class=decay,
         label=f.label,
-        sharp_poles=sharp_list,
+        rational_poles=sharp_list,
     )
 
 
@@ -540,6 +517,13 @@ _cached_negation = lru_cache(maxsize=128)(negate_argument)
 
 
 @lru_cache(maxsize=64)
+def _cached_product(F1: ChargedMeromorphicFunction, F2n: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction:
+    """The charged product whose poles give a pairing's residue terms; it
+    does not depend on the abscissa, so it is built once per transform pair."""
+    return charged_product(F1, F2n)
+
+
+@lru_cache(maxsize=64)
 def _line_values(F: ChargedMeromorphicFunction, sigma: float, center: float, dt: float, n: int) -> np.ndarray:
     """F on the vertical line sigma + i `_line_grid(center, dt, n)`, memoized
     per (function, line) pair."""
@@ -564,7 +548,7 @@ def _rational_pair_contour(poles1, poles2, sigma: float) -> complex:
                 m = -m_ord
                 for n_ord, b in pb.total().items():
                     n = -n_ord
-                    if abs(a_loc - b_loc) < 1e-12:
+                    if same_pole(a_loc, b_loc):
                         continue  # merged pole of order m+n >= 2: no residue
                     for loc, mm, other, nn in ((a_loc, m, b_loc, n), (b_loc, n, a_loc, m)):
                         k = mm - 1
@@ -672,7 +656,7 @@ def plancherel_inner_product(
     """
     F1 = mellin(f1)
     F2n = _cached_negation(mellin(f2))
-    H = charged_product(F1, F2n)
+    H = _cached_product(F1, F2n)
     contour_honest = _split_contour(F1, F2n, sigma)
 
     breakdown = []

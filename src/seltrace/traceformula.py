@@ -321,6 +321,17 @@ def _ranges(lo: np.ndarray, count: np.ndarray):
     return owner, lo[owner] + (np.arange(owner.size) - start[owner])
 
 
+def _steps(sizes: np.ndarray, cap: int):
+    """Slices of consecutive items, each the longest run whose sizes add up to
+    at most cap (or a single item, if that alone passes it)."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < sizes.size:
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + cap, side="right")))
+        yield slice(i, j)
+        i = j
+
+
 def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
     """k(u) where u <= u_max and exactly 0 past it (a window edge may land an
     ulp beyond u_max)."""
@@ -328,7 +339,8 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
 
 
 # (point, shift) pairs per step of kernel_diagonal_sum, which bounds its
-# arrays: a `tf report` peaks at 79 MB RSS at width 0.5 and 92 MB at 0.7
+# arrays: a `tf report` peaks at 79 MB RSS at width 0.5, 94 MB at 0.7 and
+# 117 MB at 1.0
 _KERNEL_CHUNK = 1_000_000
 # most terms a kernel sum may take on, estimated before it starts: a report's
 # strip sum estimates 1.2e9 at width 1.0 (89 s) and 2.85e9 at 1.1 (refused)
@@ -345,7 +357,12 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     the element T^m gamma0 moves z to w + m, so the live shifts of a point
     are exactly the m with (x - Re w - m)^2 <= u_max y Im w - (y - Im w)^2.
     Only those (point, m) pairs are expanded, in steps of as many rows as
-    can expand at most `_KERNEL_CHUNK` pairs.
+    can expand at most `_KERNEL_CHUNK` pairs; a row that alone could pass that
+    bound is taken in slices of points.  The translations go in steps of
+    whole heights under the same bound, and a height is cut into pieces only
+    if its own shifts pass it.  The slices keep each point's terms of a row,
+    and each height's translations, in one pass, so they leave the sum
+    bitwise unchanged; only the cut of a single height regroups its terms.
 
     The reflection z -> -conj(z) normalizes PSL2(Z) and preserves u, so the
     sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y),
@@ -365,9 +382,16 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     terms = float(np.sum(n_hi)) + 3.0 * u_max * z.size
     if terms > _KERNEL_BUDGET:
         raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.0e})")
-    owner, n = _ranges(np.ones(heights.size, dtype=int), n_hi)
-    kv = _live_values(k, (n / heights[owner]) ** 2, u_max)
-    out += 2.0 * np.bincount(owner, weights=kv, minlength=heights.size)[height_of]
+    cap = _KERNEL_CHUNK
+    of_piece, j = _ranges(np.zeros(heights.size, dtype=int), np.maximum(1, -(-n_hi // cap)))
+    lo, count = 1 + j * cap, np.minimum(cap, n_hi[of_piece] - j * cap)
+    tr = np.zeros(heights.size)
+    for g in _steps(count, cap):
+        owner, n = _ranges(lo[g], count[g])
+        owner = of_piece[g][owner]
+        kv = _live_values(k, (n / heights[owner]) ** 2, u_max)
+        tr += np.bincount(owner, weights=kv, minlength=heights.size)
+    out += 2.0 * tr[height_of]
 
     # u >= |cz + d|^2 + |cz + d|^-2 - 2, so a live row has |cz + d|^2 <= t_max
     t_max = 0.5 * (u_max + 2.0 + math.sqrt((u_max + 2.0) ** 2 - 4.0))
@@ -383,25 +407,30 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
         pts = by_height[: np.searchsorted(y_sorted, math.sqrt(t_max) / c, side="right")]
         d_all = ds[cs == c]
         zp, xp, yp = z[pts], x[pts], y[pts]
-        # a (row, point) entry has at most 2 sqrt(u_max) / c + 1 live shifts
-        step = max(1, int(_KERNEL_CHUNK / (max(pts.size, 1) * (2.0 * math.sqrt(u_max) / c + 1.0))))
+        # a (row, point) entry has at most 2 sqrt(u_max) / c + 1 live shifts;
+        # a step takes all points, or one row if that alone passes the chunk
+        per = 2.0 * math.sqrt(u_max) / c + 1.0
+        step = max(1, int(cap / (max(pts.size, 1) * per)))
+        p_step = max(1, int(cap / per))
         for i in range(0, d_all.size, step):
             d = d_all[i : i + step]
             a0 = np.array([pow(int(dj), -1, c) for dj in d])
-            # gamma0 z = a0/c - 1/(c (c z + d)), one (row, point) entry each
-            w = (a0 / c)[:, None] - 1.0 / (c * (c * zp[None, :] + d[:, None]))
-            dx = xp[None, :] - w.real
-            yy = yp[None, :] * w.imag
-            dy2 = (yp[None, :] - w.imag) ** 2
-            r2 = u_max * yy - dy2
-            live = np.nonzero(r2 >= 0.0)
-            dx, yy, dy2 = dx[live], yy[live], dy2[live]
-            r = np.sqrt(r2[live])
-            m_lo = np.ceil(dx - r)
-            m_count = (np.floor(dx + r) - m_lo + 1.0).astype(int)
-            owner, m = _ranges(m_lo, m_count)
-            u = ((dx[owner] - m) ** 2 + dy2[owner]) / yy[owner]
-            acc += np.bincount(pts[live[1][owner]], weights=_live_values(k, u, u_max), minlength=z.size)
+            for q in range(0, pts.size, p_step):
+                sl = slice(q, q + p_step)
+                # gamma0 z = a0/c - 1/(c (c z + d)), one (row, point) entry each
+                w = (a0 / c)[:, None] - 1.0 / (c * (c * zp[None, sl] + d[:, None]))
+                dx = xp[None, sl] - w.real
+                yy = yp[None, sl] * w.imag
+                dy2 = (yp[None, sl] - w.imag) ** 2
+                r2 = u_max * yy - dy2
+                live = np.nonzero(r2 >= 0.0)
+                dx, yy, dy2 = dx[live], yy[live], dy2[live]
+                r = np.sqrt(r2[live])
+                m_lo = np.ceil(dx - r)
+                m_count = (np.floor(dx + r) - m_lo + 1.0).astype(int)
+                owner, m = _ranges(m_lo, m_count)
+                u = ((dx[owner] - m) ** 2 + dy2[owner]) / yy[owner]
+                acc += np.bincount(pts[sl][live[1][owner]], weights=_live_values(k, u, u_max), minlength=z.size)
     return (out + acc)[point_of.reshape(-1)].reshape(shape)
 
 

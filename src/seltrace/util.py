@@ -1,5 +1,5 @@
-"""Shared numerics: quadrature grids, exponential sums, smooth cutoffs,
-modular reduction."""
+"""Shared numerics: quadrature grids, exponential sums, circle sampling,
+smooth cutoffs, modular reduction."""
 
 from __future__ import annotations
 
@@ -113,6 +113,15 @@ def exp_sum(s, u, c):
         for i in range(0, sf.size, rows):
             out[i : i + rows] = np.exp(-np.multiply.outer(sf[i : i + rows], u)) @ c
     return out.reshape(s.shape)
+
+
+def circle_coefficients(f, s0: complex, orders, radius: float, m: int) -> dict:
+    """Laurent coefficients {k: a_k} of f at s0 for the requested orders, from
+    the FFT of f on m equally spaced points of the circle |s - s0| = radius."""
+    orders = np.asarray(list(orders), dtype=int)
+    th = 2.0 * np.pi * np.arange(m) / m
+    fft = np.fft.fft(as_complex_array(f(s0 + radius * np.exp(1j * th)))) / m
+    return dict(zip(orders.tolist(), fft[orders % m] / radius**orders))
 
 
 def smooth_eta(x):

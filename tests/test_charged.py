@@ -14,6 +14,7 @@ from seltrace.charged import (
     constant_function,
     eval_vertical,
     from_pole_table,
+    merge_poles,
     negate_argument,
     numeric_residue,
     polar_consistency_check,
@@ -167,9 +168,43 @@ class TestSerialization:
         s = np.array([0.1 + 2j, -2.0 - 1j])
         assert np.max(np.abs(back(s) - h(s))) < 1e-12
 
+    def test_equal_rows_sum(self):
+        table = one_over_one_minus_s().to_pole_table()
+        table["poles"] = table["poles"] * 2
+        back = from_pole_table(table)
+        assert len(back.poles) == 1
+        assert back.poles[0].plus == {-1: -2.0}
+
     def test_schema_fields(self):
         h = one_over_one_minus_s()
         row = h.to_pole_table()["poles"][0]
         assert set(row) == {"location", "order", "charge", "coefficient"}
         assert set(row["location"]) == {"re", "im"}
         assert set(row["coefficient"]) == {"re", "im"}
+
+
+class TestMergePoles:
+    def test_near_poles_merge_at_first_location(self):
+        a = ChargedLaurent(0.5, plus={-1: 1.0})
+        b = ChargedLaurent(0.5 + 1e-11, plus={-1: 2.0, -2: 1.0}, minus={-1: 3.0})
+        (m,) = merge_poles([a, b])
+        assert m.location == 0.5
+        assert m.plus == {-1: 3.0, -2: 1.0}
+        assert m.minus == {-1: 3.0}
+
+    def test_distinct_poles_stay_apart(self):
+        merged = merge_poles([ChargedLaurent(0.5, plus={-1: 1.0}), ChargedLaurent(0.5 + 1e-9, plus={-1: 1.0})])
+        assert len(merged) == 2
+
+    def test_cancelling_data_dropped_and_order_kept(self):
+        merged = merge_poles(
+            [
+                ChargedLaurent(2.0, minus={-1: 1.0}),
+                ChargedLaurent(1.0, plus={-1: 1.0}),
+                ChargedLaurent(3.0, plus={-2: 1.0}),
+                ChargedLaurent(1.0, plus={-1: -1.0}),
+                ChargedLaurent(2.0, minus={-2: 4.0}),
+            ]
+        )
+        assert [m.location for m in merged] == [2.0, 3.0]
+        assert merged[0].minus == {-1: 1.0, -2: 4.0}

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from seltrace.special import (
     PoleError,
-    ScatteringScalar,
     c_log_derivative,
     divisor_sigma,
     gamma,
     intertwining_c,
     kbessel,
     kbessel_imag_order,
+    scattering_charged,
     xi,
     zeta,
 )
@@ -123,7 +123,7 @@ class TestScattering:
             intertwining_c(1.0)
 
     def test_as_charged_pole_table(self):
-        ch = ScatteringScalar().as_charged()
+        ch = scattering_charged()
         assert abs(ch.poles[0].location - 1.0) < 1e-14
         assert abs(ch.poles[0].plus[-1] - 6.0 / np.pi) < 1e-12
 

@@ -109,6 +109,17 @@ class TestInversion:
         got = mellin_inverse(mellin(SHARP_X), sigma, xs)
         assert np.max(np.abs(got - SHARP_X(xs))) < 1e-12
 
+    def test_one_exponent_on_both_sides_keeps_its_charges(self):
+        # x^a on (0, 1) and on [1, inf): the polar parts cancel but the
+        # charges do not, and the inversion returns x^a on either side of a
+        a = 0.3 + 0.2j
+        f = AsymptoticallyFiniteFunction(terms=(ExponentTerm(a, side="zero"), ExponentTerm(a, side="infinity")))
+        F = mellin(f)
+        assert len(F.poles) == 1
+        xs = np.array([0.5, 2.0])
+        for sigma in (0.0, 1.0):
+            assert np.max(np.abs(mellin_inverse(F, sigma, xs) - f(xs))) < 1e-12
+
 
 class TestRegularizedIntegral:
     def test_sharp_x(self):
@@ -187,6 +198,23 @@ class TestPlancherel:
         assert abs(contour["value"]) < 1e-10
         assert abs(resid["value"] - 2.0) < 1e-10
         assert abs(resid["location"] - 0.5) < 1e-12
+
+    def test_two_abscissae_build_one_product(self, monkeypatch):
+        from seltrace import torus
+
+        original = torus.charged_product
+        calls = []
+
+        def counting(F1, F2n):
+            calls.append((F1, F2n))
+            return original(F1, F2n)
+
+        monkeypatch.setattr(torus, "charged_product", counting)
+        f1 = AsymptoticallyFiniteFunction(terms=(ExponentTerm(1.0, side="zero"),), label="x on (0,1), fresh")
+        a, _ = plancherel_inner_product(f1, SHARP_INVSQRT, 0.0)
+        b, _ = plancherel_inner_product(f1, SHARP_INVSQRT, 0.75)
+        assert len(calls) == 1
+        assert abs(a - b) < 1e-8
 
     def test_gaussian_pair_empty_residues(self):
         val, bd = plancherel_inner_product(GAUSS, GAUSS, 0.0)

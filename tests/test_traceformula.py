@@ -190,16 +190,25 @@ class TestKernelDiagonalSum:
         assert np.array_equal(kernel_diagonal_sum(k, z, 30.0), kernel_diagonal_sum(k, -z.conj(), 30.0))
 
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
+        # at chunk 16 a c = 1 row and the translations of the upper heights
+        # each pass the chunk alone, and every call of k after k(0) keeps it;
+        # one point's shifts (at most 2 sqrt(30) + 1) fit it
         from seltrace import traceformula
 
+        sizes = []
+
         def k(u):
+            sizes.append(np.size(u))
             return np.exp(-np.asarray(u, dtype=float) / 4.0)
 
         x, y = np.meshgrid(np.linspace(-0.5, 0.5, 7), np.geomspace(0.3, 6.0, 9))
         z = (x + 1j * y).ravel()
         whole = kernel_diagonal_sum(k, z, u_max=30.0)
-        monkeypatch.setattr(traceformula, "_KERNEL_CHUNK", 10)
+        monkeypatch.setattr(traceformula, "_KERNEL_CHUNK", 16)
+        sizes.clear()
         pieces = kernel_diagonal_sum(k, z, u_max=30.0)
+        assert sizes[0] == 1
+        assert max(sizes[1:]) <= 16
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(whole)
 
     def test_budget_refuses_before_summing(self, monkeypatch):
