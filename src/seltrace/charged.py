@@ -7,9 +7,14 @@ coefficients are shared between the two charges and are recovered numerically
 by circle sampling when products need them.
 
 This module holds every rule about Laurent data: when two poles are the same
-pole (`same_pole`), how coincident poles merge (`merge_poles`) and how
+pole (`same_pole`), how coincident poles merge (`merge_poles`), how
 coefficients are sampled (`util.circle_coefficients`, `_CIRCLE_POINTS` points
-per circle).
+per circle) and how a function's exact rational part is held.  That part is
+the sum of the polar parts of its `rational_poles`; it is kept apart from the
+evaluator, which computes everything else, and a call adds the two
+(`ChargedMeromorphicFunction.rational_part`).  A contour can therefore
+sample the evaluator, which stays finite at those poles, and integrate the
+rational part in closed form, with nothing to subtract back out.
 """
 
 from __future__ import annotations
@@ -129,7 +134,14 @@ def _combine_decay(a, b):
 
 @dataclass(frozen=True, eq=False)
 class ChargedMeromorphicFunction:
-    """Evaluator + charged pole table on a vertical strip.
+    """Evaluator + exact rational part + charged pole table on a vertical
+    strip.
+
+    F(s) = evaluator(s) + rational_part(s), where rational_part is the sum of
+    the polar parts of `rational_poles` (the sharp carriers of a Mellin
+    transform, every pole of `rational_from_poles`, none for a product or a
+    hand-built function).  The evaluator never includes those parts, so it is
+    finite at them; `poles` lists every pole, rational or not.
 
     decay_class is declared metadata: ("rapid", 0), ("polynomial", order) for
     |F| ~ |t|^-order, or ("unknown", 0).  It is verified elsewhere
@@ -144,13 +156,21 @@ class ChargedMeromorphicFunction:
     strip: tuple[float, float] = (-8.0, 8.0)
     decay_class: tuple = ("unknown", 0)
     label: str = ""
-    # poles whose polar parts the evaluator carries as exact rational terms
-    # (sharp carriers); inversion and pairings subtract them before
-    # quadrature and add them back by residue calculus
+    # poles whose polar parts are held as exact rational terms outside the
+    # evaluator; inversion and pairings integrate them by residue calculus
     rational_poles: tuple = ()
 
     def __call__(self, s):
-        return self.evaluator(as_complex_array(s))
+        s = as_complex_array(s)
+        return self.evaluator(s) + self.rational_part(s)
+
+    def rational_part(self, s):
+        """The sum of the polar parts of `rational_poles` at s."""
+        s = as_complex_array(s)
+        out = np.zeros_like(s)
+        for p in self.rational_poles:
+            out = out + p.polar_eval(s)
+        return out
 
     def pole_at(self, s0: complex):
         return next((p for p in self.poles if same_pole(p.location, s0)), None)
@@ -201,14 +221,12 @@ def from_pole_table(table: dict) -> ChargedMeromorphicFunction:
 
 
 def rational_from_poles(poles, strip=(-8.0, 8.0), label="") -> ChargedMeromorphicFunction:
+    """The rational polar sum over `poles`: every pole is rational, so the
+    evaluator is zero."""
     poles = tuple(poles)
 
     def ev(s):
-        s = as_complex_array(s)
-        out = np.zeros_like(s)
-        for p in poles:
-            out = out + p.polar_eval(s)
-        return out
+        return np.zeros_like(as_complex_array(s))
 
     order = min((-p.order for p in poles if p.is_polar()), default=0)
     return ChargedMeromorphicFunction(
@@ -285,11 +303,15 @@ def residue(h: ChargedMeromorphicFunction, s0: complex, charge: str = "total") -
     raise ValueError("charge must be plus, minus or total")
 
 
-def numeric_residue(h, s0: complex, radius: float = 1e-2) -> complex:
-    """Contour-circle residue (1/2*pi*i) * loop integral of h around s0, on
-    `_CIRCLE_POINTS` points of the circle."""
-    f = h.evaluator if isinstance(h, ChargedMeromorphicFunction) else h
-    return circle_coefficients(f, complex(s0), (-1,), radius, _CIRCLE_POINTS)[-1]
+# radius of the circle of `numeric_residue`
+_RESIDUE_RADIUS = 1e-2
+
+
+def numeric_residue(h, s0: complex) -> complex:
+    """Contour-circle residue (1/2*pi*i) * loop integral of the callable h
+    around s0, on `_CIRCLE_POINTS` points of a circle of radius
+    `_RESIDUE_RADIUS`."""
+    return circle_coefficients(h, complex(s0), (-1,), _RESIDUE_RADIUS, _CIRCLE_POINTS)[-1]
 
 
 def negate_argument(h: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction:
@@ -367,11 +389,8 @@ def charged_product(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFuncti
         if lau.is_polar():
             new_poles.append(lau)
 
-    ev1, ev2 = h1.evaluator, h2.evaluator
-
     def prod_ev(s):
-        s = as_complex_array(s)
-        return ev1(s) * ev2(s)
+        return h1(s) * h2(s)
 
     strip = (max(h1.strip[0], h2.strip[0]), min(h1.strip[1], h2.strip[1]))
     return ChargedMeromorphicFunction(
@@ -395,7 +414,7 @@ def polar_consistency_check(h1: ChargedMeromorphicFunction, h2: ChargedMeromorph
     for p in prod.poles:
         depth = -p.order
         r = _circle_radius(prod, p.location)
-        sampled = circle_coefficients(prod.evaluator, p.location, range(p.order, 0), r, _CIRCLE_POINTS)
+        sampled = circle_coefficients(prod, p.location, range(p.order, 0), r, _CIRCLE_POINTS)
         stored = p.total()
         dev = max(
             abs(sampled.get(k, 0.0) - stored.get(k, 0.0)) for k in range(p.order, 0)

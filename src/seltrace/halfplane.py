@@ -43,7 +43,6 @@ from .util import (
 
 __all__ = [
     "DegenerateParameterError",
-    "TailMissingError",
     "HalfPlanePoint",
     "BoundaryFunction",
     "AutomorphicFunction",
@@ -77,10 +76,6 @@ PAIRING_HALF = 0.5
 
 class DegenerateParameterError(SeltraceError):
     """Parameter collision (s1 +- s2 = 0, or an Eisenstein-pole hit)."""
-
-
-class TailMissingError(SeltraceError):
-    """fd_integrate needs either an analytic tail or a decay certificate."""
 
 
 @dataclass(frozen=True)
@@ -699,20 +694,12 @@ def _fd_grids(Ymax: float, nx: int, ny: int, v_breaks=()):
     return Z1, W1, Z2, W2
 
 
-def fd_integrate(
-    integrand,
-    Ymax: float = 12.0,
-    tail=None,
-    nx: int = 200,
-    ny: int = 200,
-):
+def fd_integrate(integrand, Ymax: float, tail, nx: int, ny: int):
     """Integral over the standard fundamental domain with dmu = dx dy / y^2.
 
-    `integrand` maps complex arrays to values.  Above Ymax an analytic tail
-    (value or callable of Ymax) must be supplied.
+    `integrand` maps complex arrays to values.  Above Ymax the analytic tail
+    (value or callable of Ymax) is added.
     """
-    if tail is None:
-        raise TailMissingError("supply an analytic tail above Ymax")
     Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny)
     ev = integrand.on_grid if isinstance(integrand, AutomorphicFunction) else integrand
     total = np.sum(ev(Z1) * W1) + np.sum(ev(Z2) * W2)

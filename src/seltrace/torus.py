@@ -250,19 +250,23 @@ def _core_transform(f: AsymptoticallyFiniteFunction):
 def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
     """Charged Mellin transform: entire quadrature part + exact pole terms.
 
-    Transforms are memoized per function (functions are immutable), which
-    makes repeated pairings against a fixed corpus cheap.
+    The evaluator is the core quadrature plus the polar parts of the
+    smooth-carrier poles; the sharp-carrier polar parts are the transform's
+    rational part (`rational_poles`), held apart from it.  Transforms are
+    memoized per function (functions are immutable), which makes repeated
+    pairings against a fixed corpus cheap.
     """
     if f.core is not None:
         f.check_tail_decay()
     core_ev = _core_transform(f)
     pole_list = merge_poles(t.charged_laurent() for t in f.terms)
     sharp_list = merge_poles(t.charged_laurent() for t in f.terms if t.carrier == "sharp")
+    smooth_list = merge_poles(t.charged_laurent() for t in f.terms if t.carrier == "smooth")
 
     def ev(s):
         s = np.asarray(s, dtype=complex)
         out = core_ev(s)
-        for p in pole_list:
+        for p in smooth_list:
             out = out + p.polar_eval(s)
         return out
 
@@ -333,8 +337,10 @@ def _polar_inverse_value(p: ChargedLaurent, x: np.ndarray, sigma: float):
     pole left of it; for x < 1 it closes to the right and picks up minus the
     residue of a pole right of it; an on-contour pole gives the
     principal-value half of both.  That is the charged term with
-    Res+ = -1(x > 1) and Res- = -1(x < 1) times the residue."""
-    w = _charged_term(_side(p.location, sigma), -(x > 1.0).astype(float), -(x < 1.0).astype(float))
+    Res+ = -1(x > 1) and Res- = -1(x < 1) times the residue.  At x = 1 the
+    contour integral converges to the midpoint of the jump, so both
+    indicators take the value 1/2 there."""
+    w = _charged_term(_side(p.location, sigma), -np.heaviside(x - 1.0, 0.5), -np.heaviside(1.0 - x, 0.5))
     return w * _x_power(p.location, x) * _charged_res_with_power(p.total(), x)
 
 
@@ -357,44 +363,11 @@ def _line_grid(center: float, dt: float, n: int):
     return t, w
 
 
-def _line_remainder(vals: np.ndarray, s: np.ndarray, dt: float, pole_set):
-    """F - (polar part over pole_set) from the values `vals` of F on the
-    vertical line `s`, patched across the subtracted pole ordinates.
-
-    The remainder is analytic there, but evaluating it as a difference at a
-    node sitting (nearly) on a pole produces inf - inf; such nodes are
-    replaced by the average of their clean neighbors."""
-    with np.errstate(all="ignore"):
-        vals = vals.copy()
-        for p in pole_set:
-            vals = vals - p.polar_eval(s)
-    bad = ~np.isfinite(vals)
-    for p in pole_set:
-        bad |= np.abs(s - p.location) < 0.51 * dt
-    if np.any(bad):
-        idx = np.nonzero(bad)[0]
-        for i in idx:
-            lo = i - 1
-            hi = i + 1
-            while lo >= 0 and bad[lo]:
-                lo -= 1
-            while hi < len(vals) and bad[hi]:
-                hi += 1
-            if lo >= 0 and hi < len(vals):
-                vals[i] = 0.5 * (vals[lo] + vals[hi])
-            elif lo >= 0:
-                vals[i] = vals[lo]
-            elif hi < len(vals):
-                vals[i] = vals[hi]
-            else:
-                vals[i] = 0.0
-    return vals
-
-
 def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
     """Inverse transform at abscissa sigma with charged residue bookkeeping.
 
-    The contour runs over |Im s| <= `_INVERSE_T_MAX` at step `_LINE_DT`.
+    The contour runs over |Im s| <= `_INVERSE_T_MAX` at step `_LINE_DT` and
+    samples F's evaluator; F's rational part is inverted in closed form.
     Raises DecayError when a transform with polynomial decay has not decayed
     by the end of it, or when the abscissa passes through a non-rational pole.
     """
@@ -409,10 +382,7 @@ def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
                 "abscissa passes through a non-rational pole; shift sigma"
             )
     t, w = trap_grid(_INVERSE_T_MAX, _LINE_DT)
-    s = sigma + 1j * t
-    with np.errstate(all="ignore"):
-        vals = F(s)
-    remainder = _line_remainder(vals, s, _LINE_DT, rational)
+    remainder = F.evaluator(sigma + 1j * t)
     if F.decay_class[0] != "rapid":
         level = float(np.max(np.abs(remainder[-max(8, len(remainder) // 50):])))
         # crude tail estimate: level * remaining width under 1/t^2 decay
@@ -525,10 +495,10 @@ def _cached_product(F1: ChargedMeromorphicFunction, F2n: ChargedMeromorphicFunct
 
 @lru_cache(maxsize=64)
 def _line_values(F: ChargedMeromorphicFunction, sigma: float, center: float, dt: float, n: int) -> np.ndarray:
-    """F on the vertical line sigma + i `_line_grid(center, dt, n)`, memoized
-    per (function, line) pair."""
+    """F's evaluator on the vertical line sigma + i `_line_grid(center, dt, n)`,
+    memoized per (function, line) pair."""
     with np.errstate(all="ignore"):
-        return F(sigma + 1j * _line_grid(center, dt, n)[0])
+        return F.evaluator(sigma + 1j * _line_grid(center, dt, n)[0])
 
 
 def _rational_pair_contour(poles1, poles2, sigma: float) -> complex:
@@ -569,13 +539,16 @@ def _split_contour(
 ) -> complex:
     """(1/2 pi i) PV-integral of F1(s) F2n(s) over Re s = sigma.
 
-    Factor split (E1 + P1)(E2 + P2), where P collects the sharp-carrier
-    rational polar parts and E is everything else (rapidly decaying on
-    verticals): the three E-containing pieces go through the trapezoid rule,
-    P1 P2 is exact residue calculus over the full line.  A single simple pole
-    on the contour is handled as a principal value by centering the grid on
-    its ordinate (odd singular parts cancel pairwise; the center node takes
-    the average of its neighbors, which is the regularized value).
+    Factor split (E1 + P1)(E2 + P2), where P is a transform's rational part
+    and E its evaluator (rapidly decaying on verticals): the three
+    E-containing pieces go through the trapezoid rule, P1 P2 is exact residue
+    calculus over the full line.  A single simple pole on the contour is
+    handled as a principal value by centering the grid on its ordinate (odd
+    singular parts cancel pairwise; the center node takes a symmetric
+    combination of its neighbors, which is the regularized value).  Every
+    node but the center lies at least `_LINE_DT` from each pole on the
+    contour and off the line from every other pole, so only the center can
+    be non-finite.
     """
     online = [
         p
@@ -595,44 +568,31 @@ def _split_contour(
     t, w = _line_grid(center, _LINE_DT, n)
     s_line = sigma + 1j * t
 
-    rp1 = F1.rational_poles
-    rp2 = F2n.rational_poles
     # partner transforms recur across pairings, so their lines are memoized
     line = (float(sigma), float(center), _LINE_DT, n)
-    e1 = _line_remainder(_line_values(F1, *line), s_line, _LINE_DT, rp1)
-    e2 = _line_remainder(_line_values(F2n, *line), s_line, _LINE_DT, rp2)
+    e1 = _line_values(F1, *line)
+    e2 = _line_values(F2n, *line)
     with np.errstate(all="ignore"):
-        p1 = np.zeros_like(s_line)
-        for p in rp1:
-            p1 = p1 + p.polar_eval(s_line)
-        p2 = np.zeros_like(s_line)
-        for p in rp2:
-            p2 = p2 + p.polar_eval(s_line)
-    with np.errstate(all="ignore"):
+        p1 = F1.rational_part(s_line)
+        p2 = F2n.rational_part(s_line)
         mixed = e1 * e2 + e1 * p2 + p1 * e2
-    # the quadrature integrand must have decayed by the end of the contour:
-    # a tail band above 1e-10 of its scale means the cut at |t| = t_max
-    # drops a visible part of the pairing
-    band = np.abs(mixed[-40:])
-    band = band[np.isfinite(band)]
-    scale = 1.0 + float(np.nanmax(np.abs(np.where(np.isfinite(mixed), mixed, 0.0))))
-    if band.size and np.max(band) > 1e-10 * scale:
-        raise DecayError(
-            f"contour integrand is still {np.max(band):.2e} (scale {scale:.2e}) at "
-            f"t_max={_PAIRING_T_MAX}; declared decay is insufficient"
-        )
     if ordinates:
         # patch the center node: for a simple pole the symmetric combination
         # of neighbors cancels the odd kernel; the 4-point rule is O(dt^4) on
         # the regular part
         mixed[n] = (4.0 * (mixed[n - 1] + mixed[n + 1]) - (mixed[n - 2] + mixed[n + 2])) / 6.0
-    good = np.isfinite(mixed)
-    if not np.all(good):
-        mixed[~good] = np.interp(t[~good], t[good], mixed[good].real) + 1j * np.interp(
-            t[~good], t[good], mixed[good].imag
+    # the quadrature integrand must have decayed by the end of the contour:
+    # a tail band above 1e-10 of its scale means the cut at |t| = t_max
+    # drops a visible part of the pairing
+    band = float(np.max(np.abs(mixed[-40:])))
+    scale = 1.0 + float(np.max(np.abs(mixed)))
+    if band > 1e-10 * scale:
+        raise DecayError(
+            f"contour integrand is still {band:.2e} (scale {scale:.2e}) at "
+            f"t_max={_PAIRING_T_MAX}; declared decay is insufficient"
         )
     contour = np.sum(mixed * w) / (2.0 * np.pi)
-    contour += _rational_pair_contour(rp1, rp2, sigma)
+    contour += _rational_pair_contour(F1.rational_poles, F2n.rational_poles, sigma)
     return complex(contour)
 
 

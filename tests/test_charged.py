@@ -129,7 +129,7 @@ class TestResidues:
             [ChargedLaurent(1.0, plus={-1: -1.0}), ChargedLaurent(-0.5 + 0.3j, minus={-1: 2.2})]
         )
         for loc in (1.0, -0.5 + 0.3j):
-            num = numeric_residue(h, loc, radius=1e-2)
+            num = numeric_residue(h, loc)
             assert abs(num - residue(h, loc, "total")) < 1e-8
 
 

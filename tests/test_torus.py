@@ -45,6 +45,19 @@ class TestMellin:
         s = complex(sig, t)
         assert abs(_GAUSS_F(s) - math.sqrt(2 * math.pi) * np.exp(s**2 / 2.0)) < 1e-9
 
+    def test_evaluator_holds_no_rational_part(self):
+        # the sharp polar parts live beside the evaluator, which stays finite
+        # at their poles; a call adds them back
+        f = AsymptoticallyFiniteFunction(
+            core=log_gaussian_core(),
+            terms=(ExponentTerm(1.0, side="zero"), ExponentTerm(0.5 + 2j, (1.0, 0.5), side="infinity")),
+        )
+        F = mellin(f)
+        assert np.all(np.isfinite(F.evaluator(np.array([1.0 + 0j, 0.5 + 2j]))))
+        s = np.array([0.3 + 1j, 2.0 - 0.5j, -1.0 + 3j])
+        polar = sum(p.polar_eval(s) for p in F.rational_poles)
+        assert np.max(np.abs(F(s) - F.evaluator(s) - polar)) < 1e-12
+
     def test_sharp_power(self):
         F = mellin(SHARP_X)
         assert abs(F.poles[0].location - 1.0) < 1e-14
@@ -108,6 +121,25 @@ class TestInversion:
         xs = np.array([0.05, 0.3, 0.7, 0.99, 1.01, 1.5, 4.0, 20.0])
         got = mellin_inverse(mellin(SHARP_X), sigma, xs)
         assert np.max(np.abs(got - SHARP_X(xs))) < 1e-12
+
+    @pytest.mark.parametrize("side", ["zero", "infinity"])
+    @pytest.mark.parametrize("a, sigma", [(1.0, 0.997), (0.5 + 2j, 0.496)])
+    def test_core_plus_sharp_term_near_its_pole(self, a, sigma, side):
+        # the line passes within half a step of the pole; the contour samples
+        # only the evaluator, so no node near the pole is lost
+        f = AsymptoticallyFiniteFunction(core=log_gaussian_core(), terms=(ExponentTerm(a, side=side),))
+        xs = np.exp(np.linspace(-2.5, 2.5, 40))
+        assert np.max(np.abs(mellin_inverse(mellin(f), sigma, xs) - f(xs))) <= 1e-9
+
+    @pytest.mark.parametrize("side", ["zero", "infinity"])
+    def test_sharp_jump_inverts_to_its_midpoint(self, side):
+        # at x = 1 the contour integral converges to the midpoint of the
+        # sharp carrier's jump, left of, on and right of the pole alike
+        f = AsymptoticallyFiniteFunction(core=log_gaussian_core(), terms=(ExponentTerm(1.0, side=side),))
+        F = mellin(f)
+        vals = [mellin_inverse(F, sigma, 1.0) for sigma in (0.8, 1.0, 1.2)]
+        assert max(abs(v - vals[1]) for v in vals) < 1e-10
+        assert abs(vals[1] - (f.core_values(1.0) + 0.5)) < 1e-9
 
     def test_one_exponent_on_both_sides_keeps_its_charges(self):
         # x^a on (0, 1) and on [1, inf): the polar parts cancel but the
