@@ -35,6 +35,7 @@ from .torus import (
 from .util import (
     DecayError,
     SeltraceError,
+    exp_sum,
     gl_nodes,
     panel_gl_nodes,
     reduce_to_fundamental_domain,
@@ -456,9 +457,6 @@ def radon_mellin(f: BoundaryFunction, s):
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
 
-    def Fw(warr):
-        return _horocycle_F(f, warr)
-
     # Phi0 = int_0^inf f(t) t^(-3/2) dt = 2 * int G(x) d*x in the model
     u, uw = trap_grid(40.0, 0.05)
     x_nodes = np.exp(u)
@@ -470,23 +468,19 @@ def radon_mellin(f: BoundaryFunction, s):
     vlo, wlo_w = panel_gl_nodes(np.linspace(-20.0, v_split, 41), 12)
     vhi, whi_w = panel_gl_nodes(np.linspace(v_split, 20.0, 41), 12)
     wlo = np.exp(vlo)
-    whi = np.exp(vhi)
-    Flo = Fw(wlo) - phi0 / np.sqrt(wlo)
-    Fhi = Fw(whi)
+    Flo = _horocycle_F(f, wlo) - phi0 / np.sqrt(wlo)
+    Fhi = _horocycle_F(f, np.exp(vhi))
+    # w^((1-s)/2) = exp(-((s-1)/2) v)
+    v = np.concatenate([vlo, vhi])
+    B = exp_sum(0.5 * (s - 1.0), v, np.concatenate([Flo * wlo_w, Fhi * whi_w]))
 
-    out = np.empty(s.shape, dtype=complex)
-    flat = out.reshape(-1)
-    for i, sv in enumerate(s.reshape(-1)):
-        if abs(sv) < 1e-9:
-            # zeta(-s)/zeta(1-s) ~ s/2 against the -2 phi0 / s pole of B
-            flat[i] = -phi0
-            continue
-        ex_lo = np.exp(0.5 * (1.0 - sv) * vlo)
-        ex_hi = np.exp(0.5 * (1.0 - sv) * vhi)
-        B = np.sum(Flo * ex_lo * wlo_w) + np.sum(Fhi * ex_hi * whi_w)
-        # subtracted piece: int_0^split w^(-s/2) d*w = -(2/s) split^(-s/2)
-        B += phi0 * (-2.0 / sv) * _RADON_W_SPLIT ** (-0.5 * sv)
-        flat[i] = 0.5 * zeta(-sv) / zeta(1.0 - sv) * B
+    # zeta(-s)/zeta(1-s) ~ s/2 against the -2 phi0 / s pole of B
+    out = np.full(s.shape, -phi0, dtype=complex)
+    off = np.abs(s) >= 1e-9
+    so = s[off]
+    # subtracted piece: int_0^split w^(-s/2) d*w = -(2/s) split^(-s/2)
+    B_off = B[off] + phi0 * (-2.0 / so) * _RADON_W_SPLIT ** (-0.5 * so)
+    out[off] = 0.5 * zeta(-so) / zeta(1.0 - so) * B_off
     return out[0] if scalar else out
 
 
@@ -860,7 +854,7 @@ def constant_term_symmetry_check(phi: PseudoEisenstein) -> float:
     f = phi.f
     F = f.transform()
     t = np.linspace(0.05, 10.0, 40)
-    ct_plus = F(1j * t) + radon_mellin(f, 1j * t)
-    ct_minus = F(-1j * t) + radon_mellin(f, -1j * t)
+    s = np.concatenate([1j * t, -1j * t])
+    ct_plus, ct_minus = np.split(F(s) + radon_mellin(f, s), 2)
     dev = np.abs(ct_plus - intertwining_c(-1j * t) * ct_minus)
     return float(np.max(dev))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
-from .util import SeltraceError, PoleProximityError, circle_coefficients
+from .util import SeltraceError, PoleProximityError, circle_coefficients, exp_sum
 
 __all__ = [
     "PoleError",
@@ -105,8 +105,7 @@ def _zeta_borwein(s: np.ndarray, n: int) -> np.ndarray:
     k = np.arange(n)
     # eta_n(s) = (1/d_n) sum_{k=0}^{n-1} (-1)^k (d_k - d_n) / (k+1)^s
     base = (-1.0) ** k * (d[k] - d[n])
-    pows = np.exp(-np.multiply.outer(s, np.log(k + 1.0)))
-    eta = -(pows @ base) / d[n]
+    eta = -exp_sum(s, np.log(k + 1.0), base) / d[n]
     return eta / (1.0 - np.exp2(1.0 - s))
 
 
@@ -341,10 +340,7 @@ def kbessel(nu, y):
         u_cap = np.arccosh(max(ratio, 1.0 + 1e-12)) + 1.0
         keep = u <= u_cap
         uk, wk = u[keep], w[keep]
-        arg = -np.multiply.outer(yl, np.cosh(uk))
-        ex = np.exp(np.clip(arg, -745.0, 0.0))
-        ker = np.cosh(nu * uk) * wk
-        out[live] = ex @ ker
+        out[live] = exp_sum(yl, np.cosh(uk), np.cosh(nu * uk) * wk)
     return out[0] if scalar else out
 
 

@@ -69,6 +69,7 @@ from .torus import (
 )
 from .traceformula import (
     EllipticInputError,
+    convolve_test_functions,
     gaussian_test_function,
     identity_term,
     kernel_constant_terms,
@@ -316,6 +317,16 @@ def _suite_charged_core(cfg: RunConfig) -> SuiteReport:
 # special-function suites
 
 
+def _ct_fit(phi, s0: complex, ys) -> np.ndarray:
+    """(a, b) with constant_term(phi, y) = a y^w + b y^(1-w), w = (1 + s0)/2,
+    solved from the two heights `ys`."""
+    w0 = 0.5 * (1.0 + s0)
+    ys = np.asarray(ys)
+    cts = np.array([complex(constant_term(phi, y)) for y in ys])
+    A = np.array([[y**w0, y ** (1 - w0)] for y in ys])
+    return np.linalg.solve(A, cts)
+
+
 def _suite_functional_equations(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("functional-equations", config_echo=_config_echo(cfg))
     # the c checks run against this local c; the c_sign fault flips it here
@@ -345,15 +356,7 @@ def _suite_functional_equations(cfg: RunConfig) -> SuiteReport:
     # derivation oracle for the scattering normalization: constant term of
     # the truncated lattice Eisenstein sum at Re s = 3 fits c(s)
     s0 = 3.0 + 0.4j
-    w0 = 0.5 * (1.0 + s0)
-    ys = np.array([1.3, 2.1])
-    cts = []
-    for yv in ys:
-        xs_q = (np.arange(64) + 0.5) / 64.0 - 0.5
-        vals = np.array([lattice_eisenstein(s0, complex(xq, yv)) for xq in xs_q])
-        cts.append(np.mean(vals))
-    A = np.array([[ys[0] ** w0, ys[0] ** (1 - w0)], [ys[1] ** w0, ys[1] ** (1 - w0)]])
-    coeffs = np.linalg.solve(A, np.array(cts))
+    coeffs = _ct_fit(lambda z: np.array([lattice_eisenstein(s0, complex(zq)) for zq in z]), s0, (1.3, 2.1))
     rep.add("c_lattice_oracle[leading]", f"s={s0}", 1.0, coeffs[0], cfg.tol("fd"))
     rep.add("c_lattice_oracle[scattering]", f"s={s0}", c(s0), coeffs[1], cfg.tol("fd"))
     # c'/c: two computation routes and line symmetry
@@ -451,12 +454,7 @@ def _suite_constant_term_symmetry(cfg: RunConfig) -> SuiteReport:
     # Eisenstein case: fit the two constant-term coefficients from heights and
     # compare against the scattering scalar (closed-form identity)
     s0 = 0.4 + 2.0j
-    E = EisensteinSeries(s0)
-    w0 = 0.5 * (1.0 + s0)
-    ys = np.array([1.7, 2.6])
-    cts = np.array([complex(constant_term(E, y)) for y in ys])
-    A = np.array([[ys[0] ** w0, ys[0] ** (1 - w0)], [ys[1] ** w0, ys[1] ** (1 - w0)]])
-    coeffs = np.linalg.solve(A, cts)
+    coeffs = _ct_fit(EisensteinSeries(s0), s0, (1.7, 2.6))
     rep.add("eis_ct_leading", f"s={s0}", 1.0, coeffs[0], cfg.tol("quadrature"))
     rep.add("eis_ct_scattering", f"s={s0}", intertwining_c(s0), coeffs[1], cfg.tol("quadrature"))
     # zero constant term trivially satisfies the symmetry
@@ -470,32 +468,43 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("rank-one-plancherel", config_echo=_config_echo(cfg))
     tol = cfg.tol("fd")
 
-    def ct_tail(p1, p2):
-        def tail(Y):
-            v, w = gl_nodes(0.0, 8.0, 240)
-            y = Y * np.exp(v)
-            return np.sum(np.asarray(p1.ct(y)) * np.asarray(p2.ct(y)) * (w * np.exp(-v))) / Y
-
-        return tail
-
-    pairs = [
-        ("schwartz_a", schwartz_boundary(0.0, 0.5), schwartz_boundary(0.3, 0.6)),
-        ("schwartz_b", schwartz_boundary(0.0, 0.5), schwartz_boundary(0.0, 0.5)),
-        ("schwartz_c", schwartz_boundary(-0.2, 0.45), schwartz_boundary(0.2, 0.55)),
-    ]
+    f0 = schwartz_boundary(0.0, 0.5)
     m_exp = AsymptoticallyFiniteFunction(
         core=log_gaussian_core(0.0, 0.5, 0.7),
         terms=(ExponentTerm(0.5, (1.0,), side="infinity", carrier="smooth"),),
     )
-    pairs.append(("exponent_J", schwartz_boundary(0.0, 0.5), boundary_from_model(m_exp)))
+    pairs = [
+        ("schwartz_a", f0, schwartz_boundary(0.3, 0.6)),
+        ("schwartz_b", f0, f0),
+        ("schwartz_c", schwartz_boundary(-0.2, 0.45), schwartz_boundary(0.2, 0.55)),
+        ("exponent_J", f0, boundary_from_model(m_exp)),
+    ]
+    # one Psi f per distinct boundary function, each evaluated once per
+    # fundamental-domain grid and once on the tail heights
+    psi = {id(f): pseudo_eisenstein_function(f) for _, f1, f2 in pairs for f in (f1, f2)}
+    memo = {}
+
+    def values(p, method, arg):
+        key = (id(p), method, arg.tobytes())
+        if key not in memo:
+            memo[key] = np.asarray(getattr(p, method)(arg))
+        return memo[key]
+
+    def ct_tail(p1, p2):
+        def tail(Y):
+            v, w = gl_nodes(0.0, 8.0, 240)
+            y = Y * np.exp(v)
+            return np.sum(values(p1, "ct", y) * values(p2, "ct", y) * (w * np.exp(-v))) / Y
+
+        return tail
 
     for name, f1, f2 in pairs:
-        p1 = pseudo_eisenstein_function(f1)
-        p2 = pseudo_eisenstein_function(f2)
+        p1 = psi[id(f1)]
+        p2 = psi[id(f2)]
         val, bd = rank_one_plancherel(p1, p2)
 
         def integrand(z, _p1=p1, _p2=p2):
-            return _p1.on_grid(z) * _p2.on_grid(z)
+            return values(_p1, "on_grid", z) * values(_p2, "on_grid", z)
 
         fd = fd_integrate(integrand, Ymax=16.0, tail=ct_tail(p1, p2), nx=140, ny=140)
         rep.add(f"plancherel=fd[{name}]", name, fd, val, tol)
@@ -525,14 +534,13 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
     boundary = 2.0 * np.sum(gvals * (ct2 / xs) * du)  # dy/y^2 = 2 x^-2 d*x
     rep.add("adjunction", "Psi f1 vs f2", boundary, fd12, tol)
     # Radon decay and spectral identity
-    f = schwartz_boundary(0.0, 0.5)
     ys = np.exp(np.array([6.0, 8.0, 10.0, 12.0, 14.0]))
-    rv = np.abs(radon_transform(f, ys)) * ys**5
+    rv = np.abs(radon_transform(f0, ys)) * ys**5
     decays = bool(np.all(np.diff(rv) <= 1e-12) and rv[-1] < 1e-4)
     rep.add_bool("radon_rapid_decay", "Rf*y^5 on y=e^6..e^14", decays, f"{rv}")
-    F = f.transform()
+    F = f0.transform()
     for tv in (1.0, 3.0):
-        lhs = radon_mellin(f, 1j * tv)
+        lhs = radon_mellin(f0, 1j * tv)
         rhs = intertwining_c(-1j * tv) * complex(F(-1j * tv))
         rep.add(f"radon_spectral_identity[t={tv}]", "", rhs, lhs, cfg.tol("fd"))
     # germ at the cusp is preserved by the pseudo-Eisenstein sum
@@ -679,13 +687,10 @@ def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:
     rep.add("tate_zero_profile[a0]", "F=0", 0.0, lau0.a_0, 1e-14)
     # residue consistency against the unipotent slice of the geometric sum
     T1 = gaussian_test_function(0.5)
-    from .traceformula import convolve_test_functions, _arch_orbital_nodes
-
     T12 = convolve_test_functions(T1, T1)
     lau_k, _ = tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
-    x, w = _arch_orbital_nodes()
-    slice_val = -2.0 * 2.0 * np.sum(np.asarray(T12.k(x**2)) * w)
-    rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", slice_val, lau_k.a_minus1, cfg.tol("fd"))
+    rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T1, T1), lau_k.a_minus1,
+            cfg.tol("fd"))
     return rep
 
 

@@ -540,23 +540,15 @@ def tate_zeta_term(F_profile: Callable) -> tuple[TwoTermLaurent, Callable]:
     """
     u, uw = trap_grid(30.0, 0.01)
     # the profile does not depend on w, so every Z_inf call shares it
-    vals = np.asarray(F_profile(np.exp(u)), dtype=complex)
-
-    def z_inf(w):
-        w = complex(w)
-        return 2.0 * np.sum(vals * np.exp(w * u) * uw)
+    c = 2.0 * np.asarray(F_profile(np.exp(u)), dtype=complex) * uw
 
     def Z(w):
-        w = complex(w)
-        return z_inf(w) * zeta(w)
+        return exp_sum(-np.asarray(w), u, c) * zeta(w)
 
-    R = z_inf(1.0)  # residue of zeta at 1 is 1
-    def fp(h):
-        return 0.5 * (Z(1.0 + h) + Z(1.0 - h))
-
-    step = 1e-3
-    c1 = fp(step)
-    c2 = fp(0.5 * step)
+    # residue of zeta at 1 is 1; the finite part from 1 +- h, h = 1e-3, 5e-4
+    h = np.array([1e-3, 0.5e-3])
+    R = complex(exp_sum(-1.0, u, c))
+    c1, c2 = 0.5 * (Z(1.0 + h) + Z(1.0 - h))
     C = (4.0 * c2 - c1) / 3.0
     return TwoTermLaurent(a_minus1=complex(-2.0 * R), a_0=complex(C)), Z
 
@@ -577,16 +569,11 @@ def tf_minus1_geometric(T1: SphericalTestFunction, T2: SphericalTestFunction) ->
     convolved kernel over N x K, with the finite-place unit-Hecke factors.
 
     At level 1 only alpha = +-1 survive, each with factor 1; both have
-    |alpha| = 1, so each contributes the same 2 int_0^inf k(x^2) dx."""
+    |alpha| = 1, so each contributes the same 2 int_0^inf k(x^2) dx, the
+    weight-free orbital integral at alpha = -1."""
     T12 = convolve_test_functions(T1, T2)
-    x, w = _arch_orbital_nodes()
-    term = 2.0 * np.sum(np.asarray(T12.k(x**2)) * w)
-    total = 0.0 + 0.0j
-    total += term  # alpha = 1
-    total += term  # alpha = -1
-    # -Vol([A]^1) total with Vol([A]^1) = 1; a product, not a negation, so
-    # the imaginary part stays +0.0 as in the reports
-    return complex(-1.0 * total)
+    # a product, not a negation, so the imaginary part stays +0.0
+    return -2.0 * weighted_orbital_integral(T12, -1, weighted=False)
 
 
 # ----------------------------------------------------------------------------

@@ -94,13 +94,15 @@ def exp_sum(s, u, c):
     the whole line is one (n/B x n_u) @ (n_u x B) product built from
     O(sqrt(n) n_u) exponentials, and no n x n_u array is ever formed.  Any
     other s takes the dense formula in row blocks of bounded size.  Both are
-    the same sum, exact to rounding.
+    the same sum, exact to rounding.  Real s and u keep the exponents real;
+    the result takes the type of the exponentials times c.
     """
-    s = np.asarray(s, dtype=complex)
+    real = not (np.iscomplexobj(s) or np.iscomplexobj(u))
+    s = np.asarray(s, dtype=float if real else complex)
     u = np.asarray(u)
-    c = np.asarray(c, dtype=complex)
+    c = np.asarray(c)
     sf = s.reshape(-1)
-    d = _vertical_step(sf)
+    d = None if real else _vertical_step(sf)
     if d is not None:
         n = sf.size
         B = math.isqrt(n - 1) + 1
@@ -108,7 +110,7 @@ def exp_sum(s, u, c):
         step = np.exp(np.multiply.outer(-1j * d * np.arange(B), u))
         out = (head @ step.T).reshape(-1)[:n]
     else:
-        out = np.empty(sf.shape, dtype=complex)
+        out = np.empty(sf.shape, dtype=np.result_type(s, u, c))
         rows = max(1, _DENSE_BLOCK // max(u.size, 1))
         for i in range(0, sf.size, rows):
             out[i : i + rows] = np.exp(-np.multiply.outer(sf[i : i + rows], u)) @ c

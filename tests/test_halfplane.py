@@ -207,6 +207,14 @@ class TestRadon:
         s = -2.0 + 0.3j
         assert abs(radon_mellin(F_STD, s) - intertwining_c(-s) * complex(F(-s))) < 1e-8
 
+    def test_array_matches_pointwise_calls(self):
+        # s = 0 is the limit -Phi_0, which no exponential sum produces
+        s = np.array([0.0, 0.5j, -1.3j, -2.0 + 0.3j, 3j, -0.4 - 7j])
+        got = radon_mellin(F_STD, s)
+        each = np.array([complex(radon_mellin(F_STD, sv)) for sv in s])
+        assert got[0] == each[0]
+        assert np.max(np.abs(got - each)) <= 1e-14 * np.max(np.abs(each))
+
     def test_funnel_constant_is_scattering_residue(self):
         # Rf(y -> 0) tends to (6/pi) Fhat(1): the Eisenstein-pole leak
         F = F_STD.transform()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seltrace import special, util
 from seltrace.special import (
     PoleError,
     c_log_derivative,
@@ -48,6 +49,22 @@ class TestZeta:
         vals = zeta(s)
         for sv, v in zip(s, vals):
             assert abs(v - complex(mp.zeta(complex(sv)))) < 1e-11
+
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_vertical_progression_against_mpmath(self, sigma, direction):
+        # the rank-one continuous line, long enough for the factored sum;
+        # every point 0.07-0.1 from a removable point 1 + 2 pi i k / log 2
+        # (just outside the Euler-Maclaurin patch) is checked, plus a stride
+        s = sigma + direction * 1j * np.arange(0.005, 40.005, 0.005)
+        assert util._vertical_step(s) is not None
+        vals = zeta(s)
+        k = np.round(s.imag * math.log(2.0) / (2.0 * math.pi))
+        dist = np.abs(s - (1.0 + 2j * math.pi * k / math.log(2.0)))
+        rows = np.union1d(np.nonzero((dist >= 0.07) & (dist <= 0.1))[0], np.arange(0, s.size, 41))
+        ref = np.array([complex(mp.zeta(complex(s[i]))) for i in rows])
+        assert np.max(np.abs(vals[rows] - ref) / np.abs(ref)) < 2e-13
 
 
 class TestGamma:
@@ -178,6 +195,19 @@ class TestKBessel:
     def test_underflow_flag(self):
         got = kbessel_imag_order(1.0, 800.0)
         assert got.underflowed and got.value == 0.0
+
+    @pytest.mark.parametrize("nu", [0.3 + 1.2j, 1j, 0.5])
+    def test_underflowing_entries_match_the_clipped_formula(self, nu):
+        # a small least height keeps nodes out to u ~ 11, where exp(-y cosh u)
+        # underflows for most heights; the clipped formula rounded those
+        # terms to exp(-745) instead of 0, with no effect on any value
+        y = np.concatenate([[2.0 * math.pi * 1e-3], np.linspace(0.5, 690.0, 3000)])
+        u, w = special._de_nodes()
+        keep = u <= np.arccosh(745.0 / float(np.min(y))) + 1.0
+        arg = -np.multiply.outer(y, np.cosh(u[keep]))
+        assert np.mean(arg < -745.0) > 0.2
+        clipped = np.exp(np.clip(arg, -745.0, 0.0)) @ (np.cosh(complex(nu) * u[keep]) * w[keep])
+        assert np.array_equal(kbessel(nu, y), clipped)
 
     def test_refinement_oracle(self):
         # double-resolution direct quadrature of the cosh representation

@@ -87,6 +87,20 @@ def test_short_progression():
     _check_rows(s, got, u, c, np.arange(s.size))
 
 
+def test_real_s_and_u_keep_real_exponents():
+    # 2000 rows of 4608 nodes span five row blocks of the dense formula
+    u, c = _core_nodes()
+    s = np.linspace(-0.5, 3.0, 2000)
+    plain = np.exp(-np.multiply.outer(s, u))
+    assert plain.dtype == float
+    # complex weights: the same product, bit for bit, in every block
+    assert np.array_equal(exp_sum(s, u, c), plain @ c)
+    # real weights: a real sum
+    got = exp_sum(s, u, c.real)
+    assert got.dtype == float
+    _check_rows(s, got, u, c.real, np.arange(s.size))
+
+
 def test_two_dimensional_s_through_mellin():
     F = mellin(AsymptoticallyFiniteFunction(core=log_gaussian_core(), label="gauss"))
     t = np.linspace(-10.0, 10.0, 401)
