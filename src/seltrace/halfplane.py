@@ -365,6 +365,28 @@ def pseudo_eisenstein(f: BoundaryFunction, z):
 
 # r-step of the horocycle trapezoid in `_horocycle_F`
 _HOROCYCLE_DR = 0.04
+# model values below this share of the sampled peak are left out of F(w)
+_HOROCYCLE_FLOOR = 1e-17
+# (w, r) entries evaluated per block in `_horocycle_F`
+_HOROCYCLE_BLOCK = 4_000_000
+
+
+def _model_window(f: BoundaryFunction, log_x_lo: float, log_x_hi: float):
+    """(x_lo, x_hi) outside which |G| stays below _HOROCYCLE_FLOOR of its peak
+    on [e^log_x_lo, e^log_x_hi], from samples a step of at most
+    _HOROCYCLE_DR apart and with one step of margin; an end whose last sample
+    is still live is left open (0 or inf).  None when G vanishes there."""
+    n = int(math.ceil((log_x_hi - log_x_lo) / _HOROCYCLE_DR)) + 1
+    g = np.linspace(log_x_lo, log_x_hi, max(n, 2))
+    mag = np.abs(f.model_values(np.exp(g)))
+    peak = float(np.max(mag))
+    if not peak > 0.0:
+        return None
+    live = np.flatnonzero(mag >= _HOROCYCLE_FLOOR * peak)
+    i0, i1 = int(live[0]) - 1, int(live[-1]) + 1
+    x_lo = 0.0 if i0 < 0 else math.exp(g[i0])
+    x_hi = math.inf if i1 >= g.size else math.exp(g[i1])
+    return x_lo, x_hi
 
 
 def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
@@ -373,19 +395,41 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
     With tau = sinh(r) and f(h) = sqrt(h) G(sqrt(h)) in the model coordinate,
         F(w) = w^(-1/2) int_R G(sech(r) / sqrt(w)) dr,
     a log-localized integrand resolved by a uniform r-trapezoid whose range
-    grows only like |log w|."""
+    grows only like |log w|.  Each w takes only the r-nodes whose argument
+    lies in the window where |G| is above _HOROCYCLE_FLOOR of its peak."""
     warr = np.atleast_1d(np.asarray(warr, dtype=float))
     r_max = 0.5 * float(np.max(np.abs(np.log(warr)))) + 42.0
     r = np.arange(0.0, r_max, _HOROCYCLE_DR)
     sech = 1.0 / np.cosh(r)
-    out = np.empty(warr.shape, dtype=complex)
-    chunk = max(1, int(4e6 // len(r)))
-    for i in range(0, len(warr), chunk):
-        wc = warr[i : i + chunk]
-        args = np.multiply.outer(1.0 / np.sqrt(wc), sech)
-        vals = f.model_values(args.ravel()).reshape(args.shape)
+    inv_sqrt_w = 1.0 / np.sqrt(warr)
+    out = np.zeros(warr.shape, dtype=complex)
+    window = _model_window(
+        f, math.log(sech[-1] * float(np.min(inv_sqrt_w))), math.log(float(np.max(inv_sqrt_w)))
+    )
+    if window is None:
+        return out
+    # the arguments sech(r)/sqrt(w) fall with r: node range [a, b) per w
+    x_lo, x_hi = window
+    a = np.searchsorted(-sech, -x_hi / inv_sqrt_w, side="left")
+    b = np.searchsorted(-sech, -x_lo / inv_sqrt_w, side="right")
+    counts = np.maximum(b - a, 0)
+    ends = np.cumsum(counts)
+    i = 0
+    while i < warr.size:
+        base = ends[i] - counts[i]
+        j = max(i + 1, int(np.searchsorted(ends, base + _HOROCYCLE_BLOCK, side="right")))
+        n = counts[i:j]
+        starts = ends[i:j] - n - base
+        idx = np.arange(ends[j - 1] - base) - np.repeat(starts - a[i:j], n)
+        vals = f.model_values(np.repeat(inv_sqrt_w[i:j], n) * sech[idx])
+        full = n > 0
+        sums = np.zeros(j - i, dtype=complex)
+        sums[full] = np.add.reduceat(vals, starts[full])
         # even in r; half weight at r = 0
-        out[i : i + chunk] = 2.0 * (vals.sum(axis=1) - 0.5 * vals[:, 0]) * _HOROCYCLE_DR
+        first = full & (a[i:j] == 0)
+        sums[first] -= 0.5 * vals[starts[first]]
+        out[i:j] = 2.0 * sums * _HOROCYCLE_DR
+        i = j
     return out / np.sqrt(warr)
 
 

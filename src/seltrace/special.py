@@ -335,7 +335,10 @@ def kbessel(nu, y):
     live = y <= 690.0
     if np.any(live):
         yl = y[live]
-        # drop nodes whose contribution underflows for every requested y
+        # past the cap every term underflows for every requested y; the cap
+        # keeps cosh(u) and cosh(nu u) finite (an infinite weight would make
+        # an underflowed term nan), and exp_sum drops the negligible terms
+        # below it
         ratio = 745.0 / float(np.min(yl))
         u_cap = np.arccosh(max(ratio, 1.0 + 1e-12)) + 1.0
         keep = u <= u_cap

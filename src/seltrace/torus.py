@@ -16,7 +16,9 @@ Rational pole terms are carried exactly; the smooth core goes through
 composite Gauss-Legendre panels in the log variable u = log x, which are
 spectrally accurate for the rapidly decaying cores this module requires.
 Every sum over those nodes (and the inversion's sum over the contour) is one
-`util.exp_sum` call, which factors vertical lines into block products.
+`util.exp_sum` call, which factors vertical lines into block products and
+first drops the nodes whose terms add up to at most 2^-60 of every row's
+absolute sum: a log-Gaussian core keeps about 600-1,000 of its 4,608 nodes.
 """
 
 from __future__ import annotations

@@ -86,8 +86,51 @@ def _vertical_step(s: np.ndarray):
     return d
 
 
+# share of the smallest row's absolute sum that `exp_sum` may leave out: below
+# one rounding of any double-precision result
+_NEGLIGIBLE = 2.0**-60
+
+
+def _live_terms(s: np.ndarray, u: np.ndarray, c: np.ndarray):
+    """Mask of the terms of sum_j c_j exp(-s_k u_j) that can reach the sum at
+    some row, or None to keep them all.
+
+    With Re s_k in [lo, hi], each term is at most b_j = |c_j| max(e^(-lo u_j),
+    e^(-hi u_j)) and every row's absolute sum is at least L = sum_j |c_j|
+    min(e^(-lo u_j), e^(-hi u_j)).  The smallest b_j are dropped while they add
+    up to at most _NEGLIGIBLE * L.  Bounds are formed in logs, so nothing
+    overflows; complex u and non-finite inputs keep every term, so nan and inf
+    propagate as in the plain sum."""
+    if np.iscomplexobj(u) or u.size == 0 or s.size == 0:
+        return None
+    lo, hi = float(np.min(s.real)), float(np.max(s.real))
+    if not (math.isfinite(lo) and math.isfinite(hi) and np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
+        return None
+    with np.errstate(divide="ignore"):
+        log_c = np.log(np.abs(c))
+    log_hi = log_c - np.minimum(lo * u, hi * u)
+    log_lo = log_c - np.maximum(lo * u, hi * u)
+    top = float(np.max(log_lo))
+    if top == -math.inf:
+        return None
+    log_L = top + math.log(float(np.sum(np.exp(log_lo - top))))
+    with np.errstate(over="ignore"):
+        b = np.exp(log_hi - log_L)
+    order = np.argsort(b, kind="stable")
+    n_drop = int(np.searchsorted(np.cumsum(b[order]), _NEGLIGIBLE, side="right"))
+    if n_drop == 0:
+        return None
+    keep = np.ones(u.size, dtype=bool)
+    keep[order[:n_drop]] = False
+    return keep
+
+
 def exp_sum(s, u, c):
     """sum_j c_j exp(-s_k u_j) for every s_k; the result has the shape of s.
+
+    Terms that cannot reach the result are dropped first (`_live_terms`): at
+    every row the dropped part is at most 2^-60 of sum_j |c_j exp(-s_k u_j)|,
+    below one rounding of the sum.
 
     On a vertical progression s_{bB+m} = s_{bB} + i m d, taken in blocks of
     B = ceil(sqrt(n)) points, exp(-s u) factors as exp(-s_{bB} u) exp(-i m d u):
@@ -102,6 +145,9 @@ def exp_sum(s, u, c):
     u = np.asarray(u)
     c = np.asarray(c)
     sf = s.reshape(-1)
+    keep = _live_terms(sf, u, c)
+    if keep is not None:
+        u, c = u[keep], c[keep]
     d = None if real else _vertical_step(sf)
     if d is not None:
         n = sf.size

@@ -215,6 +215,36 @@ class TestRadon:
         assert got[0] == each[0]
         assert np.max(np.abs(got - each)) <= 1e-14 * np.max(np.abs(each))
 
+    @staticmethod
+    def _horocycle_full_grid(f, w):
+        # every w on the whole r-grid: the reference for the windowed rule
+        r_max = 0.5 * float(np.max(np.abs(np.log(w)))) + 42.0
+        r = np.arange(0.0, r_max, halfplane._HOROCYCLE_DR)
+        args = np.multiply.outer(1.0 / np.sqrt(w), 1.0 / np.cosh(r))
+        vals = f.model_values(args.ravel()).reshape(args.shape)
+        return 2.0 * (vals.sum(axis=1) - 0.5 * vals[:, 0]) * halfplane._HOROCYCLE_DR / np.sqrt(w)
+
+    @pytest.mark.parametrize("which", ["schwartz", "exponent_J"])
+    def test_horocycle_window_matches_full_grid(self, which, monkeypatch):
+        # exponent_J's cusp term keeps G live at the top sample: the window
+        # stays open above
+        if which == "schwartz":
+            f = schwartz_boundary(0.0, 0.5)
+        else:
+            f = boundary_from_model(
+                AsymptoticallyFiniteFunction(
+                    core=log_gaussian_core(0.0, 0.5, 0.7),
+                    terms=(ExponentTerm(0.5, (1.0,), side="infinity", carrier="smooth"),),
+                )
+            )
+        w = np.geomspace(1e-6, 1e3, 400)
+        got = halfplane._horocycle_F(f, w)
+        ref = self._horocycle_full_grid(f, w)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # blocks of a few hundred (w, r) entries give the same sums, bit for bit
+        monkeypatch.setattr(halfplane, "_HOROCYCLE_BLOCK", 500)
+        assert np.array_equal(halfplane._horocycle_F(f, w), got)
+
     def test_funnel_constant_is_scattering_residue(self):
         # Rf(y -> 0) tends to (6/pi) Fhat(1): the Eisenstein-pole leak
         F = F_STD.transform()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from seltrace import util
+from seltrace import torus, util
+from seltrace.corpus import default_corpus
 from seltrace.torus import AsymptoticallyFiniteFunction, log_gaussian_core, mellin
 from seltrace.util import exp_sum, panel_gl_nodes, trap_grid
 
@@ -88,9 +89,13 @@ def test_short_progression():
 
 
 def test_real_s_and_u_keep_real_exponents():
-    # 2000 rows of 4608 nodes span five row blocks of the dense formula
-    u, c = _core_nodes()
+    # 2000 rows of 4608 nodes span five row blocks of the dense formula; on
+    # u in [-1, 1] with |c_j| within a factor of 10 the window keeps every term
+    rng = np.random.default_rng(11)
+    u = np.linspace(-1.0, 1.0, 4608)
+    c = (0.8 - 0.3j) * (1.0 + 9.0 * rng.random(u.size))
     s = np.linspace(-0.5, 3.0, 2000)
+    assert util._live_terms(s, u, c) is None
     plain = np.exp(-np.multiply.outer(s, u))
     assert plain.dtype == float
     # complex weights: the same product, bit for bit, in every block
@@ -99,6 +104,74 @@ def test_real_s_and_u_keep_real_exponents():
     got = exp_sum(s, u, c.real)
     assert got.dtype == float
     _check_rows(s, got, u, c.real, np.arange(s.size))
+    # the core nodes, most of which the window drops
+    u, c = _core_nodes()
+    got = exp_sum(s, u, c)
+    assert got.dtype == complex
+    _check_rows(s, got, u, c, np.arange(s.size))
+
+
+def _window_rows(case):
+    if case == "circle":
+        return 0.3 + 0.25 * np.exp(2j * np.pi * np.arange(256) / 256)
+    if case == "span":
+        rng = np.random.default_rng(5)
+        s = rng.uniform(-3.0, 3.0, 1000) + 1j * rng.uniform(-40.0, 40.0, 1000)
+        s[:2] = [-3.0, 3.0]
+        return s
+    t, _ = trap_grid(40.0, 0.01)
+    return float(case) + 1j * t
+
+
+@pytest.mark.parametrize("case", ["-2.5", "0.0", "2.5", "circle", "span"])
+def test_window_drops_under_its_bound(case):
+    # the dropped terms add up, in absolute value, to at most 2^-60 of every
+    # row's absolute sum, and the result still matches the plain product
+    u, c = _core_nodes()
+    s = _window_rows(case)
+    keep = util._live_terms(s, u, c)
+    assert keep is not None and np.count_nonzero(keep) < u.size // 4
+    rows = _sample_rows(s.size) if s.size > 1000 else np.arange(s.size)
+    mag = np.exp(-np.multiply.outer(s[rows].real, u)) * np.abs(c)
+    dropped = mag[:, ~keep].sum(axis=1)
+    assert np.all(dropped <= util._NEGLIGIBLE * mag.sum(axis=1)), float(np.max(dropped / mag.sum(axis=1)))
+    _check_rows(s, exp_sum(s, u, c), u, c, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_propagate(bad):
+    # the bad weight sits on a node the window would otherwise drop
+    u, c = _core_nodes()
+    c = c.copy()
+    c[-1] = bad
+    for s in (_window_rows("0.0"), _window_rows("circle"), np.linspace(-0.5, 3.0, 300)):
+        rows = np.arange(0, s.size, 37)
+        with np.errstate(invalid="ignore"):
+            got = exp_sum(s, u, c)
+            plain = np.exp(-np.multiply.outer(s[rows], u)) @ c
+        assert not np.any(np.isfinite(plain))
+        assert np.array_equal(np.isfinite(got[rows]), np.isfinite(plain))
+        assert np.array_equal(np.isnan(got[rows]), np.isnan(plain))
+
+
+def test_window_on_a_pairing_line(monkeypatch):
+    # gauss_unit's core on the sigma = 0 pairing line sums at most a quarter
+    # of its nodes
+    seen = []
+    live_terms = util._live_terms
+
+    def spy(s, u, c):
+        keep = live_terms(s, u, c)
+        seen.append((u.size, u.size if keep is None else int(np.count_nonzero(keep))))
+        return keep
+
+    monkeypatch.setattr(util, "_live_terms", spy)
+    f = default_corpus()["gauss_unit"]
+    t, _ = trap_grid(torus._PAIRING_T_MAX, torus._LINE_DT)
+    mellin(f).evaluator(1j * t)
+    (n_nodes, n_kept), = seen
+    assert n_nodes == 4608
+    assert n_kept <= n_nodes // 4
 
 
 def test_two_dimensional_s_through_mellin():
