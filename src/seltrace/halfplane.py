@@ -211,12 +211,16 @@ def constant_term(phi, y):
 # Pseudo-Eisenstein series
 
 
+# probe heights of the funnel thresholds, from 1 down to e^-45
+_PROBE_HEIGHTS = np.exp(-np.linspace(0.0, 45.0, 200))
+
+
 def _funnel_threshold(f: BoundaryFunction, tol: float) -> float:
     """Largest probe height below which |f| stays under tol (sampled).
 
     Raises DecayError when |f| is still at or above tol at the lowest probe
     height e^-45: the funnel decays too slowly for any coset truncation."""
-    hs = np.exp(-np.linspace(0.0, 45.0, 200))
+    hs = _PROBE_HEIGHTS
     vals = np.abs(f(hs))
     below = vals < tol
     if not below[-1]:
@@ -232,6 +236,28 @@ def _funnel_threshold(f: BoundaryFunction, tol: float) -> float:
         else:
             break
     return float(hs[keep])
+
+
+def _psi_threshold(f: BoundaryFunction) -> float:
+    """Largest probe height h_min whose left-out cosets carry at most
+    `_PSI_DROP` of |f|.
+
+    About 3/(pi h) cosets per point reach an orbit height >= h, so leaving out
+    the heights below h_min drops about (3/pi) int_0^h_min |f(t)| t^-2 dt: a
+    trapezoid rule in log t over the probe heights, plus |f(h_0)|/h_0 for the
+    stretch below the lowest one, h_0 = e^-45, as though |f(t)| t^-2 stayed
+    there at its value.  Raises DecayError when that stretch alone passes the
+    bound: the funnel decays too slowly for any coset truncation."""
+    h = _PROBE_HEIGHTS[::-1]
+    g = np.abs(f(h)) / h
+    steps = 0.5 * (g[1:] + g[:-1]) * np.diff(np.log(h))
+    mass = (3.0 / math.pi) * (g[0] + np.concatenate(([0.0], np.cumsum(steps))))
+    if not mass[0] <= _PSI_DROP:
+        raise DecayError(
+            f"|f| = {abs(g[0] * h[0]):.2e} at the lowest probe height {h[0]:.2e} leaves "
+            f"{mass[0]:.2e} > {_PSI_DROP:.0e} below it: the funnel decays too slowly"
+        )
+    return float(h[np.count_nonzero(mass <= _PSI_DROP) - 1])
 
 
 def _row_windows(x_lo: float, x_hi: float, radius2):
@@ -261,61 +287,89 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
     return np.concatenate(cs), np.concatenate(ds)
 
 
-# target accuracy of a pseudo-Eisenstein value; the coset enumeration keeps
-# every orbit height where |f| exceeds 1e-3 of it
-_PSI_TOL = 1e-10
-# (row, point) entries per block of `_psi_values`: the torus-automorphic
-# benchmark, whose largest arrays are these blocks, peaks at 110 MB RSS with
-# 1e6 entries and at 293 MB with 4e6
-_PSI_CHUNK = 1_000_000
-# most (row, point) entries of the row windows `_psi_values` takes on:
-# `verify all` peaks at 5.2e7 (c <= 59 over 4480 folded points) and a
-# torus-automorphic bench round at 4.2e7, so this leaves a margin of 1.9
+# mass of |f| a pseudo-Eisenstein sum may leave out below its lowest orbit
+# height (see `_psi_threshold`)
+_PSI_DROP = 1e-12
+# folded points per height band of `_psi_values`; each band sizes its own
+# row windows
+_PSI_BAND = 256
+# (row, point) entries per block of `_psi_values`, 256 kB per float array,
+# so that a block's arrays stay in cache; blocks of 131,072 entries took
+# about twice as long on the same entries
+_PSI_BLOCK = 32_768
+# most (row, point) entries of the band windows `_psi_values` takes on:
+# `verify all` peaks at 5.2e7 (c <= 82) and the torus-automorphic bench
+# rounds at 6.6e7, so this leaves a margin of 1.5
 _PSI_BUDGET = 1e8
 
 
 def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     """Sum of f over the heights of the Gamma_inf \\ Gamma orbit of z.
 
-    Cosets are enumerated adaptively: a bottom row (c, d) is kept only when
-    some grid point can reach an orbit height where |f| exceeds the funnel
-    threshold derived from `_PSI_TOL`.  The row (c, -d) lifts -conj(z) to the
+    The sum takes exactly the cosets whose orbit height is at least h_min,
+    the threshold of `_psi_threshold`, so a point's value does not depend on
+    the points evaluated with it.  The row (c, -d) lifts -conj(z) to the
     height (c, d) lifts z to, so Psi f(-conj z) = Psi f(z): the sum runs once
-    per distinct (|x|, y) over a d-window symmetric in x, the one an unfolded
-    grid spanning [-max|x|, max|x|] enumerates.
+    per distinct (|x|, y).  Those points are sorted by y and cut into bands of
+    `_PSI_BAND`; each band takes the rows `coprime_rows` enumerates for its
+    own [min y, max y] and [min |x|, max |x|], in blocks of at most
+    `_PSI_BLOCK` (row, point) entries, and f is evaluated only on the live
+    entries of a block.
 
-    Raises DecayError, before any row is built, when the sum needs more than
-    `_PSI_BUDGET` (row, point) entries."""
+    Raises DecayError, before any row is built, when the band windows hold
+    more than `_PSI_BUDGET` (row, point) entries."""
     z = np.asarray(z, dtype=complex)
     folded, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
-    y = folded.imag
-    x = folded.real
-    out = np.asarray(f(y), dtype=complex)
-    h_min = _funnel_threshold(f, _PSI_TOL * 1e-3)
+    order = np.argsort(folded.imag, kind="stable")
+    x = folded.real[order]
+    y = folded.imag[order]
+    h_min = _psi_threshold(f)
+    bands = [slice(i, min(i + _PSI_BAND, y.size)) for i in range(0, y.size, _PSI_BAND)]
     # a row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2) >= h_min only
-    # if (c x + d)^2 <= y / h_min - c^2 y^2, sampled over the grid's heights
-    y_lo = float(np.min(y))
-    c_max = int(math.floor(1.0 / math.sqrt(h_min * y_lo))) + 1
+    # if c^2 y <= 1 / h_min, so c_max comes from the band's lowest height
+    c_maxes = [int(math.floor(1.0 / math.sqrt(h_min * y[b.start]))) + 1 for b in bands]
     # every c < c_max - 1 has a nonempty window, so this many entries are
-    # certain before the c_max windows are sized
-    _check_psi_budget((c_max - 2) * folded.size, c_max)
-    ys = np.linspace(y_lo, float(np.max(y)), 16)
-    x_hi = float(np.max(x))
-    c = np.arange(1, c_max + 1)
-    radius2 = np.full(c_max, -np.inf)
-    for yv in ys:
-        radius2 = np.maximum(radius2, yv / h_min - c * c * yv * yv)
-    _, d_lo, d_hi = _row_windows(-x_hi, x_hi, radius2)
-    _check_psi_budget(float(np.sum(d_hi - d_lo + 1)) * folded.size, c_max)
-    cs, ds = coprime_rows(-x_hi, x_hi, radius2)
-    chunk = max(1, _PSI_CHUNK // folded.size)
-    for i in range(0, len(cs), chunk):
-        cc = cs[i : i + chunk, None]
-        dd = ds[i : i + chunk, None]
-        denom = (cc * x[None, :] + dd) ** 2 + (cc * y[None, :]) ** 2
-        heights = y[None, :] / denom
-        out = out + np.sum(f(heights.ravel()).reshape(heights.shape), axis=0)
-    return out[point_of.reshape(-1)].reshape(z.shape)
+    # certain before the windows are sized
+    _check_psi_budget(
+        sum((c_max - 2) * (b.stop - b.start) for b, c_max in zip(bands, c_maxes)), max(c_maxes)
+    )
+    windows = []
+    entries = 0.0
+    for b, c_max in zip(bands, c_maxes):
+        # and only if (c x + d)^2 <= y / h_min - c^2 y^2, a concave function of
+        # y that peaks at 1 / (2 h_min c^2)
+        c = np.arange(1, c_max + 1)
+        yc = np.clip(1.0 / (2.0 * h_min * c * c), y[b.start], y[b.stop - 1])
+        radius2 = yc / h_min - (c * yc) ** 2
+        x_lo, x_hi = float(np.min(x[b])), float(np.max(x[b]))
+        _, d_lo, d_hi = _row_windows(x_lo, x_hi, radius2)
+        entries += float(np.sum(d_hi - d_lo + 1)) * (b.stop - b.start)
+        windows.append((x_lo, x_hi, radius2))
+    _check_psi_budget(entries, max(c_maxes))
+    out = np.asarray(f(y), dtype=complex)
+    for b, window in zip(bands, windows):
+        cs, ds = (rows.astype(float) for rows in coprime_rows(*window))
+        # a block is (point, row), so that each point's live entries are one
+        # run of the values f takes on them
+        xb, yb = x[b, None], y[b, None]
+        yb2 = yb * yb
+        acc = out[b]
+        step = max(1, _PSI_BLOCK // xb.size)
+        for i in range(0, cs.size, step):
+            c = cs[i : i + step]
+            heights = xb * c
+            heights += ds[i : i + step]
+            heights *= heights
+            heights += yb2 * (c * c)
+            np.divide(yb, heights, out=heights)
+            live = heights >= h_min
+            counts = np.count_nonzero(live, axis=1)
+            has = counts > 0
+            starts = (np.cumsum(counts) - counts)[has]
+            acc[has] += np.add.reduceat(f(heights[live]), starts)
+    values = np.empty_like(out)
+    values[order] = out
+    return values[point_of.reshape(-1)].reshape(z.shape)
 
 
 def _check_psi_budget(entries: float, c_max: int):
@@ -334,8 +388,9 @@ def pseudo_eisenstein_function(f: BoundaryFunction) -> "PseudoEisenstein":
 class PseudoEisenstein(AutomorphicFunction):
     """Psi f, carrying its boundary datum for spectral-side computations.
 
-    The bottom-row enumeration is adaptive, driven by the funnel decay of f
-    and the target tolerance `_PSI_TOL` (see `_psi_values`).
+    Its values sum f over every coset whose orbit height is at least the
+    threshold at which the left-out cosets carry about `_PSI_DROP` of |f|
+    (see `_psi_threshold` and `_psi_values`).
     """
 
     f: BoundaryFunction = None

@@ -49,40 +49,56 @@ class TestPseudoEisenstein:
         assert abs(v - PSI_STD(-1.0 / z0)) < 1e-8
 
     def test_slow_funnel_profile_refused_past_budget(self, monkeypatch):
-        # y^2 e^-y decays only quadratically toward the funnel: at 0.1+1.1i
-        # the coset sum needs c up to 1859 and millions of rows; past the
-        # budget it is refused before any row is built
-        def fy_model(x):
-            x = np.asarray(x, dtype=float)
-            y = x**2
-            return np.where(y > 0, y**2 * np.exp(-y), 0.0) / np.where(x > 0, x, 1.0)
-
-        f = boundary_from_model(AsymptoticallyFiniteFunction(core=fy_model, tail_decay_hint=2.0))
+        # y^2 e^-y decays only quadratically toward the funnel: its cosets
+        # below height h drop about (3/pi) h, so at 0.1+1.1i the coset sum
+        # needs c up to 1044847; past the budget it is refused before any
+        # row is built
+        f = _slow_funnel_profile()
         built = []
         monkeypatch.setattr(halfplane, "coprime_rows", lambda *a: built.append(a))
         monkeypatch.setattr(halfplane, "_PSI_BUDGET", 1e5)
-        with pytest.raises(DecayError, match="1859 values of c"):
+        with pytest.raises(DecayError, match="1044847 values of c"):
             pseudo_eisenstein_function(f)(0.1 + 1.1j)
         assert not built
 
+    def test_slow_funnel_profile_refused_at_default_budget(self, monkeypatch):
+        # its row windows hold about 1e12 entries
+        built = []
+        monkeypatch.setattr(halfplane, "coprime_rows", lambda *a: built.append(a))
+        with pytest.raises(DecayError, match="entries"):
+            pseudo_eisenstein_function(_slow_funnel_profile())(0.1 + 1.1j)
+        assert not built
+
     def test_budget_counts_window_entries(self, monkeypatch):
-        # the estimate counts (row, point) entries of the row windows: more
-        # than the coprime rows the sum enumerates, and less than twice them
+        # the estimate counts the (row, point) entries of the band windows:
+        # at least the entries the sum evaluates, and less than twice them
         z = _fd_points(16.0, 40, 40)
         points = np.unique(np.abs(z.real) + 1j * z.imag).size
-        rows = []
+        band = halfplane._PSI_BAND
+        sizes = [min(band, points - i) for i in range(0, points, band)]
+        rows, estimates = [], []
         real_rows = halfplane.coprime_rows
+        real_check = halfplane._check_psi_budget
 
-        def spy(*a):
+        def spy_rows(*a):
             cs, ds = real_rows(*a)
             rows.append(cs.size)
             return cs, ds
 
-        monkeypatch.setattr(halfplane, "coprime_rows", spy)
+        def spy_check(entries, c_max):
+            estimates.append(entries)
+            real_check(entries, c_max)
+
+        monkeypatch.setattr(halfplane, "coprime_rows", spy_rows)
+        monkeypatch.setattr(halfplane, "_check_psi_budget", spy_check)
         want = PSI_STD.on_grid(z)
-        monkeypatch.setattr(halfplane, "_PSI_BUDGET", 2 * rows[0] * points)
+        assert len(rows) == len(sizes) > 1
+        evaluated = sum(r * n for r, n in zip(rows, sizes))
+        estimate = estimates[-1]
+        assert evaluated <= estimate < 2 * evaluated
+        monkeypatch.setattr(halfplane, "_PSI_BUDGET", estimate)
         assert np.array_equal(PSI_STD.on_grid(z), want)
-        monkeypatch.setattr(halfplane, "_PSI_BUDGET", rows[0] * points)
+        monkeypatch.setattr(halfplane, "_PSI_BUDGET", estimate - 1)
         with pytest.raises(DecayError, match="entries"):
             PSI_STD.on_grid(z)
 
@@ -128,20 +144,33 @@ class TestCoprimeRows:
         assert cs.size == 0 and ds.size == 0
 
 
-def _psi_unfolded(f, z):
-    """Psi f on every point separately (no mirror folding), over the row
-    window `_psi_values` enumerates for the grid."""
-    y, x = z.imag, z.real
-    out = np.asarray(f(y), dtype=complex)
-    h_min = halfplane._funnel_threshold(f, halfplane._PSI_TOL * 1e-3)
-    y_lo = float(np.min(y))
-    c_max = int(math.floor(1.0 / math.sqrt(h_min * y_lo))) + 1
-    ys = np.linspace(y_lo, float(np.max(y)), 16)
-    x_hi = float(np.max(np.abs(x)))
-    cs, ds = coprime_rows(-x_hi, x_hi, [np.max(ys / h_min - c * c * ys * ys) for c in range(1, c_max + 1)])
-    for c, d in zip(cs, ds):
-        out = out + f(y / ((c * x + d) ** 2 + (c * y) ** 2))
-    return out
+def _slow_funnel_profile():
+    """The boundary function y^2 e^-y."""
+
+    def fy_model(x):
+        x = np.asarray(x, dtype=float)
+        y = x**2
+        return np.where(y > 0, y**2 * np.exp(-y), 0.0) / np.where(x > 0, x, 1.0)
+
+    return boundary_from_model(AsymptoticallyFiniteFunction(core=fy_model, tail_decay_hint=2.0))
+
+
+def _psi_brute(f, z):
+    """Psi f on every point separately (no mirror folding, no bands): f(y)
+    plus f over every coprime (c, d), c >= 1, whose orbit height
+    y / |cz + d|^2 is at least the threshold h_min."""
+    h_min = halfplane._psi_threshold(f)
+    out = []
+    for x, y in zip(z.real, z.imag):
+        total = complex(f(y))
+        for c in range(1, int(1.0 / math.sqrt(h_min * y)) + 2):
+            B = math.sqrt(max(y / h_min - (c * y) ** 2, 0.0))
+            d = np.arange(math.floor(-c * x - B) - 1, math.ceil(-c * x + B) + 2)
+            d = d[np.gcd(c, np.abs(d)) == 1]
+            heights = y / ((c * x + d) ** 2 + (c * y) ** 2)
+            total += np.sum(f(heights[heights >= h_min]))
+        out.append(total)
+    return np.array(out)
 
 
 def _fd_points(Ymax, nx, ny):
@@ -166,13 +195,29 @@ class TestPsiFolding:
         x = rng.choice([-0.41, -0.2, 0.0, 0.2, 0.33, 0.41], size=60)
         z = x + 1j * rng.uniform(0.9, 6.0, size=60)
         got = PSI_STD.on_grid(z)
-        want = _psi_unfolded(F_STD, z)
+        want = _psi_brute(F_STD, z)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_value_does_not_depend_on_the_grid(self):
+        # a point takes exactly its own live cosets, whichever band it is in
+        z = _fd_points(16.0, 140, 140)
+        on_grid = PSI_STD.on_grid(z)
+        for k in (0, 2000, 6000, z.size - 1):
+            alone = PSI_STD(z[k])
+            assert abs(alone - on_grid[k]) <= 1e-14 * abs(on_grid[k])
+
+    def test_threshold_drops_negligible_mass(self, monkeypatch):
+        z = np.array([0.0 + 1.0j, 0.31 + 0.96j, -0.2 + 2.5j])
+        at_threshold = PSI_STD.on_grid(z)
+        real_threshold = halfplane._psi_threshold
+        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f: real_threshold(f) / 4)
+        deeper = PSI_STD.on_grid(z)
+        assert np.max(np.abs(at_threshold - deeper)) <= 2e-12
 
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
         z = _fd_points(16.0, 40, 40)
         whole = PSI_STD.on_grid(z)
-        monkeypatch.setattr(halfplane, "_PSI_CHUNK", 1000)
+        monkeypatch.setattr(halfplane, "_PSI_BLOCK", 1000)
         pieces = PSI_STD.on_grid(z)
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
 
