@@ -38,7 +38,9 @@ from .util import (
     exp_sum,
     gl_nodes,
     panel_gl_nodes,
+    ranges,
     reduce_to_fundamental_domain,
+    steps,
     trap_grid,
 )
 
@@ -66,6 +68,7 @@ __all__ = [
     "boundary_from_model",
     "schwartz_boundary",
     "coprime_rows",
+    "fold_mirror",
 ]
 
 FUNDAMENTAL_DOMAIN_VOLUME = np.pi / 3.0
@@ -211,31 +214,8 @@ def constant_term(phi, y):
 # Pseudo-Eisenstein series
 
 
-# probe heights of the funnel thresholds, from 1 down to e^-45
+# probe heights of `_psi_threshold`, from 1 down to e^-45
 _PROBE_HEIGHTS = np.exp(-np.linspace(0.0, 45.0, 200))
-
-
-def _funnel_threshold(f: BoundaryFunction, tol: float) -> float:
-    """Largest probe height below which |f| stays under tol (sampled).
-
-    Raises DecayError when |f| is still at or above tol at the lowest probe
-    height e^-45: the funnel decays too slowly for any coset truncation."""
-    hs = _PROBE_HEIGHTS
-    vals = np.abs(f(hs))
-    below = vals < tol
-    if not below[-1]:
-        raise DecayError(
-            f"|f| = {vals[-1]:.2e} >= {tol:.1e} at the lowest probe height {hs[-1]:.2e}: "
-            "the funnel decays too slowly"
-        )
-    # first index after which everything stays below tol
-    keep = len(hs) - 1
-    for i in range(len(hs) - 1, -1, -1):
-        if below[i]:
-            keep = i
-        else:
-            break
-    return float(hs[keep])
 
 
 def _psi_threshold(f: BoundaryFunction) -> float:
@@ -258,6 +238,14 @@ def _psi_threshold(f: BoundaryFunction) -> float:
             f"{mass[0]:.2e} > {_PSI_DROP:.0e} below it: the funnel decays too slowly"
         )
     return float(h[np.count_nonzero(mass <= _PSI_DROP) - 1])
+
+
+def _c_max(h_min: float, y: float) -> int:
+    """Bound on the c >= 1 whose rows lift height y to h_min or above.
+
+    A row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2), which is at
+    least h_min only if c^2 y <= 1 / h_min."""
+    return int(math.floor(1.0 / math.sqrt(h_min * y))) + 1
 
 
 def _row_windows(x_lo: float, x_hi: float, radius2):
@@ -287,6 +275,18 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
     return np.concatenate(cs), np.concatenate(ds)
 
 
+def fold_mirror(z) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (|x|, y) of the points z, as sorted complex |x| + iy, and
+    the index of each point of z among them, in the shape of z.
+
+    The reflection z -> -conj(z) normalizes PSL2(Z), so a coset sum that it
+    leaves unchanged runs once per folded point, and `values[point_of]`
+    unfolds it."""
+    z = np.asarray(z, dtype=complex)
+    folded, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
+    return folded, point_of.reshape(z.shape)
+
+
 # mass of |f| a pseudo-Eisenstein sum may leave out below its lowest orbit
 # height (see `_psi_threshold`)
 _PSI_DROP = 1e-12
@@ -309,8 +309,8 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     The sum takes exactly the cosets whose orbit height is at least h_min,
     the threshold of `_psi_threshold`, so a point's value does not depend on
     the points evaluated with it.  The row (c, -d) lifts -conj(z) to the
-    height (c, d) lifts z to, so Psi f(-conj z) = Psi f(z): the sum runs once
-    per distinct (|x|, y).  Those points are sorted by y and cut into bands of
+    height (c, d) lifts z to, so the sum runs once per distinct (|x|, y)
+    (`fold_mirror`).  Those points are sorted by y and cut into bands of
     `_PSI_BAND`; each band takes the rows `coprime_rows` enumerates for its
     own [min y, max y] and [min |x|, max |x|], in blocks of at most
     `_PSI_BLOCK` (row, point) entries, and f is evaluated only on the live
@@ -318,16 +318,14 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
 
     Raises DecayError, before any row is built, when the band windows hold
     more than `_PSI_BUDGET` (row, point) entries."""
-    z = np.asarray(z, dtype=complex)
-    folded, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
+    folded, point_of = fold_mirror(z)
     order = np.argsort(folded.imag, kind="stable")
     x = folded.real[order]
     y = folded.imag[order]
     h_min = _psi_threshold(f)
     bands = [slice(i, min(i + _PSI_BAND, y.size)) for i in range(0, y.size, _PSI_BAND)]
-    # a row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2) >= h_min only
-    # if c^2 y <= 1 / h_min, so c_max comes from the band's lowest height
-    c_maxes = [int(math.floor(1.0 / math.sqrt(h_min * y[b.start]))) + 1 for b in bands]
+    # c_max comes from the band's lowest height
+    c_maxes = [_c_max(h_min, y[b.start]) for b in bands]
     # every c < c_max - 1 has a nonempty window, so this many entries are
     # certain before the windows are sized
     _check_psi_budget(
@@ -336,8 +334,8 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     windows = []
     entries = 0.0
     for b, c_max in zip(bands, c_maxes):
-        # and only if (c x + d)^2 <= y / h_min - c^2 y^2, a concave function of
-        # y that peaks at 1 / (2 h_min c^2)
+        # a row lifts z to h_min or above only if (c x + d)^2 <= y / h_min -
+        # c^2 y^2, a concave function of y that peaks at 1 / (2 h_min c^2)
         c = np.arange(1, c_max + 1)
         yc = np.clip(1.0 / (2.0 * h_min * c * c), y[b.start], y[b.stop - 1])
         radius2 = yc / h_min - (c * yc) ** 2
@@ -369,7 +367,7 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
             acc[has] += np.add.reduceat(f(heights[live]), starts)
     values = np.empty_like(out)
     values[order] = out
-    return values[point_of.reshape(-1)].reshape(z.shape)
+    return values[point_of]
 
 
 def _check_psi_budget(entries: float, c_max: int):
@@ -468,28 +466,23 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
     a = np.searchsorted(-sech, -x_hi / inv_sqrt_w, side="left")
     b = np.searchsorted(-sech, -x_lo / inv_sqrt_w, side="right")
     counts = np.maximum(b - a, 0)
-    ends = np.cumsum(counts)
-    i = 0
-    while i < warr.size:
-        base = ends[i] - counts[i]
-        j = max(i + 1, int(np.searchsorted(ends, base + _HOROCYCLE_BLOCK, side="right")))
-        n = counts[i:j]
-        starts = ends[i:j] - n - base
-        idx = np.arange(ends[j - 1] - base) - np.repeat(starts - a[i:j], n)
-        vals = f.model_values(np.repeat(inv_sqrt_w[i:j], n) * sech[idx])
+    for g in steps(counts, _HOROCYCLE_BLOCK):
+        n = counts[g]
+        owner, idx = ranges(a[g], n)
+        vals = f.model_values(inv_sqrt_w[g][owner] * sech[idx])
+        starts = np.cumsum(n) - n
         full = n > 0
-        sums = np.zeros(j - i, dtype=complex)
+        sums = np.zeros(n.size, dtype=complex)
         sums[full] = np.add.reduceat(vals, starts[full])
         # even in r; half weight at r = 0
-        first = full & (a[i:j] == 0)
+        first = full & (a[g] == 0)
         sums[first] -= 0.5 * vals[starts[first]]
-        out[i:j] = 2.0 * sums * _HOROCYCLE_DR
-        i = j
+        out[g] = 2.0 * sums * _HOROCYCLE_DR
     return out / np.sqrt(warr)
 
 
 # most (coset, height) entries `radon_transform` takes on: `verify all` peaks
-# at 4,356 cosets on 398 heights (1.7e6)
+# at 7,667 cosets on 398 heights (3.1e6)
 _RADON_BUDGET = 4e7
 
 
@@ -499,16 +492,18 @@ def radon_transform(f: BoundaryFunction, y):
         Rf(y) = sum_{c >= 1} phi(c) * y * F(c^2 y),
         F(w)  = int_R f(1/(w (1+tau^2))) dtau.
 
-    The c-sum is truncated once the peak argument 1/(c^2 y) drops below the
-    funnel threshold of f, the height under which |f| stays below 1e-12.
-    Raises DecayError when the series needs more than `_RADON_BUDGET`
-    (coset, height) entries.
+    Rf(y) is the x-average of the c >= 1 cosets of `_psi_values`, and the
+    c-sum takes exactly the terms whose peak argument 1/(c^2 y) is at least
+    the same threshold h_min (`_psi_threshold`): the cosets left out carry
+    about (3/pi) int_0^h_min |f(t)| t^-2 dt, at most `_PSI_DROP`.  Raises
+    DecayError, before any F(w) is built, when the series needs more than
+    `_RADON_BUDGET` (coset, height) entries.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    h_min = _funnel_threshold(f, 1e-12)
-    c_max = int(math.floor(1.0 / math.sqrt(h_min * float(np.min(y))))) + 1
+    h_min = _psi_threshold(f)
+    c_max = _c_max(h_min, float(np.min(y)))
     if c_max * y.size > _RADON_BUDGET:
         raise DecayError(
             f"Radon transform needs {c_max} cosets at {y.size} heights "
@@ -517,8 +512,8 @@ def radon_transform(f: BoundaryFunction, y):
     cs = np.arange(1, c_max + 1, dtype=float)
     phis = _totients(c_max).astype(float)
     W = np.multiply.outer(cs * cs, y)
-    # F(w) only samples f on (0, 1/w]; entries with 1/w below the funnel
-    # threshold contribute nothing
+    # F(w) only samples f on (0, 1/w]; entries with 1/w below h_min are the
+    # cosets left out
     live = W <= 1.0 / h_min
     Fv = np.zeros(W.shape, dtype=complex)
     if np.any(live):

@@ -30,9 +30,9 @@ import numpy as np
 
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
-from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids, coprime_rows
+from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids, coprime_rows, fold_mirror
 from .torus import TwoTermLaurent
-from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, trap_grid
+from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, ranges, steps, trap_grid
 
 __all__ = [
     "FitError",
@@ -313,25 +313,6 @@ def two_term_laurent(F_model, phi_model) -> TwoTermLaurent:
     return TwoTermLaurent(a_minus1=complex(-slope), a_0=complex(a0))
 
 
-def _ranges(lo: np.ndarray, count: np.ndarray):
-    """Flatten the integer ranges lo[i], lo[i] + 1, ..., lo[i] + count[i] - 1
-    into (owner i, value) pairs, ranges in order."""
-    owner = np.repeat(np.arange(lo.size), count)
-    start = np.cumsum(count) - count
-    return owner, lo[owner] + (np.arange(owner.size) - start[owner])
-
-
-def _steps(sizes: np.ndarray, cap: int):
-    """Slices of consecutive items, each the longest run whose sizes add up to
-    at most cap (or a single item, if that alone passes it)."""
-    ends = np.cumsum(sizes)
-    i = 0
-    while i < sizes.size:
-        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + cap, side="right")))
-        yield slice(i, j)
-        i = j
-
-
 def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
     """k(u) where u <= u_max and exactly 0 past it (a window edge may land an
     ulp beyond u_max)."""
@@ -369,9 +350,7 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     over the rows of the x-window [-max|x|, max|x|], which covers every
     point's own window.
     """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    z, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
+    z, point_of = fold_mirror(z)
     x, y = z.real, z.imag
     out = np.full(z.size, float(np.asarray(k(np.zeros(1)))[0]))
 
@@ -383,11 +362,11 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     if terms > _KERNEL_BUDGET:
         raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.0e})")
     cap = _KERNEL_CHUNK
-    of_piece, j = _ranges(np.zeros(heights.size, dtype=int), np.maximum(1, -(-n_hi // cap)))
+    of_piece, j = ranges(np.zeros(heights.size, dtype=int), np.maximum(1, -(-n_hi // cap)))
     lo, count = 1 + j * cap, np.minimum(cap, n_hi[of_piece] - j * cap)
     tr = np.zeros(heights.size)
-    for g in _steps(count, cap):
-        owner, n = _ranges(lo[g], count[g])
+    for g in steps(count, cap):
+        owner, n = ranges(lo[g], count[g])
         owner = of_piece[g][owner]
         kv = _live_values(k, (n / heights[owner]) ** 2, u_max)
         tr += np.bincount(owner, weights=kv, minlength=heights.size)
@@ -428,10 +407,10 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
                 r = np.sqrt(r2[live])
                 m_lo = np.ceil(dx - r)
                 m_count = (np.floor(dx + r) - m_lo + 1.0).astype(int)
-                owner, m = _ranges(m_lo, m_count)
+                owner, m = ranges(m_lo, m_count)
                 u = ((dx[owner] - m) ** 2 + dy2[owner]) / yy[owner]
                 acc += np.bincount(pts[sl][live[1][owner]], weights=_live_values(k, u, u_max), minlength=z.size)
-    return (out + acc)[point_of.reshape(-1)].reshape(shape)
+    return (out + acc)[point_of]
 
 
 def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction):

@@ -1,5 +1,5 @@
-"""Shared numerics: quadrature grids, exponential sums, circle sampling,
-smooth cutoffs, modular reduction."""
+"""Shared numerics: quadrature grids, block iteration, exponential sums,
+circle sampling, smooth cutoffs, modular reduction."""
 
 from __future__ import annotations
 
@@ -46,6 +46,25 @@ def panel_gl_nodes(edges, n: int):
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def ranges(lo: np.ndarray, count: np.ndarray):
+    """Flatten the integer ranges lo[i], lo[i] + 1, ..., lo[i] + count[i] - 1
+    into (owner i, value) pairs, ranges in order."""
+    owner = np.repeat(np.arange(lo.size), count)
+    start = np.cumsum(count) - count
+    return owner, lo[owner] + (np.arange(owner.size) - start[owner])
+
+
+def steps(sizes: np.ndarray, cap: int):
+    """Slices of consecutive items, each the longest run whose sizes add up to
+    at most cap (or a single item, if that alone passes it)."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < sizes.size:
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + cap, side="right")))
+        yield slice(i, j)
+        i = j
 
 
 def trap_grid(t_max: float, dt: float):

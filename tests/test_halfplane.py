@@ -227,6 +227,15 @@ class TestConstantTerm:
         one = AutomorphicFunction(evaluator=lambda z: np.ones_like(z, dtype=complex))
         assert abs(constant_term(one, 2.3) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("mu,sigma", [(0.0, 0.5), (0.3, 0.6)])
+    def test_series_share_one_cut(self, mu, sigma):
+        # f + Rf and the coset sums leave out the same cosets, so the exact
+        # constant term is the 64-node midpoint average of the values
+        psi = pseudo_eisenstein_function(schwartz_boundary(mu, sigma))
+        y = np.array([0.3, 0.6, 1.0, 2.0])
+        quad = constant_term(AutomorphicFunction(evaluator=psi.on_grid), y)
+        assert np.max(np.abs(psi.ct(y) - quad)) <= 1e-12
+
     def test_psi_constant_term_is_f_plus_Rf(self):
         y = 1.7
         quad = constant_term(AutomorphicFunction(evaluator=PSI_STD.on_grid), y)
@@ -317,25 +326,48 @@ class TestRadon:
         assert halfplane._totients(1).tolist() == [1]
 
 
+def _dropped_mass(f, h):
+    """(3/pi) int_0^h |f(t)| t^-2 dt by a fine trapezoid rule in log t."""
+    t = np.exp(np.linspace(-80.0, math.log(h), 200_001))
+    return 3.0 / math.pi * np.trapezoid(np.abs(f(t)) / t, np.log(t))
+
+
 class TestFunnelGuard:
     def test_threshold_of_fast_funnel(self):
+        # h_min is a probe height whose left-out cosets carry at most 1e-12,
+        # and two probe steps up they would carry more
         hs = np.exp(-np.linspace(0.0, 45.0, 200))
-        h_min = halfplane._funnel_threshold(F_STD, 1e-12)
+        h_min = halfplane._psi_threshold(F_STD)
+        k = int(np.flatnonzero(hs == h_min)[0])
         assert h_min > hs[-1]
-        assert np.all(np.abs(F_STD(hs[hs <= h_min])) < 1e-12)
+        assert _dropped_mass(F_STD, h_min) <= 1e-12
+        assert _dropped_mass(F_STD, hs[k - 2]) > 1e-12
 
     def test_slow_funnel_raises(self):
-        # |f| reads 3.2e-12 at the lowest probe height e^-45
+        # |f| reads 3.2e-12 at the lowest probe height e^-45, which leaves
+        # about 3.5e7 below it
         with pytest.raises(DecayError, match="decays too slowly"):
-            halfplane._funnel_threshold(schwartz_boundary(0.0, 8.0), 1e-12)
+            halfplane._psi_threshold(schwartz_boundary(0.0, 8.0))
 
-    def test_radon_refuses_huge_coset_range(self):
-        # the funnel threshold exists, but y = 1 needs about 5.7e7 cosets
-        with pytest.raises(DecayError, match="cosets"):
-            radon_transform(schwartz_boundary(0.0, 4.0), 1.0)
+    def test_radon_refuses_huge_coset_range(self, monkeypatch):
+        # y^2 e^-y has a threshold (8.3e-13), but y = 1.1 needs 1044847
+        # cosets, 6.7e7 entries on 64 heights; refused before any F(w)
+        built = []
+        monkeypatch.setattr(halfplane, "_horocycle_F", lambda *a: built.append(a))
+        with pytest.raises(DecayError, match="1044847 cosets at 64 heights"):
+            radon_transform(_slow_funnel_profile(), np.full(64, 1.1))
+        assert built == []
+
+    def test_slow_funnel_radon_drops_negligible_mass(self, monkeypatch):
+        # the |f| cut it replaced missed here by 2.9e-7
+        f = _slow_funnel_profile()
+        at_threshold = complex(radon_transform(f, 1.1))
+        real_threshold = halfplane._psi_threshold
+        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f: real_threshold(f) / 4)
+        assert abs(complex(radon_transform(f, 1.1)) - at_threshold) <= 1e-12
 
     def test_radon_budget_counts_heights(self, monkeypatch):
-        h_min = halfplane._funnel_threshold(F_STD, 1e-12)
+        h_min = halfplane._psi_threshold(F_STD)
         c_max = int(math.floor(1.0 / math.sqrt(h_min))) + 1
         monkeypatch.setattr(halfplane, "_RADON_BUDGET", 5 * c_max)
         assert np.all(np.isfinite(radon_transform(F_STD, np.ones(5))))
