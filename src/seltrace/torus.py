@@ -248,7 +248,7 @@ def _core_transform(f: AsymptoticallyFiniteFunction):
     return ev
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)
 def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
     """Charged Mellin transform: entire quadrature part + exact pole terms.
 
@@ -485,17 +485,17 @@ def regularized_inner_product_direct(
     return regularized_integral(product_asfinite(f1, f2))
 
 
-_cached_negation = lru_cache(maxsize=128)(negate_argument)
+_cached_negation = lru_cache(maxsize=16)(negate_argument)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _cached_product(F1: ChargedMeromorphicFunction, F2n: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction:
     """The charged product whose poles give a pairing's residue terms; it
     does not depend on the abscissa, so it is built once per transform pair."""
     return charged_product(F1, F2n)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _line_values(F: ChargedMeromorphicFunction, sigma: float, center: float, dt: float, n: int) -> np.ndarray:
     """F's evaluator on the vertical line sigma + i `_line_grid(center, dt, n)`,
     memoized per (function, line) pair."""

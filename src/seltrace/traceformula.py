@@ -320,12 +320,14 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
 
 
 # (point, shift) pairs per step of kernel_diagonal_sum, which bounds its
-# arrays: a `tf report` peaks at 79 MB RSS at width 0.5, 94 MB at 0.7 and
-# 117 MB at 1.0
+# arrays: a `tf report` peaks at 63 MB RSS at width 0.5, 94 MB at 0.7 and
+# 114 MB at 1.0
 _KERNEL_CHUNK = 1_000_000
 # most terms a kernel sum may take on, estimated before it starts: a report's
-# strip sum estimates 1.2e9 at width 1.0 (89 s) and 2.85e9 at 1.1 (refused)
-_KERNEL_BUDGET = 2e9
+# base-region sum, the larger of its two, estimates 2.9e8 at width 1.0 and
+# 6.8e8 at 1.1 (refused, as its strip sum's 5.8e8 would be); the bound sits
+# where the old strip rule's bound of 2e9 did, at u_max of about 5e4
+_KERNEL_BUDGET = 4.8e8
 
 
 def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
@@ -360,7 +362,7 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     # meets about 3 u_max cosets
     terms = float(np.sum(n_hi)) + 3.0 * u_max * z.size
     if terms > _KERNEL_BUDGET:
-        raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.0e})")
+        raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.2g})")
     cap = _KERNEL_CHUNK
     of_piece, j = ranges(np.zeros(heights.size, dtype=int), np.maximum(1, -(-n_hi // cap)))
     lo, count = 1 + j * cap, np.minimum(cap, n_hi[of_piece] - j * cap)
@@ -413,6 +415,12 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     return (out + acc)[point_of]
 
 
+# abscissae per strip height of the kernel truncation fit: K(z, z) is only as
+# smooth in x as the cubic table of k, so it needs more midpoints than the
+# pseudo-Eisenstein pairings
+_KERNEL_STRIP_MX = 32
+
+
 def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction):
     """Kernel-pair truncation fit.
 
@@ -420,18 +428,20 @@ def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction
     diagonal kernel sum of the convolved test function, cut at its reach;
     the model I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential
     term is the exact subleading correction of the level-1 translation tail)
-    on T = 1.5, 1.75, ..., 3, with a 160 x 160 fundamental-domain rule; below
-    y = e^3 the c >= 1 cosets (c y <= sqrt(u_max) ~ 16 at width 0.5) still add.
+    on T = 1.5, 1.75, ..., 3, with a 160 x 160 fundamental-domain rule whose
+    strip takes `_KERNEL_STRIP_MX` midpoints per height; below y = e^3 the
+    c >= 1 cosets (c y <= sqrt(u_max) ~ 16 at width 0.5) still add.
     """
     T_grid = np.arange(1.5, 3.01, 0.25)
     T12 = convolve_test_functions(T1, T2)
     u_max = T12.reach()
     Ymax = math.exp(2.0 * float(T_grid[-1]))
     v_breaks = tuple(2.0 * T_grid[:-1])
-    Z1, W1, Z2, W2 = _fd_grids(Ymax, 160, 160, v_breaks)
-    # the strip first: it has the most terms, so a refusal comes before any sum
-    vals2 = kernel_diagonal_sum(T12.k, Z2, u_max)
+    Z1, W1, Z2, W2 = _fd_grids(Ymax, 160, 160, _KERNEL_STRIP_MX, v_breaks)
+    # the base region first: it has the most distinct (|x|, y), so a refusal
+    # comes before any sum
     vals1 = kernel_diagonal_sum(T12.k, Z1, u_max)
+    vals2 = kernel_diagonal_sum(T12.k, Z2, u_max)
     base = float(np.real(np.sum(vals1 * W1)))
     y2 = Z2.imag
     I = np.array(

@@ -16,3 +16,26 @@ def gauss_T05():
 @pytest.fixture(scope="session")
 def gauss_T08():
     return gaussian_test_function(0.8)
+
+
+@pytest.fixture
+def gauss_legendre_strip():
+    """A `_fd_grids` whose strip takes an n-node Gauss-Legendre x-rule at the
+    same heights and height weights, as the strip did before its midpoint
+    rule: `gauss_legendre_strip(n)`."""
+    import numpy as np
+
+    from seltrace.halfplane import _fd_grids
+    from seltrace.util import gl_nodes
+
+    def with_rule(n):
+        def grids(Ymax, nx, ny, mx, v_breaks=()):
+            Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, mx, v_breaks)
+            xs, wx = gl_nodes(-0.5, 0.5, n)
+            xs = 0.5 * (xs - xs[::-1])
+            yv, wv = Z2.imag[::mx], W2[::mx] * mx
+            return Z1, W1, (xs[None, :] + 1j * yv[:, None]).ravel(), np.multiply.outer(wv, wx).ravel()
+
+        return grids
+
+    return with_rule

@@ -174,16 +174,17 @@ def _psi_brute(f, z):
 
 
 def _fd_points(Ymax, nx, ny):
-    Z1, _, Z2, _ = halfplane._fd_grids(Ymax, nx, ny)
+    Z1, _, Z2, _ = halfplane._fd_grids(Ymax, nx, ny, halfplane._FD_STRIP_MX)
     return np.concatenate([Z1, Z2])
 
 
 class TestPsiFolding:
-    @pytest.mark.parametrize("nx", [140, 160, 200])
-    def test_fd_abscissae_are_antisymmetric(self, nx):
-        _, _, Z2, _ = halfplane._fd_grids(16.0, nx, nx)
-        xs = Z2[:nx].real
-        assert np.array_equal(xs, -xs[::-1])
+    @pytest.mark.parametrize("nx, mx", [(140, 16), (160, 32), (200, 16)])
+    def test_fd_abscissae_are_antisymmetric(self, nx, mx):
+        Z1, _, Z2, _ = halfplane._fd_grids(16.0, nx, nx, mx)
+        # one strip height, and the base region's columns
+        for xs in (Z2[:mx].real, Z1[:: max(12, nx // 4)].real):
+            assert np.array_equal(xs, -xs[::-1])
 
     def test_mirror_image_is_bitwise_equal(self):
         z = _fd_points(16.0, 40, 40)
@@ -200,9 +201,11 @@ class TestPsiFolding:
 
     def test_value_does_not_depend_on_the_grid(self):
         # a point takes exactly its own live cosets, whichever band it is in
-        z = _fd_points(16.0, 140, 140)
+        Z1, _, Z2, _ = halfplane._fd_grids(16.0, 140, 140, halfplane._FD_STRIP_MX)
+        z = np.concatenate([Z1, Z2])
         on_grid = PSI_STD.on_grid(z)
-        for k in (0, 2000, 6000, z.size - 1):
+        # two points of the base region and two of the strip
+        for k in (0, Z1.size // 2, Z1.size + Z2.size // 2, z.size - 1):
             alone = PSI_STD(z[k])
             assert abs(alone - on_grid[k]) <= 1e-14 * abs(on_grid[k])
 
@@ -411,11 +414,14 @@ class TestEisenstein:
         assert eisenstein(0.0, 0.3 + 1.4j) == 0.0
 
     def test_grid_values_match_dense_evaluation(self):
-        # the fundamental-domain grid repeats heights and abscissae; values
-        # taken once per distinct height and abscissa are the dense ones
+        # the fundamental-domain grid repeats heights and abscissae (a strip
+        # height carries every midpoint, and a base-region height its
+        # mirror); values taken once per distinct height and abscissa are
+        # the dense ones
         s = 0.2 + 1.7j
         z = _fd_points(math.exp(3.0), 60, 60)
-        assert np.unique(z.imag).size < z.size // 4
+        assert np.unique(z.imag).size < z.size // 3
+        assert np.unique(z.real).size < z.size // 20
         w = 0.5 * (1.0 + s)
         y, x = z.imag, z.real
         want = y**w + complex(intertwining_c(s)) * y ** (1.0 - w)
@@ -460,6 +466,23 @@ class TestFdIntegrate:
     def test_zero(self):
         v = fd_integrate(lambda z: np.zeros_like(z), Ymax=10.0, tail=0.0, nx=200, ny=200)
         assert v == 0.0
+
+    def test_strip_midpoints_match_gauss_legendre(self, monkeypatch, gauss_legendre_strip):
+        # Psi f1 Psi f2 is 1-periodic and analytic in x, so the strip's
+        # midpoint rule meets the 140-node Gauss-Legendre x-rule to rounding
+        p2 = pseudo_eisenstein_function(schwartz_boundary(0.3, 0.6))
+        values = {}
+
+        def integrand(z):
+            key = z.tobytes()
+            if key not in values:
+                values[key] = PSI_STD.on_grid(z) * np.conj(p2.on_grid(z))
+            return values[key]
+
+        got = fd_integrate(integrand, Ymax=16.0, tail=0.0, nx=140, ny=140)
+        monkeypatch.setattr(halfplane, "_fd_grids", gauss_legendre_strip(140))
+        want = fd_integrate(integrand, Ymax=16.0, tail=0.0, nx=140, ny=140)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestMaassSelberg:

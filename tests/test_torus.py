@@ -24,7 +24,7 @@ from seltrace.torus import (
     regularized_inner_product_direct,
     regularized_integral,
 )
-from seltrace.util import DecayError
+from seltrace.util import DecayError, exp_sum
 
 GAUSS = AsymptoticallyFiniteFunction(core=log_gaussian_core(), label="gauss")
 SHARP_X = AsymptoticallyFiniteFunction(terms=(ExponentTerm(1.0, side="zero"),))
@@ -360,14 +360,7 @@ class TestAlmostL2:
         ripple_vals = np.sin(u_nodes) / (1.0 + u_nodes**2)
 
         def transform(s):
-            s = np.atleast_1d(np.asarray(s, dtype=complex))
-            flat = s.reshape(-1)
-            out = np.empty(flat.shape, dtype=complex)
-            chunk = 256
-            for i in range(0, len(flat), chunk):
-                block = np.exp(-np.multiply.outer(flat[i : i + chunk], u_nodes))
-                out[i : i + chunk] = block @ ripple_vals * du
-            return out.reshape(s.shape) if s.shape else out[0]
+            return exp_sum(np.asarray(s, dtype=complex), u_nodes, ripple_vals * du)
 
         from seltrace.charged import ChargedMeromorphicFunction
 

@@ -24,6 +24,7 @@ from seltrace.traceformula import (
     tf_minus1_geometric,
     tf_minus1_spectral,
     two_term_laurent,
+    two_term_laurent_kernel,
     unit_hecke_global_factor,
     weight_v,
     weighted_orbital_integral,
@@ -185,7 +186,7 @@ class TestKernelDiagonalSum:
         def k(u):
             return np.exp(-np.asarray(u, dtype=float) / 4.0)
 
-        Z1, _, Z2, _ = _fd_grids(16.0, 40, 40)
+        Z1, _, Z2, _ = _fd_grids(16.0, 40, 40, 32)
         z = np.concatenate([Z1, Z2])
         assert np.array_equal(kernel_diagonal_sum(k, z, 30.0), kernel_diagonal_sum(k, -z.conj(), 30.0))
 
@@ -225,6 +226,19 @@ class TestKernelDiagonalSum:
             kernel_diagonal_sum(k, np.array([0.1 + 1.0j, 0.2 + 3.0j]), u_max=200.0)
         # only k(0) was evaluated
         assert seen == [1]
+
+
+class TestKernelTruncationFit:
+    def test_strip_midpoints_match_gauss_legendre(self, monkeypatch, gauss_T05, gauss_legendre_strip):
+        # K(z, z) is only as smooth in x as the cubic table of k, so a0 meets
+        # the 160-node Gauss-Legendre strip to 1e-9, not to rounding
+        from seltrace import traceformula
+
+        got = two_term_laurent_kernel(gauss_T05, gauss_T05)
+        monkeypatch.setattr(traceformula, "_fd_grids", gauss_legendre_strip(160))
+        want = two_term_laurent_kernel(gauss_T05, gauss_T05)
+        assert abs(got.a_0 - want.a_0) <= 1e-9
+        assert abs(got.a_minus1 - want.a_minus1) <= 1e-12
 
 
 class TestKernelConstantTerms:
