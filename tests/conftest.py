@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+from seltrace.halfplane import _fd_grids
 from seltrace.traceformula import gaussian_test_function
+from seltrace.util import gl_nodes
 
 
 @pytest.fixture(scope="session")
@@ -23,10 +26,6 @@ def gauss_legendre_strip():
     """A `_fd_grids` whose strip takes an n-node Gauss-Legendre x-rule at the
     same heights and height weights, as the strip did before its midpoint
     rule: `gauss_legendre_strip(n)`."""
-    import numpy as np
-
-    from seltrace.halfplane import _fd_grids
-    from seltrace.util import gl_nodes
 
     def with_rule(n):
         def grids(Ymax, nx, ny, mx, v_breaks=()):

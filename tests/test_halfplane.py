@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from seltrace import halfplane
+from seltrace import halfplane, traceformula
 from seltrace.halfplane import (
     AutomorphicFunction,
     DegenerateParameterError,
@@ -179,12 +179,13 @@ def _fd_points(Ymax, nx, ny):
 
 
 class TestPsiFolding:
-    @pytest.mark.parametrize("nx, mx", [(140, 16), (160, 32), (200, 16)])
-    def test_fd_abscissae_are_antisymmetric(self, nx, mx):
-        Z1, _, Z2, _ = halfplane._fd_grids(16.0, nx, nx, mx)
-        # one strip height, and the base region's columns
-        for xs in (Z2[:mx].real, Z1[:: max(12, nx // 4)].real):
-            assert np.array_equal(xs, -xs[::-1])
+    @pytest.mark.parametrize("nx", [140, 160, 200])
+    def test_fd_abscissae_are_antisymmetric(self, nx):
+        # the base region's columns, and one strip height of each caller's rule
+        for mx in (halfplane._FD_STRIP_MX, traceformula._KERNEL_STRIP_MX):
+            Z1, _, Z2, _ = halfplane._fd_grids(16.0, nx, nx, mx)
+            for xs in (Z1[:: max(12, nx // 4)].real, Z2[:mx].real):
+                assert np.array_equal(xs, -xs[::-1])
 
     def test_mirror_image_is_bitwise_equal(self):
         z = _fd_points(16.0, 40, 40)
@@ -471,13 +472,9 @@ class TestFdIntegrate:
         # Psi f1 Psi f2 is 1-periodic and analytic in x, so the strip's
         # midpoint rule meets the 140-node Gauss-Legendre x-rule to rounding
         p2 = pseudo_eisenstein_function(schwartz_boundary(0.3, 0.6))
-        values = {}
 
         def integrand(z):
-            key = z.tobytes()
-            if key not in values:
-                values[key] = PSI_STD.on_grid(z) * np.conj(p2.on_grid(z))
-            return values[key]
+            return PSI_STD.on_grid(z) * np.conj(p2.on_grid(z))
 
         got = fd_integrate(integrand, Ymax=16.0, tail=0.0, nx=140, ny=140)
         monkeypatch.setattr(halfplane, "_fd_grids", gauss_legendre_strip(140))
