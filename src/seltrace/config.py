@@ -36,8 +36,6 @@ class RunConfig:
     report's `config` block."""
 
     tolerances: dict = field(default_factory=dict)  # per-check-class overrides
-    nx: int = 200
-    ny: int = 200
     ms_T: tuple = (1.0, 2.0)
     corpus: tuple = ()  # empty means the default selection per suite
     seed: int = 1234
@@ -61,8 +59,6 @@ class RunConfig:
 
 
 _SCALAR_FIELDS = {
-    "nx": int,
-    "ny": int,
     "seed": int,
     "fault_injection": str,
 }

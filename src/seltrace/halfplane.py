@@ -420,8 +420,11 @@ def pseudo_eisenstein(f: BoundaryFunction, z):
 _HOROCYCLE_DR = 0.04
 # model values below this share of the sampled peak are left out of F(w)
 _HOROCYCLE_FLOOR = 1e-17
-# (w, r) entries evaluated per block in `_horocycle_F`
-_HOROCYCLE_BLOCK = 4_000_000
+# (w, r) entries evaluated per block in `_horocycle_F`, 2 MB per float array:
+# on `verify all`'s largest Radon call (398 heights) blocks of 4e6 entries
+# peaked at 357 MB under tracemalloc and blocks of 2^18 at 115 MB, and took
+# 0.76 s against 0.57 s.  A block holds whole w's, so its size changes no value
+_HOROCYCLE_BLOCK = 1 << 18
 
 
 def _model_window(f: BoundaryFunction, log_x_lo: float, log_x_hi: float):
@@ -742,12 +745,13 @@ def truncate(phi, T: float, z):
 def _fd_grids(Ymax: float, nx: int, ny: int, mx: int, v_breaks=()):
     """Quadrature nodes/weights for the standard fundamental domain up to Ymax.
 
-    Region 1: {|x|<=1/2, sqrt(1-x^2) <= y <= 1}, an nx-node x-rule with
-    x-dependent y-panels.
-    Region 2: the strip [−1/2,1/2] x [1, Ymax] in v = log y panels (so an MS
-    truncation height can be made a panel edge via v_breaks), with the
-    mx-point midpoint rule in x: its integrands are 1-periodic and analytic
-    in x, so the rule converges like e^(−2 pi mx y).
+    Region 1: {|x|<=1/2, sqrt(1-x^2) <= y <= 1}, an nx-node Gauss-Legendre
+    x-rule with max(12, ny // 4) Gauss-Legendre heights per abscissa.
+    Region 2: the strip [−1/2,1/2] x [1, Ymax] in v = log y panels of width
+    at most 0.35 with 8 Gauss-Legendre nodes each (so an MS truncation height
+    can be made a panel edge via v_breaks), with the mx-point midpoint rule in
+    x: its integrands are 1-periodic and analytic in x, so the rule converges
+    like e^(−2 pi mx y).
     Weights carry the hyperbolic measure dx dy/y^2.  The abscissae of both
     regions are exactly antisymmetric, so that mirror points share their
     values.
@@ -778,7 +782,7 @@ def _fd_grids(Ymax: float, nx: int, ny: int, mx: int, v_breaks=()):
         width = e - start
         k = max(1, int(math.ceil(width / 0.35)))
         panels.extend(start + width * (i + 1) / k for i in range(k))
-    v_nodes, v_w = panel_gl_nodes(np.asarray(panels), max(8, ny // 24))
+    v_nodes, v_w = panel_gl_nodes(np.asarray(panels), 8)
     yv = np.exp(v_nodes)
     xm = (np.arange(mx) + 0.5) / mx - 0.5
     xm = 0.5 * (xm - xm[::-1])
@@ -792,14 +796,20 @@ def _fd_grids(Ymax: float, nx: int, ny: int, mx: int, v_breaks=()):
 # two Eisenstein series on y >= 1 (Fourier modes below 16) are integrated
 # exactly, to rounding, by 16 midpoints; see README for the measurement
 _FD_STRIP_MX = 16
+# the base region's rule of every fundamental-domain integral in the library,
+# as both nx and ny of `_fd_grids`: 64 abscissae with 16 heights each.  The
+# Maass-Selberg, rank-one and kernel-fit integrals read the same here, to
+# rounding, as at 140, 160 or 200; see README for the measurement
+_FD_BASE = 64
 
 
 def fd_integrate(integrand, Ymax: float, tail, nx: int, ny: int):
     """Integral over the standard fundamental domain with dmu = dx dy / y^2.
 
-    `integrand` maps complex arrays to values.  nx sizes the base region's
-    x-rule; the strip y >= 1 takes `_FD_STRIP_MX` midpoints per height.
-    Above Ymax the analytic tail (value or callable of Ymax) is added.
+    `integrand` maps complex arrays to values.  nx and ny size the base
+    region's rule (`_fd_grids`; the library passes `_FD_BASE` for both); the
+    strip y >= 1 takes `_FD_STRIP_MX` midpoints per height.  Above Ymax the
+    analytic tail (value or callable of Ymax) is added.
     """
     Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, _FD_STRIP_MX)
     ev = integrand.on_grid if isinstance(integrand, AutomorphicFunction) else integrand
@@ -812,20 +822,14 @@ def fd_integrate(integrand, Ymax: float, tail, nx: int, ny: int):
 # Maass-Selberg
 
 
-def maass_selberg(
-    s1: complex,
-    s2: complex,
-    T: float,
-    nx: int = 200,
-    ny: int = 200,
-):
+def maass_selberg(s1: complex, s2: complex, T: float):
     """Both sides of the truncated-Eisenstein inner-product relation.
 
     lhs: the regularized [H]-pairing of the two truncated series, computed as
-    PAIRING_HALF times the raw fundamental-domain quadrature (see the module
-    docstring for the measure dictionary).  Above the truncation height the
-    integrand is a product of two exponentially small non-constant parts and
-    is dropped.
+    PAIRING_HALF times the raw fundamental-domain quadrature on the
+    `_FD_BASE` rule (see the module docstring for the measure dictionary).
+    Above the truncation height the integrand is a product of two
+    exponentially small non-constant parts and is dropped.
 
     rhs: e^{T(s1+s2)}/(s1+s2) + c(s1) e^{T(-s1+s2)}/(-s1+s2)
          + c(s2) e^{T(s1-s2)}/(s1-s2) + c(s1) c(s2) e^{-T(s1+s2)}/(-s1-s2).
@@ -846,7 +850,7 @@ def maass_selberg(
     def integrand(z):
         return E1.on_grid(z) * E2.on_grid(z)
 
-    raw = fd_integrate(integrand, Ymax=Y, tail=0.0, nx=nx, ny=ny)
+    raw = fd_integrate(integrand, Ymax=Y, tail=0.0, nx=_FD_BASE, ny=_FD_BASE)
     lhs = PAIRING_HALF * raw
 
     c1 = complex(intertwining_c(s1))

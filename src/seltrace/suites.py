@@ -33,6 +33,7 @@ from .charged import (
 from .config import RunConfig
 from .corpus import default_corpus
 from .halfplane import (
+    _FD_BASE,
     EisensteinSeries,
     boundary_from_model,
     constant_term,
@@ -429,13 +430,13 @@ def _suite_maass_selberg(cfg: RunConfig) -> SuiteReport:
     for s1, s2 in _ms_pairs():
         for T in cfg.ms_T:
             t0 = time.perf_counter()
-            lhs, rhs, dev = maass_selberg(s1, s2, T, nx=cfg.nx, ny=cfg.ny)
+            lhs, rhs, dev = maass_selberg(s1, s2, T)
             dt_run = time.perf_counter() - t0
             check_id = f"ms[s1={s1},s2={s2},T={T}]"
-            rep.add(check_id, f"nx={cfg.nx},ny={cfg.ny}", rhs, lhs, tol)
+            rep.add(check_id, "", rhs, lhs, tol)
             rep.timings[check_id] = dt_run
     # positivity for a conjugate pair
-    lhs, rhs, dev = maass_selberg(0.5 + 2j, 0.5 - 2j, 1.0, nx=cfg.nx, ny=cfg.ny)
+    lhs, rhs, dev = maass_selberg(0.5 + 2j, 0.5 - 2j, 1.0)
     rep.add_bool("ms_conjugate_positive", "s2 = conj(s1)", complex(lhs).real >= 0.0, f"lhs={lhs}")
     from .halfplane import DegenerateParameterError
 
@@ -506,7 +507,7 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
         def integrand(z, _p1=p1, _p2=p2):
             return values(_p1, "on_grid", z) * values(_p2, "on_grid", z)
 
-        fd = fd_integrate(integrand, Ymax=16.0, tail=ct_tail(p1, p2), nx=140, ny=140)
+        fd = fd_integrate(integrand, Ymax=16.0, tail=ct_tail(p1, p2), nx=_FD_BASE, ny=_FD_BASE)
         rep.add(f"plancherel=fd[{name}]", name, fd, val, tol)
         if name == "schwartz_a":
             adjoint = (f1, p2, fd)
@@ -555,7 +556,7 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
     rep.add("germ_identity", "s0=-0.5 at y=e^6", 1.0, got, cfg.tol("quadrature"))
     # fundamental domain volume
     vol = fd_integrate(lambda z: np.ones_like(z, dtype=complex), Ymax=50.0, tail=lambda Y: 1.0 / Y,
-                       nx=cfg.nx, ny=cfg.ny)
+                       nx=_FD_BASE, ny=_FD_BASE)
     rep.add("fd_volume", "integrand=1", math.pi / 3.0, vol, cfg.tol("quadrature"))
     return rep
 

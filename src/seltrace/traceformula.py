@@ -30,7 +30,7 @@ import numpy as np
 
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
-from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids, coprime_rows, fold_mirror
+from .halfplane import _FD_BASE, FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids, coprime_rows, fold_mirror
 from .torus import TwoTermLaurent
 from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, ranges, steps, trap_grid
 
@@ -320,13 +320,12 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
 
 
 # (point, shift) pairs per step of kernel_diagonal_sum, which bounds its
-# arrays: a `tf report` peaks at 63 MB RSS at width 0.5, 94 MB at 0.7 and
-# 114 MB at 1.0
+# arrays: a `tf report` peaks at 60 MB RSS at width 0.5, 85 MB at 0.7 and
+# 99 MB at 1.0
 _KERNEL_CHUNK = 1_000_000
 # most terms a kernel sum may take on, estimated before it starts: a report's
-# base-region sum, the larger of its two, estimates 2.9e8 at width 1.0 and
-# 6.8e8 at 1.1 (refused, as its strip sum's 5.8e8 would be); the bound sits
-# where the old strip rule's bound of 2e9 did, at u_max of about 5e4
+# one sum over both regions estimates 2.9e8 at width 1.0 and 6.8e8 at 1.1
+# (refused); the bound sits at u_max of about 5e4
 _KERNEL_BUDGET = 4.8e8
 
 
@@ -428,24 +427,24 @@ def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction
     diagonal kernel sum of the convolved test function, cut at its reach;
     the model I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential
     term is the exact subleading correction of the level-1 translation tail)
-    on T = 1.5, 1.75, ..., 3, with a 160 x 160 fundamental-domain rule whose
-    strip takes `_KERNEL_STRIP_MX` midpoints per height; below y = e^3 the
-    c >= 1 cosets (c y <= sqrt(u_max) ~ 16 at width 0.5) still add.
+    on T = 1.5, 1.75, ..., 3, with the `_FD_BASE` fundamental-domain rule
+    whose strip takes `_KERNEL_STRIP_MX` midpoints per height; below y = e^3
+    the c >= 1 cosets (c y <= sqrt(u_max) ~ 16 at width 0.5) still add.  One
+    kernel sum takes the points of both regions, so `_KERNEL_BUDGET` sees
+    them all before any term is summed.
     """
     T_grid = np.arange(1.5, 3.01, 0.25)
     T12 = convolve_test_functions(T1, T2)
     u_max = T12.reach()
     Ymax = math.exp(2.0 * float(T_grid[-1]))
     v_breaks = tuple(2.0 * T_grid[:-1])
-    Z1, W1, Z2, W2 = _fd_grids(Ymax, 160, 160, _KERNEL_STRIP_MX, v_breaks)
-    # the base region first: it has the most distinct (|x|, y), so a refusal
-    # comes before any sum
-    vals1 = kernel_diagonal_sum(T12.k, Z1, u_max)
-    vals2 = kernel_diagonal_sum(T12.k, Z2, u_max)
-    base = float(np.real(np.sum(vals1 * W1)))
+    Z1, W1, Z2, W2 = _fd_grids(Ymax, _FD_BASE, _FD_BASE, _KERNEL_STRIP_MX, v_breaks)
+    vals = kernel_diagonal_sum(T12.k, np.concatenate([Z1, Z2]), u_max)
+    base = float(np.real(np.sum(vals[: Z1.size] * W1)))
+    strip = vals[Z1.size :] * W2
     y2 = Z2.imag
     I = np.array(
-        [base + float(np.real(np.sum((vals2 * W2)[y2 <= math.exp(2.0 * T) + 1e-12]))) for T in T_grid]
+        [base + float(np.real(np.sum(strip[y2 <= math.exp(2.0 * T) + 1e-12]))) for T in T_grid]
     )
     A = np.vstack([np.ones_like(T_grid), T_grid, np.exp(-2.0 * T_grid)]).T
     coef, *_ = np.linalg.lstsq(A, I, rcond=None)

@@ -27,6 +27,7 @@ from seltrace.halfplane import (
     truncate,
 )
 from seltrace.special import PoleError, divisor_sigma, intertwining_c, kbessel, xi
+from seltrace.suites import _ms_pairs
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm, log_gaussian_core
 from seltrace.util import DecayError, reduce_to_fundamental_domain
 
@@ -303,6 +304,13 @@ class TestRadon:
         monkeypatch.setattr(halfplane, "_HOROCYCLE_BLOCK", 500)
         assert np.array_equal(halfplane._horocycle_F(f, w), got)
 
+    def test_horocycle_blocks_leave_values_bitwise(self, monkeypatch):
+        # a block of `_horocycle_F` holds whole w's, so its size regroups no sum
+        ys = np.geomspace(0.05, 5.0, 40)
+        whole = radon_transform(F_STD, ys)
+        monkeypatch.setattr(halfplane, "_HOROCYCLE_BLOCK", 1000)
+        assert np.array_equal(radon_transform(F_STD, ys), whole)
+
     def test_funnel_constant_is_scattering_residue(self):
         # Rf(y -> 0) tends to (6/pi) Fhat(1): the Eisenstein-pole leak
         F = F_STD.transform()
@@ -452,8 +460,8 @@ class TestTruncate:
 
     def test_ms_growth_linear_in_T(self):
         # the truncated norm grows linearly in T per the closed-form relation
-        l1, r1, _ = maass_selberg(2j, -2j + 1e-3, 1.0, nx=80, ny=80)
-        l2, r2, _ = maass_selberg(2j, -2j + 1e-3, 1.5, nx=80, ny=80)
+        l1, r1, _ = maass_selberg(2j, -2j + 1e-3, 1.0)
+        l2, r2, _ = maass_selberg(2j, -2j + 1e-3, 1.5)
         assert abs(l1 - r1) < 1e-4 and abs(l2 - r2) < 1e-4
         assert l2.real > l1.real > 0
 
@@ -484,17 +492,31 @@ class TestFdIntegrate:
 
 class TestMaassSelberg:
     def test_pure_imaginary_pair(self):
-        lhs, rhs, dev = maass_selberg(2j, 3j, 1.5, nx=120, ny=120)
+        lhs, rhs, dev = maass_selberg(2j, 3j, 1.5)
         assert dev < 1e-6
 
     def test_conjugate_pair_positive(self):
-        lhs, rhs, dev = maass_selberg(0.5 + 2j, 0.5 - 2j, 1.0, nx=120, ny=120)
+        lhs, rhs, dev = maass_selberg(0.5 + 2j, 0.5 - 2j, 1.0)
         assert dev < 1e-6
         assert lhs.real >= 0.0 and abs(lhs.imag) < 1e-10
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateParameterError):
             maass_selberg(0.7j, -0.7j, 1.0)
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("s1, s2", _ms_pairs())
+    def test_base_rule_meets_a_finer_grid(self, s1, s2, T):
+        # the library's base rule reads the same, to rounding, as 200 x 200
+        E1, E2 = EisensteinSeries(s1), EisensteinSeries(s2)
+
+        def integrand(z):
+            return E1.on_grid(z) * E2.on_grid(z)
+
+        fine = fd_integrate(integrand, Ymax=math.exp(2.0 * T), tail=0.0, nx=200, ny=200)
+        want = halfplane.PAIRING_HALF * fine
+        lhs, _, _ = maass_selberg(s1, s2, T)
+        assert abs(lhs - want) <= 1e-14 * abs(want)
 
 
 class TestModularReduction:

@@ -23,17 +23,17 @@ class TestConfig:
 
     def test_file_parsing(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text("tol.fd = 5e-4\nnx = 64   # comment\nms_T = 1.0,1.5\n")
+        p.write_text("tol.fd = 5e-4\nseed = 64   # comment\nms_T = 1.0,1.5\n")
         cfg = load_config(str(p))
         assert cfg.tol("fd") == 5e-4
-        assert cfg.nx == 64
+        assert cfg.seed == 64
         assert cfg.ms_T == (1.0, 1.5)
 
     def test_flag_overrides_file(self, tmp_path):
         p = tmp_path / "cfg.txt"
-        p.write_text("nx = 64\n")
-        cfg = load_config(str(p), {"nx": "96"})
-        assert cfg.nx == 96
+        p.write_text("seed = 64\n")
+        cfg = load_config(str(p), {"seed": "96"})
+        assert cfg.seed == 96
 
     def test_env_var(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.txt"
@@ -58,10 +58,11 @@ class TestConfig:
             RunConfig(tolerances={"fd": -1.0})
 
     @pytest.mark.parametrize(
-        "key", ["t_max", "dt", "y_max", "coset_bound", "out_path", "out_format", "kernel_u_max"]
+        "key", ["t_max", "dt", "y_max", "coset_bound", "out_path", "out_format", "kernel_u_max", "nx", "ny"]
     )
     def test_removed_keys_rejected(self, tmp_path, key):
-        # keys that no suite read are gone; a file that still sets one fails
+        # keys that no suite read, or that moved results only by rounding (nx,
+        # ny), are gone; a file that still sets one fails
         p = tmp_path / "cfg.txt"
         p.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError, match=key):
@@ -71,7 +72,7 @@ class TestConfig:
         cfg = RunConfig(seed=5, ms_T=(1.0,), tolerances={"fd": 2e-4})
         echo = run_suite("hc-bound", cfg).payload()["config"]
         assert set(echo) == {
-            "tolerances", "nx", "ny", "ms_T", "corpus", "seed", "fault_injection",
+            "tolerances", "ms_T", "corpus", "seed", "fault_injection",
         }
         assert echo["seed"] == 5 and echo["ms_T"] == (1.0,) and echo["tolerances"] == {"fd": 2e-4}
 
@@ -82,7 +83,7 @@ class TestConfig:
                               "count_settable.py")
         out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1].split()[0] == "total"
-        assert int(out.splitlines()[-1].split()[-1]) <= 66
+        assert int(out.splitlines()[-1].split()[-1]) <= 62
 
 
 class TestHarness:
@@ -385,8 +386,9 @@ class TestCLI:
         assert abs(complex(*rec["cuspidal_remainder"])) <= 2e-5
 
     def test_tf_report_refuses_runaway_kernel_sum(self, capsys):
-        # at W = 1.1 the kernel reaches u = 7.1e4, and the strip sum would take
-        # about 2.9e9 terms; it is refused before any term is summed
+        # at W = 1.1 the kernel reaches u = 7.1e4, and the one kernel sum over
+        # both regions would take about 6.8e8 terms; it is refused before any
+        # term is summed
         from seltrace import cli
 
         assert cli.main(["tf", "report", "--width", "1.1"]) == 3

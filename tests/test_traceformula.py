@@ -240,6 +240,19 @@ class TestKernelTruncationFit:
         assert abs(got.a_0 - want.a_0) <= 1e-9
         assert abs(got.a_minus1 - want.a_minus1) <= 1e-12
 
+    @pytest.mark.parametrize("width", [0.5, 0.7])
+    def test_base_rule_meets_160(self, width, monkeypatch):
+        # the library's base rule moves the fit from the 160 x 160 base region
+        # it replaced only by the rounding of the kernel sums
+        from seltrace import traceformula
+
+        T = gaussian_test_function(width)
+        got = two_term_laurent_kernel(T, T)
+        monkeypatch.setattr(traceformula, "_FD_BASE", 160)
+        want = two_term_laurent_kernel(T, T)
+        assert abs(got.a_0 - want.a_0) <= 1e-10
+        assert abs(got.a_minus1 - want.a_minus1) <= 1e-13
+
 
 class TestKernelConstantTerms:
     def test_relations_on_line(self, gauss_T08):
