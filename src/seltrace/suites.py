@@ -33,8 +33,8 @@ from .charged import (
 from .config import RunConfig
 from .corpus import default_corpus
 from .halfplane import (
-    _FD_BASE,
     EisensteinSeries,
+    _FD_BASE,
     boundary_from_model,
     constant_term,
     constant_term_symmetry_check,

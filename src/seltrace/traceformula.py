@@ -30,7 +30,7 @@ import numpy as np
 
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
-from .halfplane import _FD_BASE, FUNDAMENTAL_DOMAIN_VOLUME, _fd_grids, coprime_rows, fold_mirror
+from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coprime_rows, fold_mirror
 from .torus import TwoTermLaurent
 from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, ranges, steps, trap_grid
 
