@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,6 +69,8 @@ __all__ = [
     "boundary_from_model",
     "schwartz_boundary",
     "coprime_rows",
+    "coset_windows",
+    "coset_blocks",
     "fold_mirror",
 ]
 
@@ -276,27 +279,67 @@ def coprime_rows(x_lo: float, x_hi: float, radius2) -> tuple[np.ndarray, np.ndar
 
 
 def fold_mirror(z) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (|x|, y) of the points z, as sorted complex |x| + iy, and
-    the index of each point of z among them, in the shape of z.
+    """The distinct (|x|, y) of the points z, as complex |x| + iy sorted by
+    height and then by |x|, and the index of each point of z among them, in
+    the shape of z.
 
     The reflection z -> -conj(z) normalizes PSL2(Z), so a coset sum that it
     leaves unchanged runs once per folded point, and `values[point_of]`
     unfolds it."""
     z = np.asarray(z, dtype=complex)
-    folded, point_of = np.unique(np.abs(z.real) + 1j * z.imag, return_inverse=True)
-    return folded, point_of.reshape(z.shape)
+    swapped, point_of = np.unique(z.imag + 1j * np.abs(z.real), return_inverse=True)
+    return swapped.imag + 1j * swapped.real, point_of.reshape(z.shape)
+
+
+# folded points per height band of `coset_windows`; each band sizes its own
+# row windows
+_COSET_BAND = 256
+# (row, point) entries per block of `coset_blocks`, 256 kB per float array,
+# so that a block's arrays stay in cache; blocks of 131,072 entries took
+# about twice as long on the same entries of a pseudo-Eisenstein sum
+_COSET_BLOCK = 32_768
+
+
+def coset_windows(x: np.ndarray, y: np.ndarray, radius2: Callable) -> list:
+    """The row window of each band of a coset sum: (band, x_lo, x_hi, r2).
+
+    The points (x, y), heights ascending, are cut into bands of
+    `_COSET_BAND`.  A band's rows are those `coprime_rows` enumerates for
+    its [min x, max x] and r2 = radius2(y_lo, y_hi), the sum's radius^2 rule
+    on the band's height range: for c = 1, ..., len(r2), a bound on
+    (c x + d)^2 over the live rows of its points."""
+    windows = []
+    for i in range(0, y.size, _COSET_BAND):
+        b = slice(i, min(i + _COSET_BAND, y.size))
+        r2 = radius2(float(y[b.start]), float(y[b.stop - 1]))
+        windows.append((b, float(np.min(x[b])), float(np.max(x[b])), r2))
+    return windows
+
+
+def coset_blocks(windows: list):
+    """(band, c, d) for the rows of each window of `coset_windows`, band by
+    band in order of c then d, in blocks of at most `_COSET_BLOCK`
+    (row, point) entries (or one row, if that alone passes it)."""
+    for b, *window in windows:
+        cs, ds = coprime_rows(*window)
+        step = max(1, _COSET_BLOCK // (b.stop - b.start))
+        for i in range(0, cs.size, step):
+            yield b, cs[i : i + step], ds[i : i + step]
+
+
+def _funnel_radius2(h_min: float, y_lo: float, y_hi: float) -> np.ndarray:
+    """Radius^2 rule of the pseudo-Eisenstein coset sums on heights
+    [y_lo, y_hi]: a row lifts z to h_min or above only if
+    (c x + d)^2 <= y / h_min - c^2 y^2, a concave function of y that peaks at
+    1 / (2 h_min c^2), for c up to `_c_max(h_min, y_lo)`."""
+    c = np.arange(1, _c_max(h_min, y_lo) + 1)
+    yc = np.clip(1.0 / (2.0 * h_min * c * c), y_lo, y_hi)
+    return yc / h_min - (c * yc) ** 2
 
 
 # mass of |f| a pseudo-Eisenstein sum may leave out below its lowest orbit
 # height (see `_psi_threshold`)
 _PSI_DROP = 1e-12
-# folded points per height band of `_psi_values`; each band sizes its own
-# row windows
-_PSI_BAND = 256
-# (row, point) entries per block of `_psi_values`, 256 kB per float array,
-# so that a block's arrays stay in cache; blocks of 131,072 entries took
-# about twice as long on the same entries
-_PSI_BLOCK = 32_768
 # most (row, point) entries of the band windows `_psi_values` takes on:
 # `verify all` peaks at 5.2e7 (c <= 82) and the torus-automorphic bench
 # rounds at 6.6e7, so this leaves a margin of 1.5
@@ -310,64 +353,43 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     the threshold of `_psi_threshold`, so a point's value does not depend on
     the points evaluated with it.  The row (c, -d) lifts -conj(z) to the
     height (c, d) lifts z to, so the sum runs once per distinct (|x|, y)
-    (`fold_mirror`).  Those points are sorted by y and cut into bands of
-    `_PSI_BAND`; each band takes the rows `coprime_rows` enumerates for its
-    own [min y, max y] and [min |x|, max |x|], in blocks of at most
-    `_PSI_BLOCK` (row, point) entries, and f is evaluated only on the live
-    entries of a block.
+    (`fold_mirror`), over the row blocks of `coset_blocks` under the radius^2
+    rule `_funnel_radius2`; f is evaluated only on the live entries of a
+    block.
 
     Raises DecayError, before any row is built, when the band windows hold
     more than `_PSI_BUDGET` (row, point) entries."""
     folded, point_of = fold_mirror(z)
-    order = np.argsort(folded.imag, kind="stable")
-    x = folded.real[order]
-    y = folded.imag[order]
+    x, y = folded.real, folded.imag
     h_min = _psi_threshold(f)
-    bands = [slice(i, min(i + _PSI_BAND, y.size)) for i in range(0, y.size, _PSI_BAND)]
-    # c_max comes from the band's lowest height
-    c_maxes = [_c_max(h_min, y[b.start]) for b in bands]
-    # every c < c_max - 1 has a nonempty window, so this many entries are
-    # certain before the windows are sized
-    _check_psi_budget(
-        sum((c_max - 2) * (b.stop - b.start) for b, c_max in zip(bands, c_maxes)), max(c_maxes)
-    )
-    windows = []
+    # a band's c_max comes from its lowest height, and every c < c_max - 1
+    # has a nonempty window, so this many entries are certain before the
+    # windows are sized
+    c_maxes = [_c_max(h_min, y_lo) for y_lo in y[::_COSET_BAND]]
+    sizes = np.diff([*range(0, y.size, _COSET_BAND), y.size])
+    _check_psi_budget(sum((c_max - 2) * n for c_max, n in zip(c_maxes, sizes)), max(c_maxes))
+    windows = coset_windows(x, y, partial(_funnel_radius2, h_min))
     entries = 0.0
-    for b, c_max in zip(bands, c_maxes):
-        # a row lifts z to h_min or above only if (c x + d)^2 <= y / h_min -
-        # c^2 y^2, a concave function of y that peaks at 1 / (2 h_min c^2)
-        c = np.arange(1, c_max + 1)
-        yc = np.clip(1.0 / (2.0 * h_min * c * c), y[b.start], y[b.stop - 1])
-        radius2 = yc / h_min - (c * yc) ** 2
-        x_lo, x_hi = float(np.min(x[b])), float(np.max(x[b]))
-        _, d_lo, d_hi = _row_windows(x_lo, x_hi, radius2)
+    for b, *window in windows:
+        _, d_lo, d_hi = _row_windows(*window)
         entries += float(np.sum(d_hi - d_lo + 1)) * (b.stop - b.start)
-        windows.append((x_lo, x_hi, radius2))
     _check_psi_budget(entries, max(c_maxes))
     out = np.asarray(f(y), dtype=complex)
-    for b, window in zip(bands, windows):
-        cs, ds = (rows.astype(float) for rows in coprime_rows(*window))
+    for b, c, d in coset_blocks(windows):
         # a block is (point, row), so that each point's live entries are one
         # run of the values f takes on them
-        xb, yb = x[b, None], y[b, None]
-        yb2 = yb * yb
-        acc = out[b]
-        step = max(1, _PSI_BLOCK // xb.size)
-        for i in range(0, cs.size, step):
-            c = cs[i : i + step]
-            heights = xb * c
-            heights += ds[i : i + step]
-            heights *= heights
-            heights += yb2 * (c * c)
-            np.divide(yb, heights, out=heights)
-            live = heights >= h_min
-            counts = np.count_nonzero(live, axis=1)
-            has = counts > 0
-            starts = (np.cumsum(counts) - counts)[has]
-            acc[has] += np.add.reduceat(f(heights[live]), starts)
-    values = np.empty_like(out)
-    values[order] = out
-    return values[point_of]
+        yb = y[b, None]
+        heights = x[b, None] * c
+        heights += d
+        heights *= heights
+        heights += yb * yb * (c * c)
+        np.divide(yb, heights, out=heights)
+        live = heights >= h_min
+        counts = np.count_nonzero(live, axis=1)
+        has = counts > 0
+        starts = (np.cumsum(counts) - counts)[has]
+        out[b][has] += np.add.reduceat(f(heights[live]), starts)
+    return out[point_of]
 
 
 def _check_psi_budget(entries: float, c_max: int):
@@ -512,16 +534,18 @@ def radon_transform(f: BoundaryFunction, y):
             f"Radon transform needs {c_max} cosets at {y.size} heights "
             f"({float(c_max * y.size):.2e} entries > {_RADON_BUDGET:.0e})"
         )
-    cs = np.arange(1, c_max + 1, dtype=float)
-    phis = _totients(c_max).astype(float)
-    W = np.multiply.outer(cs * cs, y)
-    # F(w) only samples f on (0, 1/w]; entries with 1/w below h_min are the
-    # cosets left out
-    live = W <= 1.0 / h_min
-    Fv = np.zeros(W.shape, dtype=complex)
-    if np.any(live):
-        Fv[live] = _horocycle_F(f, W[live])
-    out = y * (phis @ Fv)
+    # F(w) only samples f on (0, 1/w], so only the (c, height) pairs with
+    # 1/w = 1/(c^2 y) at least h_min are built; the others are the cosets
+    # left out
+    height, c = ranges(np.ones(y.size, dtype=int), np.array([_c_max(h_min, v) for v in y]))
+    w = (c * c) * y[height]
+    live = w <= 1.0 / h_min
+    height = height[live]
+    terms = np.zeros(height.size, dtype=complex)
+    if height.size:
+        terms = _totients(c_max)[c[live] - 1] * _horocycle_F(f, w[live])
+    sums = np.bincount(height, terms.real, y.size) + 1j * np.bincount(height, terms.imag, y.size)
+    out = y * sums
     return out[0] if scalar else out
 
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
-from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coprime_rows, fold_mirror
+from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coset_blocks, coset_windows, fold_mirror
 from .torus import TwoTermLaurent
 from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, ranges, steps, trap_grid
 
@@ -319,14 +319,22 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
     return np.where(u <= u_max, np.asarray(k(u), dtype=float), 0.0)
 
 
-# (point, shift) pairs per step of kernel_diagonal_sum, which bounds its
-# arrays: a `tf report` peaks at 60 MB RSS at width 0.5, 85 MB at 0.7 and
-# 99 MB at 1.0
-_KERNEL_CHUNK = 1_000_000
+# (point, shift) pairs per step of kernel_diagonal_sum, 2 MB per float
+# array: a `tf report` peaks at 55 MB RSS at width 0.5, 56 MB at 0.7 and
+# 63 MB at 1.0 (98 and 127 MB at 0.7 and 1.0 with steps of 1e6 pairs)
+_KERNEL_CHUNK = 1 << 18
 # most terms a kernel sum may take on, estimated before it starts: a report's
 # one sum over both regions estimates 2.9e8 at width 1.0 and 6.8e8 at 1.1
 # (refused); the bound sits at u_max of about 5e4
 _KERNEL_BUDGET = 4.8e8
+
+
+def _kernel_radius2(t_max: float, y_lo: float, y_hi: float) -> np.ndarray:
+    """Radius^2 rule of the kernel sum on heights [y_lo, y_hi]: a live row
+    has |c z + d|^2 <= t_max, so (c x + d)^2 <= t_max - (c y_lo)^2, for c up
+    to sqrt(t_max) / y_lo."""
+    c = np.arange(1, int(math.floor(math.sqrt(t_max) / y_lo)) + 1)
+    return t_max - (c * y_lo) ** 2
 
 
 def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
@@ -338,18 +346,16 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     representative gamma0 per coprime bottom row (c, d): with w = gamma0 z,
     the element T^m gamma0 moves z to w + m, so the live shifts of a point
     are exactly the m with (x - Re w - m)^2 <= u_max y Im w - (y - Im w)^2.
-    Only those (point, m) pairs are expanded, in steps of as many rows as
-    can expand at most `_KERNEL_CHUNK` pairs; a row that alone could pass that
-    bound is taken in slices of points.  The translations go in steps of
-    whole heights under the same bound, and a height is cut into pieces only
-    if its own shifts pass it.  The slices keep each point's terms of a row,
-    and each height's translations, in one pass, so they leave the sum
-    bitwise unchanged; only the cut of a single height regroups its terms.
+    The rows come in the (row, point) blocks of `halfplane.coset_blocks`
+    under the radius^2 rule `_kernel_radius2`, and only the live
+    (point, m) pairs of a block are expanded, in steps of at most
+    `_KERNEL_CHUNK` pairs (or one entry's shifts, if they alone pass it).
+    The translations go in steps of whole heights under the same bound, and
+    a height is cut into pieces only if its own shifts pass it.
 
     The reflection z -> -conj(z) normalizes PSL2(Z) and preserves u, so the
-    sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y),
-    over the rows of the x-window [-max|x|, max|x|], which covers every
-    point's own window.
+    sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y)
+    (`fold_mirror`).
     """
     z, point_of = fold_mirror(z)
     x, y = z.real, z.imag
@@ -375,42 +381,25 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
 
     # u >= |cz + d|^2 + |cz + d|^-2 - 2, so a live row has |cz + d|^2 <= t_max
     t_max = 0.5 * (u_max + 2.0 + math.sqrt((u_max + 2.0) ** 2 - 4.0))
-    by_height = np.argsort(y, kind="stable")
-    y_sorted = y[by_height]
-    y_lo = float(y_sorted[0])
-    c_max = int(math.floor(math.sqrt(t_max) / y_lo))
-    x_hi = float(np.max(x))
-    cs, ds = coprime_rows(-x_hi, x_hi, [t_max - (c * y_lo) ** 2 for c in range(1, c_max + 1)])
     acc = np.zeros(z.size)
-    for c in range(1, c_max + 1):
-        # points with c y > sqrt(t_max) have no live row of this c
-        pts = by_height[: np.searchsorted(y_sorted, math.sqrt(t_max) / c, side="right")]
-        d_all = ds[cs == c]
-        zp, xp, yp = z[pts], x[pts], y[pts]
-        # a (row, point) entry has at most 2 sqrt(u_max) / c + 1 live shifts;
-        # a step takes all points, or one row if that alone passes the chunk
-        per = 2.0 * math.sqrt(u_max) / c + 1.0
-        step = max(1, int(cap / (max(pts.size, 1) * per)))
-        p_step = max(1, int(cap / per))
-        for i in range(0, d_all.size, step):
-            d = d_all[i : i + step]
-            a0 = np.array([pow(int(dj), -1, c) for dj in d])
-            for q in range(0, pts.size, p_step):
-                sl = slice(q, q + p_step)
-                # gamma0 z = a0/c - 1/(c (c z + d)), one (row, point) entry each
-                w = (a0 / c)[:, None] - 1.0 / (c * (c * zp[None, sl] + d[:, None]))
-                dx = xp[None, sl] - w.real
-                yy = yp[None, sl] * w.imag
-                dy2 = (yp[None, sl] - w.imag) ** 2
-                r2 = u_max * yy - dy2
-                live = np.nonzero(r2 >= 0.0)
-                dx, yy, dy2 = dx[live], yy[live], dy2[live]
-                r = np.sqrt(r2[live])
-                m_lo = np.ceil(dx - r)
-                m_count = (np.floor(dx + r) - m_lo + 1.0).astype(int)
-                owner, m = ranges(m_lo, m_count)
-                u = ((dx[owner] - m) ** 2 + dy2[owner]) / yy[owner]
-                acc += np.bincount(pts[sl][live[1][owner]], weights=_live_values(k, u, u_max), minlength=z.size)
+    for b, c, d in coset_blocks(coset_windows(x, y, partial(_kernel_radius2, t_max))):
+        a0 = np.array([pow(dj, -1, cj) for cj, dj in zip(c.tolist(), d.tolist())])
+        c, d = c[:, None], d[:, None]
+        # gamma0 z = a0/c - 1/(c (c z + d)), one (row, point) entry each
+        w = a0[:, None] / c - 1.0 / (c * (c * z[b] + d))
+        dx = x[b] - w.real
+        yy = y[b] * w.imag
+        dy2 = (y[b] - w.imag) ** 2
+        r2 = u_max * yy - dy2
+        live = np.nonzero(r2 >= 0.0)
+        dx, yy, dy2, point = dx[live], yy[live], dy2[live], live[1]
+        r = np.sqrt(r2[live])
+        m_lo = np.ceil(dx - r)
+        m_count = (np.floor(dx + r) - m_lo + 1.0).astype(int)
+        for g in steps(m_count, cap):
+            owner, m = ranges(m_lo[g], m_count[g])
+            u = ((dx[g][owner] - m) ** 2 + dy2[g][owner]) / yy[g][owner]
+            acc[b] += np.bincount(point[g][owner], weights=_live_values(k, u, u_max), minlength=b.stop - b.start)
     return (out + acc)[point_of]
 
 

@@ -1,6 +1,7 @@
 """Automorphic layer: pseudo-Eisenstein, Radon, Eisenstein, truncation."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestPseudoEisenstein:
         # at least the entries the sum evaluates, and less than twice them
         z = _fd_points(16.0, 40, 40)
         points = np.unique(np.abs(z.real) + 1j * z.imag).size
-        band = halfplane._PSI_BAND
+        band = halfplane._COSET_BAND
         sizes = [min(band, points - i) for i in range(0, points, band)]
         rows, estimates = [], []
         real_rows = halfplane.coprime_rows
@@ -143,6 +144,44 @@ class TestCoprimeRows:
     def test_empty(self):
         cs, ds = coprime_rows(-0.5, 0.5, [0.0, -1.0])
         assert cs.size == 0 and ds.size == 0
+
+    @pytest.mark.parametrize("rule", ["funnel", "kernel"])
+    def test_bands_miss_no_live_row(self, rule):
+        # 300 folded points of an off-center sample, two bands: each band's
+        # rows hold every coprime (c, d), found by brute force, that lifts one
+        # of its points to h_min or above (funnel) or has |cz + d|^2 <= t_max
+        # (kernel)
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-0.2, 0.45, 300) + 1j * rng.uniform(0.3, 3.0, 300)
+        folded, _ = halfplane.fold_mirror(z)
+        x, y = folded.real, folded.imag
+        if rule == "funnel":
+            h_min = 2e-3
+            radius2 = partial(halfplane._funnel_radius2, h_min)
+
+            def live(c, d, xp, yp):
+                return yp / ((c * xp + d) ** 2 + (c * yp) ** 2) >= h_min
+        else:
+            t_max = 40.0
+            radius2 = partial(traceformula._kernel_radius2, t_max)
+
+            def live(c, d, xp, yp):
+                return (c * xp + d) ** 2 + (c * yp) ** 2 <= t_max
+
+        windows = halfplane.coset_windows(x, y, radius2)
+        assert len(windows) == 2
+        rows = {}
+        for b, cs, ds in halfplane.coset_blocks(windows):
+            rows.setdefault(b.start, set()).update(zip(cs.tolist(), ds.tolist()))
+        d = np.arange(-100, 101)
+        for b, *_ in windows:
+            want = {
+                (c, int(dj))
+                for c in range(1, 60)
+                for dj in d[np.any(live(c, d[:, None], x[b], y[b]), axis=1)]
+                if math.gcd(c, abs(int(dj))) == 1
+            }
+            assert want and want <= rows[b.start]
 
 
 def _slow_funnel_profile():
@@ -222,7 +261,7 @@ class TestPsiFolding:
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
         z = _fd_points(16.0, 40, 40)
         whole = PSI_STD.on_grid(z)
-        monkeypatch.setattr(halfplane, "_PSI_BLOCK", 1000)
+        monkeypatch.setattr(halfplane, "_COSET_BLOCK", 1000)
         pieces = PSI_STD.on_grid(z)
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
 

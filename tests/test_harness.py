@@ -85,6 +85,22 @@ class TestConfig:
         assert out.splitlines()[-1].split()[0] == "total"
         assert int(out.splitlines()[-1].split()[-1]) <= 62
 
+    def test_import_fills_no_cache(self):
+        # the benchmark's setup time is the import: importing the modules it
+        # loads must build no quadrature rule, transform or test function
+        script = (
+            "import seltrace.cli, seltrace.halfplane, seltrace.torus, seltrace.corpus\n"
+            "from seltrace import special, torus, traceformula, util\n"
+            "for cached in (util.gauss_legendre, special._de_nodes, special._c_taylor_at_zero,\n"
+            "               torus.mellin, traceformula.gaussian_test_function):\n"
+            "    print(cached.__name__, cached.cache_info().currsize)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        sizes = dict(line.split() for line in out.stdout.splitlines())
+        assert len(sizes) == 5
+        assert all(size == "0" for size in sizes.values()), sizes
+
 
 class TestHarness:
     def test_unknown_suite(self):

@@ -191,10 +191,12 @@ class TestKernelDiagonalSum:
         assert np.array_equal(kernel_diagonal_sum(k, z, 30.0), kernel_diagonal_sum(k, -z.conj(), 30.0))
 
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
-        # at chunk 16 a c = 1 row and the translations of the upper heights
-        # each pass the chunk alone, and every call of k after k(0) keeps it;
-        # one point's shifts (at most 2 sqrt(30) + 1) fit it
-        from seltrace import traceformula
+        # at chunk 16 the shifts of a c = 1 row and the translations of the
+        # upper heights pass the chunk, and every call of k after k(0) keeps
+        # it; one entry's shifts (at most 2 sqrt(30) + 1) fit it.  At a shared
+        # block of 100 entries the band of 36 folded points takes its rows
+        # two at a time
+        from seltrace import halfplane, traceformula
 
         sizes = []
 
@@ -206,11 +208,38 @@ class TestKernelDiagonalSum:
         z = (x + 1j * y).ravel()
         whole = kernel_diagonal_sum(k, z, u_max=30.0)
         monkeypatch.setattr(traceformula, "_KERNEL_CHUNK", 16)
+        monkeypatch.setattr(halfplane, "_COSET_BLOCK", 100)
+        bands = []
+        real_blocks = halfplane.coset_blocks
+
+        def spy_blocks(windows):
+            for b, c, d in real_blocks(windows):
+                bands.append(b.start)
+                yield b, c, d
+
+        monkeypatch.setattr(traceformula, "coset_blocks", spy_blocks)
         sizes.clear()
         pieces = kernel_diagonal_sum(k, z, u_max=30.0)
         assert sizes[0] == 1
         assert max(sizes[1:]) <= 16
+        assert set(bands) == {0} and len(bands) > 1
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(whole)
+
+    def test_point_alone_matches_fit_grid(self, gauss_T05):
+        # a point takes exactly its own live cosets, whichever band of the
+        # fit grid (64 x 64 base region and the M = 32 strip) it is in
+        from seltrace import traceformula
+
+        T12 = convolve_test_functions(gauss_T05, gauss_T05)
+        u_max = T12.reach()
+        Z1, _, Z2, _ = _fd_grids(math.exp(6.0), traceformula._FD_BASE, traceformula._FD_BASE,
+                                 traceformula._KERNEL_STRIP_MX)
+        z = np.concatenate([Z1, Z2])
+        on_grid = kernel_diagonal_sum(T12.k, z, u_max)
+        # two points of the base region and two of the strip
+        for i in (0, Z1.size // 2 + 3, Z1.size + Z2.size // 3, z.size - 1):
+            alone = kernel_diagonal_sum(T12.k, z[i : i + 1], u_max)[0]
+            assert abs(alone - on_grid[i]) <= 1e-14 * abs(on_grid[i])
 
     def test_budget_refuses_before_summing(self, monkeypatch):
         from seltrace import traceformula
