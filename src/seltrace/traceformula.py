@@ -319,10 +319,12 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
     return np.where(u <= u_max, np.asarray(k(u), dtype=float), 0.0)
 
 
-# (point, shift) pairs per step of kernel_diagonal_sum, 2 MB per float
-# array: a `tf report` peaks at 55 MB RSS at width 0.5, 56 MB at 0.7 and
-# 63 MB at 1.0 (98 and 127 MB at 0.7 and 1.0 with steps of 1e6 pairs)
-_KERNEL_CHUNK = 1 << 18
+# (point, shift) pairs per step of kernel_diagonal_sum, 512 kB per float
+# array: a `tf report` peaks at 55 MB RSS at width 0.5, 50 MB at 0.7 and
+# 48 MB at 1.0 (98 and 127 MB at 0.7 and 1.0 with steps of 1e6 pairs), and
+# a process of bench report rounds at width 0.45-0.5 stays about 4 MB
+# smaller than with steps of 2^18
+_KERNEL_CHUNK = 1 << 16
 # most terms a kernel sum may take on, estimated before it starts: a report's
 # one sum over both regions estimates 2.9e8 at width 1.0 and 6.8e8 at 1.1
 # (refused); the bound sits at u_max of about 5e4
