@@ -31,6 +31,9 @@ from .special import PoleError, gamma, intertwining_c, kbessel, xi, zeta, diviso
 from .torus import (
     AsymptoticallyFiniteFunction,
     CriticalExponentError,
+    _charged_term,
+    _side,
+    log_gaussian_core,
     mellin,
 )
 from .util import (
@@ -47,11 +50,9 @@ from .util import (
 
 __all__ = [
     "DegenerateParameterError",
-    "HalfPlanePoint",
     "BoundaryFunction",
     "AutomorphicFunction",
     "PseudoEisenstein",
-    "pseudo_eisenstein",
     "pseudo_eisenstein_function",
     "constant_term",
     "radon_transform",
@@ -85,26 +86,6 @@ class DegenerateParameterError(SeltraceError):
     """Parameter collision (s1 +- s2 = 0, or an Eisenstein-pole hit)."""
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.y <= 0:
-            raise ValueError("upper half-plane requires y > 0")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-
-def _as_z(z):
-    if isinstance(z, HalfPlanePoint):
-        return z.z
-    return complex(z)
-
-
 # ----------------------------------------------------------------------------
 # Boundary functions
 
@@ -121,7 +102,6 @@ class BoundaryFunction:
     """
 
     model: AsymptoticallyFiniteFunction
-    label: str = ""
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
@@ -134,35 +114,19 @@ class BoundaryFunction:
     def cusp_exponents(self):
         return self.model.infinity_exponents()
 
-    def cusp_terms(self):
-        return tuple(t for t in self.model.terms if t.side == "infinity")
-
     def transform(self) -> ChargedMeromorphicFunction:
         return mellin(self.model)
 
-    def asymptote(self):
-        """(s0, coefficient) of the leading cusp term, or None."""
-        terms = self.cusp_terms()
-        if not terms:
-            return None
-        lead = max(terms, key=lambda t: t.exponent.real)
-        return (lead.exponent, lead.log_poly[0])
 
-
-def boundary_from_model(model: AsymptoticallyFiniteFunction, label="") -> BoundaryFunction:
+def boundary_from_model(model: AsymptoticallyFiniteFunction) -> BoundaryFunction:
     if model.zero_exponents():
         raise ValueError("boundary functions must decay rapidly toward the funnel")
-    return BoundaryFunction(model=model, label=label)
+    return BoundaryFunction(model=model)
 
 
-def schwartz_boundary(mu: float = 0.0, sigma: float = 1.0, amp: complex = 1.0, label="") -> BoundaryFunction:
+def schwartz_boundary(mu: float = 0.0, sigma: float = 1.0, amp: complex = 1.0) -> BoundaryFunction:
     """Rapid-decay-both-ends boundary function from a log-Gaussian model core."""
-    from .torus import log_gaussian_core
-
-    return BoundaryFunction(
-        model=AsymptoticallyFiniteFunction(core=log_gaussian_core(mu, sigma, amp)),
-        label=label or f"logGauss(mu={mu},sigma={sigma})",
-    )
+    return BoundaryFunction(model=AsymptoticallyFiniteFunction(core=log_gaussian_core(mu, sigma, amp)))
 
 
 # ----------------------------------------------------------------------------
@@ -175,19 +139,16 @@ class AutomorphicFunction:
 
     evaluator acts on complex arrays of upper-half-plane points; ct, when
     supplied, is the exact constant term as a function of the height y.
-    asymptote = (s0, coeff) declares phi ~ coeff * y^((1+s0)/2) at the cusp.
     """
 
     evaluator: Callable
     ct: Callable | None = None
-    asymptote: tuple | None = None
-    label: str = ""
 
     def __call__(self, z):
-        z = np.asarray(_as_z(z) if np.ndim(z) == 0 else [_as_z(p) for p in np.ravel(z)])
+        z = np.asarray(z, dtype=complex)
         if z.ndim == 0:
             return self.evaluator(np.atleast_1d(z))[0]
-        return self.evaluator(z)
+        return self.evaluator(z.ravel())
 
     def on_grid(self, z_array):
         return self.evaluator(np.asarray(z_array, dtype=complex))
@@ -367,13 +328,14 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     # windows are sized
     c_maxes = [_c_max(h_min, y_lo) for y_lo in y[::_COSET_BAND]]
     sizes = np.diff([*range(0, y.size, _COSET_BAND), y.size])
-    _check_psi_budget(sum((c_max - 2) * n for c_max, n in zip(c_maxes, sizes)), max(c_maxes))
+    c_max = max(c_maxes, default=0)
+    _check_psi_budget(sum((c - 2) * n for c, n in zip(c_maxes, sizes)), c_max)
     windows = coset_windows(x, y, partial(_funnel_radius2, h_min))
     entries = 0.0
     for b, *window in windows:
         _, d_lo, d_hi = _row_windows(*window)
         entries += float(np.sum(d_hi - d_lo + 1)) * (b.stop - b.start)
-    _check_psi_budget(entries, max(c_maxes))
+    _check_psi_budget(entries, c_max)
     out = np.asarray(f(y), dtype=complex)
     for b, c, d in coset_blocks(windows):
         # a block is (point, row), so that each point's live entries are one
@@ -404,7 +366,7 @@ def pseudo_eisenstein_function(f: BoundaryFunction) -> "PseudoEisenstein":
     return PseudoEisenstein(f=f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PseudoEisenstein(AutomorphicFunction):
     """Psi f, carrying its boundary datum for spectral-side computations.
 
@@ -413,7 +375,7 @@ class PseudoEisenstein(AutomorphicFunction):
     (see `_psi_threshold` and `_psi_values`).
     """
 
-    f: BoundaryFunction = None
+    f: BoundaryFunction
 
     def __init__(self, f: BoundaryFunction):
         def ev(z):
@@ -424,14 +386,7 @@ class PseudoEisenstein(AutomorphicFunction):
             return np.asarray(f(y), dtype=complex) + radon_transform(f, y)
 
         object.__setattr__(self, "f", f)
-        AutomorphicFunction.__init__(
-            self, evaluator=ev, ct=ct, asymptote=f.asymptote(), label=f"Psi({f.label})"
-        )
-
-
-def pseudo_eisenstein(f: BoundaryFunction, z):
-    """Point evaluation of the pseudo-Eisenstein series Psi f."""
-    return complex(pseudo_eisenstein_function(f)(_as_z(z)))
+        AutomorphicFunction.__init__(self, evaluator=ev, ct=ct)
 
 
 # ----------------------------------------------------------------------------
@@ -506,8 +461,8 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
     return out / np.sqrt(warr)
 
 
-# most (coset, height) entries `radon_transform` takes on: `verify all` peaks
-# at 7,667 cosets on 398 heights (3.1e6)
+# most (coset, height) entries `radon_transform` takes on, counted as the sum
+# of each height's `_c_max`: `verify all` peaks at 338,938 on 398 heights
 _RADON_BUDGET = 4e7
 
 
@@ -528,22 +483,23 @@ def radon_transform(f: BoundaryFunction, y):
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     h_min = _psi_threshold(f)
-    c_max = _c_max(h_min, float(np.min(y)))
-    if c_max * y.size > _RADON_BUDGET:
+    c_maxes = np.array([_c_max(h_min, v) for v in y], dtype=int)
+    entries = int(c_maxes.sum())
+    if entries > _RADON_BUDGET:
         raise DecayError(
-            f"Radon transform needs {c_max} cosets at {y.size} heights "
-            f"({float(c_max * y.size):.2e} entries > {_RADON_BUDGET:.0e})"
+            f"Radon transform needs {entries} (coset, height) entries at "
+            f"{y.size} heights (> {_RADON_BUDGET:.0e})"
         )
     # F(w) only samples f on (0, 1/w], so only the (c, height) pairs with
     # 1/w = 1/(c^2 y) at least h_min are built; the others are the cosets
     # left out
-    height, c = ranges(np.ones(y.size, dtype=int), np.array([_c_max(h_min, v) for v in y]))
+    height, c = ranges(np.ones(y.size, dtype=int), c_maxes)
     w = (c * c) * y[height]
     live = w <= 1.0 / h_min
     height = height[live]
     terms = np.zeros(height.size, dtype=complex)
     if height.size:
-        terms = _totients(c_max)[c[live] - 1] * _horocycle_F(f, w[live])
+        terms = _totients(int(c_maxes.max()))[c[live] - 1] * _horocycle_F(f, w[live])
     sums = np.bincount(height, terms.real, y.size) + 1j * np.bincount(height, terms.imag, y.size)
     out = y * sums
     return out[0] if scalar else out
@@ -624,7 +580,6 @@ class EisensteinSeries(AutomorphicFunction):
         cs = -1.0 if abs(s) < 1e-12 else complex(intertwining_c(s))
 
         def ev(z):
-            z = np.asarray(z, dtype=complex)
             return eisenstein_grid_values(s, z)
 
         def ct(y):
@@ -633,11 +588,7 @@ class EisensteinSeries(AutomorphicFunction):
                 return np.zeros_like(y, dtype=complex)
             return y**w + cs * y ** (1.0 - w)
 
-        AutomorphicFunction.__init__(
-            self, evaluator=ev, ct=ct, asymptote=(s, 1.0 + 0.0j), label=f"E(s={s})"
-        )
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c_value", cs)
+        AutomorphicFunction.__init__(self, evaluator=ev, ct=ct)
 
 
 def eisenstein_grid_values(s: complex, z: np.ndarray):
@@ -677,7 +628,7 @@ def eisenstein_grid_values(s: complex, z: np.ndarray):
 
 def eisenstein(s: complex, z) -> complex:
     """E_s at one point via the Fourier expansion."""
-    return complex(eisenstein_grid_values(s, np.atleast_1d(_as_z(z)))[0])
+    return complex(eisenstein_grid_values(s, np.atleast_1d(complex(z)))[0])
 
 
 # rows m of the lattice sum in `lattice_eisenstein` summed directly
@@ -694,7 +645,7 @@ def lattice_eisenstein(s: complex, z) -> complex:
     Independent of the Fourier/Bessel route.
     """
     s = complex(s)
-    z = _as_z(z)
+    z = complex(z)
     w = 0.5 * (1.0 + s)
     if w.real <= 1.1:
         raise ValueError("lattice oracle requires Re s > 1.2")
@@ -759,7 +710,7 @@ def lattice_eisenstein(s: complex, z) -> complex:
 
 def truncate(phi, T: float, z):
     """Truncated function: subtract the constant term above height e^(2T)."""
-    zz = reduce_to_fundamental_domain(_as_z(z))
+    zz = reduce_to_fundamental_domain(complex(z))
     val = phi(zz) if not isinstance(phi, AutomorphicFunction) else complex(phi(zz))
     if zz.imag > math.exp(2.0 * T):
         val = val - complex(constant_term(phi, zz.imag))
@@ -931,8 +882,7 @@ def rank_one_plancherel(phi1: PseudoEisenstein, phi2: PseudoEisenstein):
         for b in e2:
             if abs(a + b) < 1e-10:
                 raise CriticalExponentError(f"cusp exponents {a} + {b} = 0")
-    all_exps = [(a, 1) for a in e1] + [(a, 2) for a in e2]
-    for a, _ in all_exps:
+    for a in e1 + e2:
         if abs(a - 1.0) < 1e-8:
             raise DegenerateParameterError("cusp exponent collides with the Eisenstein pole")
     for a in e1:
@@ -963,14 +913,12 @@ def rank_one_plancherel(phi1: PseudoEisenstein, phi2: PseudoEisenstein):
         (2, (F2, b1)),
     ):
         for p in F.poles:
-            r = p.minus.get(-1, 0.0 + 0.0j)
+            s0 = p.location
+            # the minus residue, whole right of Re s = 0 and half on it
+            r = _charged_term(_side(s0, 0.0), 0.0, p.minus.get(-1, 0.0 + 0.0j))
             if r == 0:
                 continue
-            s0 = p.location
-            if s0.real < -1e-10:
-                continue
-            weight = 1.0 if s0.real > 1e-10 else 0.5
-            term = 2.0 * weight * r * complex(bother(np.atleast_1d(-s0))[0])
+            term = 2.0 * r * complex(bother(np.atleast_1d(-s0))[0])
             breakdown.append(
                 {"term_kind": f"exponent_J_{which}", "location": s0, "charge": "minus", "value": term}
             )

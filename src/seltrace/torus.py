@@ -62,8 +62,6 @@ __all__ = [
     "regularized_inner_product_direct",
     "plancherel_inner_product",
     "pw_decay_profile",
-    "almost_l2_plancherel",
-    "AlmostL2Data",
     "product_asfinite",
     "log_gaussian_core",
     "breakdown_to_csv",
@@ -526,11 +524,8 @@ def _rational_pair_contour(poles1, poles2, sigma: float) -> complex:
                         k = mm - 1
                         coeff = (-1.0) ** k * math.comb(nn + k - 1, k) * (loc - other) ** (-(nn + k))
                         res = a * b * coeff
-                        side = _side(loc, sigma)
-                        if side == 0:
-                            total += 0.5 * res
-                        elif side < 0:
-                            total += res
+                        # res as a plus charge: all of it left of the contour, half on it
+                        total += _charged_term(_side(loc, sigma), -res, 0.0)
     return total
 
 
@@ -685,72 +680,6 @@ def pw_decay_profile(
         "n_power": n_power,
         "strip": strip,
     }
-
-
-@dataclass(frozen=True)
-class AlmostL2Data:
-    """Transform-side data for a function that is only asymptotically finite
-    near infinity: an evaluator valid on Re s <= 0 and the charged minus
-    residues at infinity-side exponents with Re > 0 (defined even where the
-    transform itself is not)."""
-
-    transform: ChargedMeromorphicFunction
-    infinity_residues: tuple = ()  # ((exponent, minus residue), ...)
-
-
-def almost_l2_plancherel(
-    f1: AsymptoticallyFiniteFunction,
-    f2data: AlmostL2Data,
-):
-    """Plancherel pairing at sigma = 0 using only Re <= 0 data for f2.
-
-    f1 must decay rapidly toward 0 (no zero-side exponents); its transform is
-    then analytic left of its infinity-side poles and the decomposition needs:
-      * the PV contour integral of F1(it) F2(-it),
-      * minus-residue terms from f1's infinity exponents with Re > 0,
-      * plus-residue terms from f2's infinity exponents (stored residues).
-    """
-    if f1.zero_exponents():
-        raise CriticalExponentError("f1 must be rapidly decaying near 0")
-    F1 = mellin(f1)
-    F2 = f2data.transform
-
-    for a1 in f1.infinity_exponents():
-        for a2, _ in f2data.infinity_residues:
-            if abs(a1 + a2) < 1e-12:
-                raise CriticalExponentError(f"infinity exponents {a1} + {a2} = 0")
-    for p in F1.poles:
-        if abs(p.location.real) < 1e-9 and p.location.imag != 0.0:
-            raise DecayError("on-line exponents away from 0 are not supported here")
-
-    t, w = trap_grid(_PAIRING_T_MAX, _LINE_DT)
-    # honest contour integral of F1(s) F2(-s) on Re s = 0; the decay is
-    # governed by the assumed strip estimate for F2
-    s = 1j * t
-    vals = F1(s) * F2(-s)
-    contour = np.sum(vals * w) / (2.0 * np.pi)
-
-    total = contour
-    breakdown = [{"term_kind": "contour", "location": 0.0j, "charge": "", "value": contour}]
-    # minus residues of F1 at f1's infinity exponents, Re > 0
-    for p in F1.poles:
-        rm = p.minus.get(-1, 0.0 + 0.0j)
-        if rm == 0 or _side(p.location, 0.0) < 1:
-            continue
-        term = rm * complex(F2(-p.location))
-        total += term
-        breakdown.append(
-            {"term_kind": "residue", "location": p.location, "charge": "minus", "value": term}
-        )
-    for a2, r2 in f2data.infinity_residues:
-        # F2(-s) carries a plus pole at -a2 with residue -r2; the Re < 0 plus
-        # sum enters with a minus sign, contributing +r2 F1(-a2)
-        term = complex(r2) * complex(F1(-complex(a2)))
-        total += term
-        breakdown.append(
-            {"term_kind": "residue", "location": -complex(a2), "charge": "plus", "value": term}
-        )
-    return complex(total), breakdown
 
 
 def breakdown_to_csv(breakdown: Iterable[dict], path: str):

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seltrace.torus import (
-    AlmostL2Data,
     AsymptoticallyFiniteFunction,
     CriticalExponentError,
     ExponentTerm,
     TailDecayError,
-    almost_l2_plancherel,
     breakdown_to_csv,
     log_gaussian_core,
     mellin,
@@ -24,7 +22,7 @@ from seltrace.torus import (
     regularized_inner_product_direct,
     regularized_integral,
 )
-from seltrace.util import DecayError, exp_sum
+from seltrace.util import DecayError
 
 GAUSS = AsymptoticallyFiniteFunction(core=log_gaussian_core(), label="gauss")
 SHARP_X = AsymptoticallyFiniteFunction(terms=(ExponentTerm(1.0, side="zero"),))
@@ -331,55 +329,6 @@ class TestPWProfile:
         zero = AsymptoticallyFiniteFunction()
         prof = pw_decay_profile(zero, (-1.0, 1.0), 4)
         assert prof["sup"] == 0.0
-
-
-class TestAlmostL2:
-    def test_self_consistency(self):
-        # f2 genuinely asymptotically finite: both representations available
-        f1 = AsymptoticallyFiniteFunction(core=log_gaussian_core(0.0, 0.5))
-        m2 = AsymptoticallyFiniteFunction(
-            core=log_gaussian_core(0.0, 0.5, 0.7),
-            terms=(ExponentTerm(0.5, (1.0,), side="infinity", carrier="smooth"),),
-        )
-        F2 = mellin(m2)
-        data = AlmostL2Data(transform=F2, infinity_residues=((0.5 + 0j, 1.0 + 0j),))
-        val, _ = almost_l2_plancherel(f1, data)
-        ref, _ = plancherel_inner_product(f1, m2, 0.0)
-        assert abs(val - ref) < 1e-6
-
-    def test_l2_ripple(self):
-        # f2 = smooth ripple sin(log x)/(1 + log^2 x) near 0 (almost-L^2 only)
-        def ripple(x):
-            u = np.log(np.asarray(x, dtype=float))
-            return np.sin(u) / (1.0 + u * u) * (u < 0)
-
-        f1 = AsymptoticallyFiniteFunction(core=log_gaussian_core(0.0, 0.5))
-
-        u_nodes = np.linspace(-60.0, 0.0, 60001)
-        du = u_nodes[1] - u_nodes[0]
-        ripple_vals = np.sin(u_nodes) / (1.0 + u_nodes**2)
-
-        def transform(s):
-            return exp_sum(np.asarray(s, dtype=complex), u_nodes, ripple_vals * du)
-
-        from seltrace.charged import ChargedMeromorphicFunction
-
-        F2 = ChargedMeromorphicFunction(evaluator=transform, decay_class=("rapid", 0))
-        data = AlmostL2Data(transform=F2)
-        val, _ = almost_l2_plancherel(f1, data)
-        # direct quadrature oracle
-        x = np.exp(np.linspace(-50, 10, 240001))
-        dux = np.log(x[1]) - np.log(x[0])
-        oracle = np.sum(f1(x) * ripple(x)) * dux
-        assert abs(val - oracle) < 1e-4
-
-    def test_zero_function(self):
-        from seltrace.charged import constant_function
-
-        f1 = AsymptoticallyFiniteFunction(core=log_gaussian_core())
-        data = AlmostL2Data(transform=constant_function(0.0))
-        val, _ = almost_l2_plancherel(f1, data)
-        assert abs(val) < 1e-14
 
 
 class TestBreakdownCSV:
