@@ -22,6 +22,7 @@ from seltrace.halfplane import (
     pseudo_eisenstein_function,
     radon_mellin,
     radon_transform,
+    rank_one_plancherel,
     schwartz_boundary,
     truncate,
 )
@@ -572,6 +573,28 @@ class TestMaassSelberg:
         want = halfplane.PAIRING_HALF * fine
         lhs, _, _ = maass_selberg(s1, s2, T)
         assert abs(lhs - want) <= 1e-14 * abs(want)
+
+
+class TestRankOnePlancherel:
+    @pytest.mark.parametrize("s0, weight", [(0.5, 1.0), (0.3333j, 0.5), (-0.5, None)])
+    def test_exponent_term_by_side(self, s0, weight):
+        # a cusp exponent's minus residue r enters as 2 r b2(-s0) right of
+        # Re s = 0, with half weight on it and not at all left of it
+        f1 = boundary_from_model(
+            AsymptoticallyFiniteFunction(
+                core=log_gaussian_core(0.0, 0.5, 0.7),
+                terms=(ExponentTerm(s0, (1.0,), side="infinity", carrier="smooth"),),
+            )
+        )
+        f2 = schwartz_boundary(0.3, 0.6)
+        _, breakdown = rank_one_plancherel(pseudo_eisenstein_function(f1), pseudo_eisenstein_function(f2))
+        terms = [row for row in breakdown if row["term_kind"].startswith("exponent_J")]
+        if weight is None:
+            assert terms == []
+            return
+        b2 = halfplane._boundary_b(f2, f2.transform())
+        assert [row["term_kind"] for row in terms] == ["exponent_J_1"]
+        assert terms[0]["value"] == 2.0 * weight * complex(b2(np.atleast_1d(-complex(s0)))[0])
 
 
 class TestModularReduction:
