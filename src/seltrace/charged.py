@@ -123,15 +123,6 @@ def merge_poles(laurents) -> tuple:
     return tuple(m for m in merged if m.plus or m.minus)
 
 
-def _combine_decay(a, b):
-    kinds = {a[0], b[0]}
-    if "unknown" in kinds:
-        return ("unknown", 0)
-    if "rapid" in kinds:
-        return ("rapid", 0)
-    return ("polynomial", a[1] + b[1])
-
-
 @dataclass(frozen=True, eq=False)
 class ChargedMeromorphicFunction:
     """Evaluator + exact rational part + charged pole table on a vertical
@@ -143,10 +134,6 @@ class ChargedMeromorphicFunction:
     hand-built function).  The evaluator never includes those parts, so it is
     finite at them; `poles` lists every pole, rational or not.
 
-    decay_class is declared metadata: ("rapid", 0), ("polynomial", order) for
-    |F| ~ |t|^-order, or ("unknown", 0).  It is verified elsewhere
-    (pw_decay_profile), never inferred here.
-
     The evaluator is an opaque closure, so instances compare and hash by
     identity; memos keyed on a transform hit only for the same object.
     """
@@ -154,8 +141,6 @@ class ChargedMeromorphicFunction:
     evaluator: Callable
     poles: tuple = ()
     strip: tuple[float, float] = (-8.0, 8.0)
-    decay_class: tuple = ("unknown", 0)
-    label: str = ""
     # poles whose polar parts are held as exact rational terms outside the
     # evaluator; inversion and pairings integrate them by residue calculus
     rational_poles: tuple = ()
@@ -191,19 +176,16 @@ class ChargedMeromorphicFunction:
                             "coefficient": {"re": coeff.real, "im": coeff.imag},
                         }
                     )
-        return {
-            "label": self.label,
-            "strip": [self.strip[0], self.strip[1]],
-            "decay_class": {"kind": self.decay_class[0], "order": self.decay_class[1]},
-            "poles": rows,
-        }
+        return {"strip": [self.strip[0], self.strip[1]], "poles": rows}
 
     def to_json(self) -> str:
         return json.dumps(self.to_pole_table(), sort_keys=True)
 
 
 def from_pole_table(table: dict) -> ChargedMeromorphicFunction:
-    """Rebuild from a pole table; the evaluator is the rational polar sum."""
+    """Rebuild from a pole table; the evaluator is the rational polar sum.
+
+    Keys other than "strip" and "poles" are ignored."""
     if isinstance(table, str):
         table = json.loads(table)
     rows = (
@@ -213,14 +195,10 @@ def from_pole_table(table: dict) -> ChargedMeromorphicFunction:
         )
         for row in table["poles"]
     )
-    return rational_from_poles(
-        merge_poles(rows),
-        strip=tuple(table.get("strip", (-8.0, 8.0))),
-        label=table.get("label", ""),
-    )
+    return rational_from_poles(merge_poles(rows), strip=tuple(table.get("strip", (-8.0, 8.0))))
 
 
-def rational_from_poles(poles, strip=(-8.0, 8.0), label="") -> ChargedMeromorphicFunction:
+def rational_from_poles(poles, strip=(-8.0, 8.0)) -> ChargedMeromorphicFunction:
     """The rational polar sum over `poles`: every pole is rational, so the
     evaluator is zero."""
     poles = tuple(poles)
@@ -228,24 +206,17 @@ def rational_from_poles(poles, strip=(-8.0, 8.0), label="") -> ChargedMeromorphi
     def ev(s):
         return np.zeros_like(as_complex_array(s))
 
-    order = min((-p.order for p in poles if p.is_polar()), default=0)
-    return ChargedMeromorphicFunction(
-        evaluator=ev, poles=poles, strip=strip,
-        decay_class=("polynomial", order), label=label, rational_poles=poles,
-    )
+    return ChargedMeromorphicFunction(evaluator=ev, poles=poles, strip=strip, rational_poles=poles)
 
 
-def constant_function(value: complex, label="") -> ChargedMeromorphicFunction:
+def constant_function(value: complex) -> ChargedMeromorphicFunction:
     value = complex(value)
 
     def ev(s):
         s = as_complex_array(s)
         return np.full_like(s, value)
 
-    return ChargedMeromorphicFunction(
-        evaluator=ev, poles=(), strip=(-50.0, 50.0),
-        decay_class=("polynomial", 0), label=label or f"const {value}",
-    )
+    return ChargedMeromorphicFunction(evaluator=ev, poles=(), strip=(-50.0, 50.0))
 
 
 # ----------------------------------------------------------------------------
@@ -335,8 +306,6 @@ def negate_argument(h: ChargedMeromorphicFunction) -> ChargedMeromorphicFunction
         evaluator=neg_ev,
         poles=tuple(flip_pole(p) for p in h.poles),
         strip=(-h.strip[1], -h.strip[0]),
-        decay_class=h.decay_class,
-        label=f"({h.label})(-s)" if h.label else "",
         rational_poles=tuple(flip_pole(p) for p in h.rational_poles),
     )
 
@@ -393,13 +362,7 @@ def charged_product(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFuncti
         return h1(s) * h2(s)
 
     strip = (max(h1.strip[0], h2.strip[0]), min(h1.strip[1], h2.strip[1]))
-    return ChargedMeromorphicFunction(
-        evaluator=prod_ev,
-        poles=tuple(new_poles),
-        strip=strip,
-        decay_class=_combine_decay(h1.decay_class, h2.decay_class),
-        label=f"({h1.label})*({h2.label})" if h1.label and h2.label else "",
-    )
+    return ChargedMeromorphicFunction(evaluator=prod_ev, poles=tuple(new_poles), strip=strip)
 
 
 def polar_consistency_check(h1: ChargedMeromorphicFunction, h2: ChargedMeromorphicFunction) -> dict:

@@ -49,7 +49,6 @@ def function_from_spec(spec: dict) -> AsymptoticallyFiniteFunction:
         core=core_from_spec(spec.get("core")),
         terms=tuple(terms),
         tail_decay_hint=float(spec.get("tail_decay_hint", 8.0)),
-        label=spec.get("name", ""),
     )
 
 

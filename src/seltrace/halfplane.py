@@ -145,10 +145,10 @@ class AutomorphicFunction:
     ct: Callable | None = None
 
     def __call__(self, z):
+        """Values at a point or an array of points, in the shape of z."""
         z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            return self.evaluator(np.atleast_1d(z))[0]
-        return self.evaluator(z.ravel())
+        out = self.on_grid(np.atleast_1d(z))
+        return out[0] if z.ndim == 0 else out
 
     def on_grid(self, z_array):
         return self.evaluator(np.asarray(z_array, dtype=complex))
@@ -157,20 +157,19 @@ class AutomorphicFunction:
 def constant_term(phi, y):
     """Average over the closed horocycle at height y.
 
-    Uses the exact constant term when phi carries one; otherwise a 64-node
+    phi maps a flat array of points to values.  Uses the exact constant term
+    when phi carries one (`AutomorphicFunction.ct`); otherwise a 64-node
     periodic trapezoid rule in x, spectrally accurate for smooth integrands.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    if isinstance(phi, AutomorphicFunction) and phi.ct is not None:
+    if getattr(phi, "ct", None) is not None:
         out = np.asarray(phi.ct(y), dtype=complex)
         return out[0] if scalar else out
     xs = (np.arange(64) + 0.5) / 64 - 0.5
-    ev = phi.on_grid if isinstance(phi, AutomorphicFunction) else phi
     Z = xs[None, :] + 1j * y[:, None]
-    vals = ev(Z.ravel()).reshape(Z.shape)
-    out = vals.mean(axis=1)
+    out = phi(Z.ravel()).reshape(Z.shape).mean(axis=1)
     return out[0] if scalar else out
 
 
@@ -711,7 +710,7 @@ def lattice_eisenstein(s: complex, z) -> complex:
 def truncate(phi, T: float, z):
     """Truncated function: subtract the constant term above height e^(2T)."""
     zz = reduce_to_fundamental_domain(complex(z))
-    val = phi(zz) if not isinstance(phi, AutomorphicFunction) else complex(phi(zz))
+    val = complex(phi(zz))
     if zz.imag > math.exp(2.0 * T):
         val = val - complex(constant_term(phi, zz.imag))
     return val
@@ -787,8 +786,7 @@ def fd_integrate(integrand, Ymax: float, tail, nx: int, ny: int):
     analytic tail (value or callable of Ymax) is added.
     """
     Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, _FD_STRIP_MX)
-    ev = integrand.on_grid if isinstance(integrand, AutomorphicFunction) else integrand
-    total = np.sum(ev(Z1) * W1) + np.sum(ev(Z2) * W2)
+    total = np.sum(integrand(Z1) * W1) + np.sum(integrand(Z2) * W2)
     total = total + (tail(Ymax) if callable(tail) else tail)
     return complex(total)
 

@@ -1,13 +1,16 @@
 """Complex special functions for the automorphic layer.
 
 Everything here is double precision and vectorized over numpy arrays where it
-pays off.  The scattering scalar c(s) = xi(s)/xi(s+1) is the one object whose
-normalization is derived rather than assumed; see `scattering_charged` and
-the lattice-sum oracle in the half-plane module.
+pays off.  Zeta is one Euler-Maclaurin sum on Re s >= -1/2 and the reflection
+formula onto it left of that line.  The scattering scalar c(s) =
+xi(s)/xi(s+1) is the one object whose normalization is derived rather than
+assumed; see `scattering_charged` and the lattice-sum oracle in the half-plane
+module.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 from typing import NamedTuple
@@ -83,31 +86,8 @@ def gamma(z):
 # ----------------------------------------------------------------------------
 # Riemann zeta.
 #
-# Main path: Borwein's alternating-series acceleration for eta(s), valid on
-# Re s >= 1/2; the reflection formula covers the left half plane.  Near the
-# removable points 1 + 2*pi*i*k/log 2 (zeros of 1 - 2^(1-s)) the eta route is
-# ill-conditioned and we fall back to Euler-Maclaurin.
-
-
-def _borwein_table(n: int) -> np.ndarray:
-    # d_k = n * sum_{i=0..k} (n+i-1)! 4^i / ((n-i)! (2i)!)
-    terms = np.empty(n + 1)
-    terms[0] = 1.0
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= (n + i - 1) * (n - i + 1) * 4.0 / ((2 * i - 1) * (2 * i))
-        terms[i] = term
-    return np.cumsum(terms) * n
-
-
-def _zeta_borwein(s: np.ndarray, n: int) -> np.ndarray:
-    d = _borwein_table(n)
-    k = np.arange(n)
-    # eta_n(s) = (1/d_n) sum_{k=0}^{n-1} (-1)^k (d_k - d_n) / (k+1)^s
-    base = (-1.0) ** k * (d[k] - d[n])
-    eta = -exp_sum(s, np.log(k + 1.0), base) / d[n]
-    return eta / (1.0 - np.exp2(1.0 - s))
-
+# Euler-Maclaurin on Re s >= -1/2, vectorized over the array; the reflection
+# formula maps the rest of the left half plane onto Re s > 3/2.
 
 _BERNOULLI_EVEN = [
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
@@ -116,43 +96,19 @@ _BERNOULLI_EVEN = [
 ]
 
 
-def _zeta_em(s: complex) -> complex:
-    """Euler-Maclaurin evaluation; guard path near the eta removable points.
+def _zeta_em(s: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta on Re s >= -1/2 (array input).
 
-    Sums n < N = max(60, 1.2 |Im s| + 20) directly and corrects with every
+    Sums n < N = max(60, 1.2 max|Im s| + 20) directly and corrects with every
     tabulated Bernoulli term."""
-    N = max(60, int(1.2 * abs(s.imag)) + 20)
-    n = np.arange(1, N)
-    out = np.sum(n ** (-s)) + N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** (-s)
+    N = max(60, int(1.2 * float(np.max(np.abs(s.imag), initial=0.0))) + 20)
+    n = np.arange(1.0, N)
+    tail = N / (s - 1.0) + 0.5  # N^(1-s)/(s-1) + N^(-s)/2, over N^(-s)
     coeff = s  # rising product s (s+1) ... (s+2j-2)
     for j, b in enumerate(_BERNOULLI_EVEN, start=1):
-        out += b / _factorial(2 * j) * coeff * N ** (-s - (2 * j - 1))
-        coeff *= (s + 2 * j - 1) * (s + 2 * j)
-    return out
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _zeta_right(s: np.ndarray) -> np.ndarray:
-    """zeta on Re s >= 1/2 (array input)."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    tmax = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    n = int(40 + 1.1 * tmax)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _zeta_borwein(s, n)
-    # the removable zeros of 1 - 2^(1-s) spoil the eta route; patch with EM
-    bad = np.abs(1.0 - np.exp2(1.0 - s)) < 0.05
-    if np.any(bad):
-        flat = out.reshape(-1)
-        sflat = s.reshape(-1)
-        for i in np.nonzero(bad.reshape(-1))[0]:
-            flat[i] = _zeta_em(complex(sflat[i]))
-    return out
+        tail = tail + b / math.factorial(2 * j) * float(N) ** (1 - 2 * j) * coeff
+        coeff = coeff * (s + 2 * j - 1) * (s + 2 * j)
+    return exp_sum(s, np.log(n), np.ones_like(n)) + tail * np.exp(-math.log(N) * s)
 
 
 def zeta(s):
@@ -162,28 +118,12 @@ def zeta(s):
     s = np.atleast_1d(s)
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("zeta has its pole at s = 1")
-    out = np.empty_like(s)
-    right = s.real >= 0.5
-    # near s = 0 the reflection formula hits the zeta pole (0 * inf); go direct
-    origin = ~right & (np.abs(s) < 0.25)
-    left = ~right & ~origin
-    if np.any(right):
-        out[right] = _zeta_right(s[right])
-    if np.any(origin):
-        flat = out.reshape(-1)
-        sflat = s.reshape(-1)
-        for i in np.nonzero(origin.reshape(-1))[0]:
-            flat[i] = _zeta_em(complex(sflat[i]))
+    left = s.real < -0.5
+    out = _zeta_em(np.where(left, 1.0 - s, s))
     if np.any(left):
         sl = s[left]
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
-        out[left] = (
-            (2.0 ** sl)
-            * np.pi ** (sl - 1.0)
-            * np.sin(0.5 * np.pi * sl)
-            * gamma(1.0 - sl)
-            * _zeta_right(1.0 - sl)
-        )
+        out[left] *= (2.0 ** sl) * np.pi ** (sl - 1.0) * np.sin(0.5 * np.pi * sl) * gamma(1.0 - sl)
     return out[0] if scalar else out
 
 
@@ -289,8 +229,6 @@ def scattering_charged() -> ChargedMeromorphicFunction:
         evaluator=intertwining_c,
         poles=(ChargedLaurent(1.0, plus={-1: 6.0 / np.pi}),),
         strip=(-0.45, 3.0),
-        decay_class=("polynomial", 0),
-        label="c(s)",
     )
 
 

@@ -272,8 +272,8 @@ def _suite_mellin_roundtrip(cfg: RunConfig) -> SuiteReport:
 def _suite_charged_core(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("charged-core", config_echo=_config_echo(cfg))
     tol = cfg.tol("analytic")
-    h1 = rational_from_poles([ChargedLaurent(1.0, plus={-1: -1.0})], label="1/(1-s)")
-    h2 = rational_from_poles([ChargedLaurent(0.5, minus={-1: 1.0})], label="1/(s-1/2)")
+    h1 = rational_from_poles([ChargedLaurent(1.0, plus={-1: -1.0})])
+    h2 = rational_from_poles([ChargedLaurent(0.5, minus={-1: 1.0})])
     prod = charged_product(h2, h1)
     rep.add("product_res_minus[1/2]", "h2*h1", 2.0, residue(prod, 0.5, "minus"), tol)
     rep.add("product_res_plus[1]", "h2*h1", -2.0, residue(prod, 1.0, "plus"), tol)

@@ -140,7 +140,6 @@ class AsymptoticallyFiniteFunction:
     core: Callable | None = None
     terms: tuple = ()
     tail_decay_hint: float = 8.0
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -270,17 +269,7 @@ def mellin(f: AsymptoticallyFiniteFunction) -> ChargedMeromorphicFunction:
             out = out + p.polar_eval(s)
         return out
 
-    sharp_depths = [
-        len(t.log_poly) for t in f.terms if t.carrier == "sharp" and any(c != 0 for c in t.log_poly)
-    ]
-    decay = ("polynomial", min(sharp_depths)) if sharp_depths else ("rapid", 0)
-    return ChargedMeromorphicFunction(
-        evaluator=ev,
-        poles=pole_list,
-        decay_class=decay,
-        label=f.label,
-        rational_poles=sharp_list,
-    )
+    return ChargedMeromorphicFunction(evaluator=ev, poles=pole_list, rational_poles=sharp_list)
 
 
 # ----------------------------------------------------------------------------
@@ -368,8 +357,9 @@ def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
 
     The contour runs over |Im s| <= `_INVERSE_T_MAX` at step `_LINE_DT` and
     samples F's evaluator; F's rational part is inverted in closed form.
-    Raises DecayError when a transform with polynomial decay has not decayed
-    by the end of it, or when the abscissa passes through a non-rational pole.
+    Raises DecayError when a transform with a rational part (sharp carriers,
+    so polynomial decay) has not decayed by the end of it, or when the abscissa
+    passes through a non-rational pole.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     scalar = np.ndim(x) == 0
@@ -383,7 +373,7 @@ def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
             )
     t, w = trap_grid(_INVERSE_T_MAX, _LINE_DT)
     remainder = F.evaluator(sigma + 1j * t)
-    if F.decay_class[0] != "rapid":
+    if rational:
         level = float(np.max(np.abs(remainder[-max(8, len(remainder) // 50):])))
         # crude tail estimate: level * remaining width under 1/t^2 decay
         if level * _INVERSE_T_MAX > _TAIL_TOL * 1e3 and level > _TAIL_TOL:
@@ -461,10 +451,7 @@ def product_asfinite(
         return total
 
     hint = min(f1.tail_decay_hint, f2.tail_decay_hint)
-    return AsymptoticallyFiniteFunction(
-        core=core, terms=sharp_terms, tail_decay_hint=hint,
-        label=f"({f1.label})*({f2.label})" if f1.label and f2.label else "",
-    )
+    return AsymptoticallyFiniteFunction(core=core, terms=sharp_terms, tail_decay_hint=hint)
 
 
 def regularized_inner_product_direct(

@@ -242,9 +242,7 @@ def kernel_constant_terms(T: SphericalTestFunction):
     def diag_ev(s):
         return np.asarray(h(np.asarray(s, dtype=complex)))
 
-    diag = ChargedMeromorphicFunction(
-        evaluator=diag_ev, poles=(), strip=(-3.0, 3.0), decay_class=("rapid", 0), label="diag"
-    )
+    diag = ChargedMeromorphicFunction(evaluator=diag_ev, poles=(), strip=(-3.0, 3.0))
 
     def adiag_ev(s):
         s = np.asarray(s, dtype=complex)
@@ -255,8 +253,6 @@ def kernel_constant_terms(T: SphericalTestFunction):
         evaluator=adiag_ev,
         poles=(ChargedLaurent(location=-1.0 + 0.0j, plus={-1: res}),),
         strip=(-1.4, 0.45),
-        decay_class=("rapid", 0),
-        label="adiag",
     )
     return diag, adiag
 

@@ -140,7 +140,7 @@ class TestEvalVertical:
 
         from seltrace.charged import ChargedMeromorphicFunction
 
-        h = ChargedMeromorphicFunction(evaluator=ev, decay_class=("rapid", 0))
+        h = ChargedMeromorphicFunction(evaluator=ev)
         t = np.linspace(-3, 3, 7)
         vals = eval_vertical(h, 0.0, t)
         assert np.max(np.abs(vals - np.exp(-(t**2) / 2.0))) < 1e-14
@@ -159,8 +159,7 @@ class TestEvalVertical:
 class TestSerialization:
     def test_roundtrip(self):
         h = rational_from_poles(
-            [ChargedLaurent(1.0 + 0.5j, plus={-1: -1.0, -2: 0.3}), ChargedLaurent(-0.5, minus={-1: 2.0})],
-            label="corpus",
+            [ChargedLaurent(1.0 + 0.5j, plus={-1: -1.0, -2: 0.3}), ChargedLaurent(-0.5, minus={-1: 2.0})]
         )
         table = json.loads(h.to_json())
         assert {row["charge"] for row in table["poles"]} == {"plus", "minus"}
@@ -175,8 +174,20 @@ class TestSerialization:
         assert len(back.poles) == 1
         assert back.poles[0].plus == {-1: -2.0}
 
+    def test_old_tables_still_read(self):
+        # tables written before "label" and "decay_class" were dropped from
+        # the schema carry both keys; they are ignored
+        table = one_over_one_minus_s().to_pole_table()
+        old = {**table, "label": "1/(1-s)", "decay_class": {"kind": "polynomial", "order": 1}}
+        back = from_pole_table(json.dumps(old))
+        assert back.strip == tuple(table["strip"])
+        assert back.poles == one_over_one_minus_s().poles
+        s = np.array([0.1 + 2j, -2.0 - 1j])
+        assert np.array_equal(back(s), one_over_one_minus_s()(s))
+
     def test_schema_fields(self):
         h = one_over_one_minus_s()
+        assert set(h.to_pole_table()) == {"strip", "poles"}
         row = h.to_pole_table()["poles"][0]
         assert set(row) == {"location", "order", "charge", "coefficient"}
         assert set(row["location"]) == {"re", "im"}

@@ -265,6 +265,16 @@ class TestPsiFolding:
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
 
 
+class TestAutomorphicFunction:
+    def test_call_keeps_the_grid_shape(self):
+        phi = pseudo_eisenstein_function(schwartz_boundary(0.0, 0.5))
+        Z = np.array([[0.1 + 1.2j, -0.3 + 0.9j], [0.2 + 2.5j, 0.45 + 1.05j]])
+        vals = phi(Z)
+        assert vals.shape == (2, 2)
+        assert np.array_equal(vals, phi.on_grid(Z))
+        assert np.ndim(phi(0.1 + 1.2j)) == 0
+
+
 class TestConstantTerm:
     def test_constant_function(self):
         one = AutomorphicFunction(evaluator=lambda z: np.ones_like(z, dtype=complex))

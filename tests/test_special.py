@@ -55,8 +55,9 @@ class TestZeta:
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_vertical_progression_against_mpmath(self, sigma, direction):
         # the rank-one continuous line, long enough for the factored sum;
-        # every point 0.07-0.1 from a removable point 1 + 2 pi i k / log 2
-        # (just outside the Euler-Maclaurin patch) is checked, plus a stride
+        # every point 0.07-0.1 from a zero 1 + 2 pi i k / log 2 of
+        # 1 - 2^(1-s), where an eta-series zeta loses its digits, is checked,
+        # plus a stride
         s = sigma + direction * 1j * np.arange(0.005, 40.005, 0.005)
         assert util._vertical_step(s) is not None
         vals = zeta(s)
@@ -65,6 +66,29 @@ class TestZeta:
         rows = np.union1d(np.nonzero((dist >= 0.07) & (dist <= 0.1))[0], np.arange(0, s.size, 41))
         ref = np.array([complex(mp.zeta(complex(s[i]))) for i in rows])
         assert np.max(np.abs(vals[rows] - ref) / np.abs(ref)) < 2e-13
+
+
+    def test_differential_against_mpmath(self):
+        # seeded points on Re s in [-3, 6], |Im s| <= 60, with the regions an
+        # eta-series or reflection zeta handles badly sampled on purpose:
+        # 0.03 from each zero 1 + 2 pi i k / log 2 of 1 - 2^(1-s), and the
+        # disk |s| < 0.25.  Each set is one array call, and the special points
+        # are also taken one at a time
+        rng = np.random.default_rng(22)
+        bulk = rng.uniform(-3.0, 6.0, 400) + 1j * rng.uniform(-60.0, 60.0, 400)
+        bulk = bulk[np.abs(bulk - 1.0) >= 1e-3]
+        k = np.repeat(np.arange(-6, 7), 4)
+        removable = 1.0 + 2j * math.pi * k / math.log(2.0) + 0.03 * np.exp(2j * math.pi * rng.uniform(size=k.size))
+        origin = 0.25 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * math.pi * rng.uniform(size=60))
+        with mp.workdps(30):
+            def worst(s, vals):
+                ref = np.array([complex(mp.zeta(mp.mpc(v.real, v.imag))) for v in s])
+                return np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref)))
+
+            for s in (bulk, removable, origin):
+                assert worst(s, zeta(s)) <= 1e-11
+            special_points = np.concatenate([removable, origin])
+            assert worst(special_points, np.array([zeta(v) for v in special_points])) <= 1e-11
 
 
 class TestGamma:

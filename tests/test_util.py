@@ -175,7 +175,7 @@ def test_window_on_a_pairing_line(monkeypatch):
 
 
 def test_two_dimensional_s_through_mellin():
-    F = mellin(AsymptoticallyFiniteFunction(core=log_gaussian_core(), label="gauss"))
+    F = mellin(AsymptoticallyFiniteFunction(core=log_gaussian_core()))
     t = np.linspace(-10.0, 10.0, 401)
     S = np.array([-0.5, 0.0, 0.7])[:, None] + 1j * t[None, :]
     got = F(S)
