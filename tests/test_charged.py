@@ -175,8 +175,8 @@ class TestSerialization:
         assert back.poles[0].plus == {-1: -2.0}
 
     def test_old_tables_still_read(self):
-        # tables written before "label" and "decay_class" were dropped from
-        # the schema carry both keys; they are ignored
+        # a table that carries the retired "label" and "decay_class" keys
+        # reads as the same table without them
         table = one_over_one_minus_s().to_pole_table()
         old = {**table, "label": "1/(1-s)", "decay_class": {"kind": "polynomial", "order": 1}}
         back = from_pole_table(json.dumps(old))

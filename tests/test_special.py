@@ -67,7 +67,6 @@ class TestZeta:
         ref = np.array([complex(mp.zeta(complex(s[i]))) for i in rows])
         assert np.max(np.abs(vals[rows] - ref) / np.abs(ref)) < 2e-13
 
-
     def test_differential_against_mpmath(self):
         # seeded points on Re s in [-3, 6], |Im s| <= 60, with the regions an
         # eta-series or reflection zeta handles badly sampled on purpose:
