@@ -119,13 +119,13 @@ def _cmd_tf_report(args) -> int:
     cusp_t = _read_cusp_data(args.cusp_data) if args.cusp_data else None
     T = tf.gaussian_test_function(args.width)
     T12 = tf.convolve_test_functions(T, T)
-    sp = tf.spectral_side(T, T, cusp_eigenvalues=cusp_t)
-    v_spec = tf.tf_minus1_spectral(T, T)
-    v_geo = tf.tf_minus1_geometric(T, T)
+    sp = tf.spectral_side(T12, cusp_eigenvalues=cusp_t)
+    v_spec = tf.tf_minus1_spectral(T12)
+    v_geo = tf.tf_minus1_geometric(T12)
     hyper = 0.5 * tf.weighted_orbital_integral(T12, -1)
     ident = tf.identity_term(T12)
     tate, _ = tf.tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
-    fit = tf.two_term_laurent_kernel(T, T)
+    fit = tf.two_term_laurent_kernel(T12)
     report = {
         "test_function": {"family": "gaussian", "width": args.width},
         "tf_minus1": {

@@ -588,16 +588,18 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     tol = cfg.tol("tf")
     # pinned Gaussian spectral value
     T1 = gaussian_test_function(1.0)
-    v_spec1 = tf_minus1_spectral(T1, T1)
+    T11 = convolve_test_functions(T1, T1)
+    v_spec1 = tf_minus1_spectral(T11)
     rep.add("gaussian_spectral_value", "width 1", -1.0 / math.sqrt(2.0 * math.pi), v_spec1, 1e-7)
-    rep.add("sigma_shift_invariance", "Re s = 0.2", v_spec1, tf_minus1_spectral(T1, T1, sigma=0.2), cfg.tol("analytic"))
-    v_geo1 = tf_minus1_geometric(T1, T1)
+    rep.add("sigma_shift_invariance", "Re s = 0.2", v_spec1, tf_minus1_spectral(T11, sigma=0.2), cfg.tol("analytic"))
+    v_geo1 = tf_minus1_geometric(T11)
     rep.add("triangle_geo_spec[width1]", "", v_spec1, v_geo1, tol)
     # full triangle on the narrow pair (kernel truncation fit included)
     Tn = gaussian_test_function(0.5)
-    v_spec = tf_minus1_spectral(Tn, Tn)
-    v_geo = tf_minus1_geometric(Tn, Tn)
-    fit = two_term_laurent_kernel(Tn, Tn)
+    Tnn = convolve_test_functions(Tn, Tn)
+    v_spec = tf_minus1_spectral(Tnn)
+    v_geo = tf_minus1_geometric(Tnn)
+    fit = two_term_laurent_kernel(Tnn)
     rep.add("triangle_geo_spec[width0.5]", "", v_spec, v_geo, tol)
     rep.add("triangle_fit_spec[width0.5]", "", v_spec, fit.a_minus1, tol)
     rep.add("triangle_fit_geo[width0.5]", "", v_geo, fit.a_minus1, tol)
@@ -620,7 +622,7 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     # spectral terms (the cuspidal content of the width-0.5 pair is
     # h(i t_1)^2 = 1.8e-20 at t_1 = 19.07, so the remainder is quadrature
     # noise)
-    sp = spectral_side(Tn, Tn)
+    sp = spectral_side(Tnn)
     rep.add("tf0_cusp_remainder", "width 0.5 pair", sp["computable_sum"], fit.a_0, 5e-6)
     return rep
 
@@ -664,7 +666,7 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     h_at_1 = complex(np.asarray(T.h(np.array([1.0 + 0j])))[0])
     rep.add("residual_line_oracle", "pi int k = h(1)", h_at_1, resid_oracle, tol)
     # spectral side shape
-    sp = spectral_side(T, T)
+    sp = spectral_side(convolve_test_functions(T, T))
     rep.add("M0_term", "c(0) = -1", -0.25 * complex(np.asarray(T.h(np.zeros(1, complex)))[0]) ** 2, sp["M0_term"], 1e-12)
     rep.add_bool("continuous_term_real", "", abs(sp["continuous_term"].imag) < 1e-8, f"{sp['continuous_term']}")
     return rep
@@ -690,7 +692,7 @@ def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:
     T1 = gaussian_test_function(0.5)
     T12 = convolve_test_functions(T1, T1)
     lau_k, _ = tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
-    rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T1, T1), lau_k.a_minus1,
+    rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T12), lau_k.a_minus1,
             cfg.tol("fd"))
     return rep
 

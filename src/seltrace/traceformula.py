@@ -202,11 +202,8 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     return SphericalTestFunction(h=h, g=g, k=k, t_max=t_max, reach=reach)
 
 
-@lru_cache(maxsize=16)
 def gaussian_test_function(width: float) -> SphericalTestFunction:
-    """h(s) = exp(width^2 s^2 / 4); on the line h(it) = exp(-(width t)^2/4).
-
-    Triples are immutable, so each width is built once (memoized)."""
+    """h(s) = exp(width^2 s^2 / 4); on the line h(it) = exp(-(width t)^2/4)."""
 
     def h(s):
         return np.exp(0.25 * (width**2) * np.asarray(s, dtype=complex) ** 2)
@@ -214,12 +211,10 @@ def gaussian_test_function(width: float) -> SphericalTestFunction:
     return spherical_from_h(h, max(26.0, 12.0 / width))
 
 
-@lru_cache(maxsize=16)
 def convolve_test_functions(T1: SphericalTestFunction, T2: SphericalTestFunction) -> SphericalTestFunction:
-    """Triple of the convolution: the multiplier is the product h1 h2.
-
-    Memoized on the pair, so the callers that each need T1 * T2 share one
-    build."""
+    """Triple of the convolution T1 * T2: the multiplier is the product h1 h2,
+    cut at the wider of the two cuts.  Every trace-formula term depends on a
+    pair only through this triple, so callers build it once and pass it."""
 
     def h(s):
         return T1.h(s) * T2.h(s)
@@ -261,12 +256,14 @@ def kernel_constant_terms(T: SphericalTestFunction):
 # Spectral first coefficient
 
 
-def tf_minus1_spectral(T1: SphericalTestFunction, T2: SphericalTestFunction, sigma: float = 0.0) -> complex:
-    """-(1/2 pi i) int over Re s = sigma of h1(s) h2(-s) ds, by the trapezoid
-    rule at step 0.01 on the wider of the two triples' cuts |t| <= t_max."""
-    t, w = trap_grid(max(T1.t_max, T2.t_max), 0.01)
-    s = sigma + 1j * t
-    vals = np.asarray(T1.h(s)) * np.asarray(T2.h(-s))
+def tf_minus1_spectral(T: SphericalTestFunction, sigma: float = 0.0) -> complex:
+    """-(1/2 pi i) int over Re s = sigma of h(s) ds for the convolved triple
+    T = T1 * T2, by the trapezoid rule at step 0.01 on its cut |t| <= t_max.
+
+    The pairing integrand is h1(s) h2(-s); it equals h(s) = h1(s) h2(s)
+    because every multiplier h is even."""
+    t, w = trap_grid(T.t_max, 0.01)
+    vals = np.asarray(T.h(sigma + 1j * t))
     return complex(-np.sum(vals * w) / (2.0 * np.pi))
 
 
@@ -407,11 +404,11 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
 _KERNEL_STRIP_MX = 32
 
 
-def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction):
-    """Kernel-pair truncation fit.
+def two_term_laurent_kernel(T12: SphericalTestFunction):
+    """Kernel-pair truncation fit of the convolved triple T12 = T1 * T2.
 
     I(T) = integral over the fundamental domain up to height e^{2T} of the
-    diagonal kernel sum of the convolved test function, cut at its reach;
+    diagonal kernel sum of k12, cut at its reach;
     the model I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential
     term is the exact subleading correction of the level-1 translation tail)
     on T = 1.5, 1.75, ..., 3, with the `_FD_BASE` fundamental-domain rule
@@ -421,7 +418,6 @@ def two_term_laurent_kernel(T1: SphericalTestFunction, T2: SphericalTestFunction
     them all before any term is summed.
     """
     T_grid = np.arange(1.5, 3.01, 0.25)
-    T12 = convolve_test_functions(T1, T2)
     u_max = T12.reach()
     Ymax = math.exp(2.0 * float(T_grid[-1]))
     v_breaks = tuple(2.0 * T_grid[:-1])
@@ -539,14 +535,13 @@ MEASURE_LEDGER = {
 }
 
 
-def tf_minus1_geometric(T1: SphericalTestFunction, T2: SphericalTestFunction) -> complex:
+def tf_minus1_geometric(T12: SphericalTestFunction) -> complex:
     """-Vol([A]^1) sum over split alpha of the plain orbital integral of the
-    convolved kernel over N x K, with the finite-place unit-Hecke factors.
+    convolved kernel k12 over N x K, with the finite-place unit-Hecke factors.
 
     At level 1 only alpha = +-1 survive, each with factor 1; both have
     |alpha| = 1, so each contributes the same 2 int_0^inf k(x^2) dx, the
     weight-free orbital integral at alpha = -1."""
-    T12 = convolve_test_functions(T1, T2)
     # a product, not a negation, so the imaginary part stays +0.0
     return -2.0 * weighted_orbital_integral(T12, -1, weighted=False)
 
@@ -555,46 +550,39 @@ def tf_minus1_geometric(T1: SphericalTestFunction, T2: SphericalTestFunction) ->
 # Spectral side
 
 
-def spectral_side(T1: SphericalTestFunction, T2: SphericalTestFunction, cusp_eigenvalues=None) -> dict:
-    """Computable spectral terms of the constant Laurent coefficient.
+def spectral_side(T: SphericalTestFunction, cusp_eigenvalues=None) -> dict:
+    """Computable spectral terms of the constant Laurent coefficient of the
+    convolved triple T = T1 * T2, whose multiplier is h = h1 h2.
 
-    M0_term         (1/4) c(0) h1(0) h2(0)
-    residual_term   h1(1) h2(1)   [trivial-line contribution; the
-                    intertwining-residue scalar (6/pi) h1(1) h2(1) is recorded
-                    alongside, see `residual_defdiscrete_scalar`]
-    continuous_term -(1/4 pi) int (c'/c)(it) h1(it) h2(it) dt, by the
-                    midpoint rule at step 0.02 on t > 0, doubled (it is even),
-                    up to the wider of the two triples' cuts t_max
+    M0_term         (1/4) c(0) h(0)
+    residual_term   h(1)   [trivial-line contribution; the intertwining-residue
+                    scalar (6/pi) h(1) is recorded alongside, see
+                    `residual_defdiscrete_scalar`]
+    continuous_term -(1/4 pi) int (c'/c)(it) h(it) dt, by the midpoint rule
+                    at step 0.02 on t > 0, doubled (it is even), up to the
+                    cut t_max
 
-    Cuspidal terms are never computed; optional eigenvalue data (t_j with
-    s_j = i t_j) is folded into `cusp_display_sum` for display only.
+    The pairings h1(s) h2(-s) of the formula are read as h(s): every
+    multiplier h is even.  Cuspidal terms are never computed; optional
+    eigenvalue data (t_j with s_j = i t_j) is folded into `cusp_display_sum`
+    for display only.
     """
-    h1, h2 = T1.h, T2.h
-
-    def at(h, s):
-        return complex(np.asarray(h(np.full(1, s, dtype=complex)))[0])
-
-    m0 = 0.25 * complex(intertwining_c(0.0)) * at(h1, 0.0) * at(h2, 0.0)
-    h11, h21 = at(h1, 1.0), at(h2, 1.0)
-    residual = h11 * h21
-
-    t_cut = max(T1.t_max, T2.t_max)
-    n = int(math.ceil(t_cut / 0.02))
-    dt = t_cut / n
+    h0, h1 = (complex(v) for v in np.asarray(T.h(np.array([0.0, 1.0], dtype=complex))))
+    m0 = 0.25 * complex(intertwining_c(0.0)) * h0
+    n = int(math.ceil(T.t_max / 0.02))
+    dt = T.t_max / n
     t = (np.arange(n) + 0.5) * dt
-    integrand = np.real(c_log_derivative(1j * t)) * np.real(np.asarray(h1(1j * t)) * np.asarray(h2(1j * t)))
+    integrand = np.real(c_log_derivative(1j * t)) * np.real(np.asarray(T.h(1j * t)))
     continuous = -2.0 * dt * np.sum(integrand) / (4.0 * np.pi)
 
     out = {
         "M0_term": m0,
-        "residual_term": residual,
-        "residual_defdiscrete_scalar": (6.0 / np.pi) * h11 * h21,
+        "residual_term": h1,
+        "residual_defdiscrete_scalar": (6.0 / np.pi) * h1,
         "continuous_term": complex(continuous),
-        "computable_sum": m0 + residual + complex(continuous),
+        "computable_sum": m0 + h1 + complex(continuous),
     }
     if cusp_eigenvalues is not None:
         tj = np.asarray(cusp_eigenvalues, dtype=float)
-        out["cusp_display_sum"] = complex(
-            np.sum(np.asarray(h1(1j * tj)) * np.asarray(h2(1j * tj)))
-        )
+        out["cusp_display_sum"] = complex(np.sum(np.asarray(T.h(1j * tj))))
     return out

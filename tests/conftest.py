@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seltrace.halfplane import _fd_grids
-from seltrace.traceformula import gaussian_test_function
+from seltrace.traceformula import convolve_test_functions, gaussian_test_function
 from seltrace.util import gl_nodes
 
 
@@ -19,6 +19,12 @@ def gauss_T05():
 @pytest.fixture(scope="session")
 def gauss_T08():
     return gaussian_test_function(0.8)
+
+
+@pytest.fixture(scope="session")
+def gauss_T05_sq(gauss_T05):
+    """The width-0.5 pair convolved, T12 = T * T: one Abel table per session."""
+    return convolve_test_functions(gauss_T05, gauss_T05)
 
 
 @pytest.fixture

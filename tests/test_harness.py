@@ -95,18 +95,17 @@ class TestConfig:
 
     def test_import_fills_no_cache(self):
         # the benchmark's setup time is the import: importing the modules it
-        # loads must build no quadrature rule, transform or test function
+        # loads must build no quadrature rule or transform
         script = (
             "import seltrace.cli, seltrace.halfplane, seltrace.torus, seltrace.corpus\n"
-            "from seltrace import special, torus, traceformula, util\n"
-            "for cached in (util.gauss_legendre, special._de_nodes, special._c_taylor_at_zero,\n"
-            "               torus.mellin, traceformula.gaussian_test_function):\n"
+            "from seltrace import special, torus, util\n"
+            "for cached in (util.gauss_legendre, special._de_nodes, special._c_taylor_at_zero, torus.mellin):\n"
             "    print(cached.__name__, cached.cache_info().currsize)\n"
         )
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         sizes = dict(line.split() for line in out.stdout.splitlines())
-        assert len(sizes) == 5
+        assert len(sizes) == 4
         assert all(size == "0" for size in sizes.values()), sizes
 
 

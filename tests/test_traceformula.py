@@ -74,13 +74,13 @@ class TestLazyAbelTables:
         with pytest.raises(DecayError):
             spherical_from_h(lambda s: np.ones_like(np.asarray(s, dtype=complex)), 26.0)
 
-    def test_k_at_zero_is_the_first_node(self, gauss_T05):
-        T12 = convolve_test_functions(gauss_T05, gauss_T05)
+    def test_k_at_zero_is_the_first_node(self, gauss_T05_sq):
+        T12 = gauss_T05_sq
         _, coef = inspect.getclosurevars(T12.k).nonlocals["table"]()
         assert T12.k(0.0) == coef[0, 0]
         assert T12.k(-1e-15) == coef[0, 0]
 
-    def test_k_against_selberg_inversion(self, gauss_T05):
+    def test_k_against_selberg_inversion(self, gauss_T05_sq):
         # k(rho) = (1/2 pi) int_0^inf r tanh(pi r) e^{-2 W^2 r^2}
         # P_{-1/2+ir}(cosh rho) dr at W = 0.5, by mpmath at 30 digits (P from
         # 2F1(1/2 - ir, 1/2 + ir; 1; -sinh^2(rho/2)), cross-checked at u = 0.5
@@ -91,13 +91,12 @@ class TestLazyAbelTables:
             3.0: 0.03726218679164405715,
             20.0: 6.971992635646460438e-4,
         }
-        T12 = convolve_test_functions(gauss_T05, gauss_T05)
         u = np.array(list(ref))
-        assert np.max(np.abs(T12.k(u) - np.array(list(ref.values())))) <= 2.5e-7 * ref[0.0]
+        assert np.max(np.abs(gauss_T05_sq.k(u) - np.array(list(ref.values())))) <= 2.5e-7 * ref[0.0]
 
     def test_report_builds_one_g_cl_table(self, monkeypatch, tmp_path):
         # only the convolved triple's k is used; the Gaussian's table is never
-        # built.  The width is one no other test builds, so both triples are new.
+        # built
         from seltrace import cli, traceformula
 
         calls = []
@@ -111,13 +110,27 @@ class TestLazyAbelTables:
         assert cli.main(["tf", "report", "--width", "0.4917", "--out", str(tmp_path / "tf.json")]) == 0
         assert len(calls) == 1
 
+    def test_report_convolves_once(self, monkeypatch, tmp_path):
+        # every trace-formula term takes the one convolved triple
+        from seltrace import cli, traceformula
+
+        calls = []
+        convolve = traceformula.convolve_test_functions
+
+        def counting(T1, T2):
+            calls.append((T1, T2))
+            return convolve(T1, T2)
+
+        monkeypatch.setattr(traceformula, "convolve_test_functions", counting)
+        assert cli.main(["tf", "report", "--width", "0.5", "--out", str(tmp_path / "tf.json")]) == 0
+        assert len(calls) == 1
+
 
 class TestReach:
-    def test_width_half_reach(self, gauss_T05):
-        T12 = convolve_test_functions(gauss_T05, gauss_T05)
-        reach = T12.reach()
+    def test_width_half_reach(self, gauss_T05_sq):
+        reach = gauss_T05_sq.reach()
         assert 245.0 <= reach <= 255.0
-        assert abs(T12.k(reach)) >= 5e-8 * abs(T12.k(0.0))
+        assert abs(gauss_T05_sq.k(reach)) >= 5e-8 * abs(gauss_T05_sq.k(0.0))
 
     def test_reach_grows_with_width(self):
         reach = []
@@ -125,14 +138,6 @@ class TestReach:
             T = gaussian_test_function(W)
             reach.append(convolve_test_functions(T, T).reach())
         assert reach[0] < reach[1] < reach[2]
-
-
-class TestMemo:
-    def test_gaussian_triple_built_once(self, gauss_T05):
-        assert gaussian_test_function(0.5) is gauss_T05
-
-    def test_convolution_built_once(self, gauss_T05):
-        assert convolve_test_functions(gauss_T05, gauss_T05) is convolve_test_functions(gauss_T05, gauss_T05)
 
 
 def _brute_force_kernel_sum(k, z: complex, u_max: float = np.inf) -> float:
@@ -225,12 +230,12 @@ class TestKernelDiagonalSum:
         assert set(bands) == {0} and len(bands) > 1
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(whole)
 
-    def test_point_alone_matches_fit_grid(self, gauss_T05):
+    def test_point_alone_matches_fit_grid(self, gauss_T05_sq):
         # a point takes exactly its own live cosets, whichever band of the
         # fit grid (64 x 64 base region and the M = 32 strip) it is in
         from seltrace import traceformula
 
-        T12 = convolve_test_functions(gauss_T05, gauss_T05)
+        T12 = gauss_T05_sq
         u_max = T12.reach()
         Z1, _, Z2, _ = _fd_grids(math.exp(6.0), traceformula._FD_BASE, traceformula._FD_BASE,
                                  traceformula._KERNEL_STRIP_MX)
@@ -258,14 +263,14 @@ class TestKernelDiagonalSum:
 
 
 class TestKernelTruncationFit:
-    def test_strip_midpoints_match_gauss_legendre(self, monkeypatch, gauss_T05, gauss_legendre_strip):
+    def test_strip_midpoints_match_gauss_legendre(self, monkeypatch, gauss_T05_sq, gauss_legendre_strip):
         # K(z, z) is only as smooth in x as the cubic table of k, so a0 meets
         # the 160-node Gauss-Legendre strip to 1e-9, not to rounding
         from seltrace import traceformula
 
-        got = two_term_laurent_kernel(gauss_T05, gauss_T05)
+        got = two_term_laurent_kernel(gauss_T05_sq)
         monkeypatch.setattr(traceformula, "_fd_grids", gauss_legendre_strip(160))
-        want = two_term_laurent_kernel(gauss_T05, gauss_T05)
+        want = two_term_laurent_kernel(gauss_T05_sq)
         assert abs(got.a_0 - want.a_0) <= 1e-9
         assert abs(got.a_minus1 - want.a_minus1) <= 1e-12
 
@@ -276,9 +281,10 @@ class TestKernelTruncationFit:
         from seltrace import traceformula
 
         T = gaussian_test_function(width)
-        got = two_term_laurent_kernel(T, T)
+        T12 = convolve_test_functions(T, T)
+        got = two_term_laurent_kernel(T12)
         monkeypatch.setattr(traceformula, "_FD_BASE", 160)
-        want = two_term_laurent_kernel(T, T)
+        want = two_term_laurent_kernel(T12)
         assert abs(got.a_0 - want.a_0) <= 1e-10
         assert abs(got.a_minus1 - want.a_minus1) <= 1e-13
 
@@ -304,7 +310,7 @@ class TestKernelConstantTerms:
 
 class TestSpectralMinusOne:
     def test_gaussian_value(self, gauss_T1):
-        v = tf_minus1_spectral(gauss_T1, gauss_T1)
+        v = tf_minus1_spectral(convolve_test_functions(gauss_T1, gauss_T1))
         assert abs(v + 1.0 / math.sqrt(2 * math.pi)) < 1e-10
         assert abs(v + 0.3989423) < 1e-6
 
@@ -312,11 +318,12 @@ class TestSpectralMinusOne:
         from seltrace.traceformula import spherical_from_h
 
         zero = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)), 26.0)
-        assert tf_minus1_spectral(gauss_T1, zero) == 0.0
+        assert tf_minus1_spectral(convolve_test_functions(gauss_T1, zero)) == 0.0
 
     def test_sigma_shift(self, gauss_T1):
-        v0 = tf_minus1_spectral(gauss_T1, gauss_T1)
-        v1 = tf_minus1_spectral(gauss_T1, gauss_T1, sigma=0.2)
+        T11 = convolve_test_functions(gauss_T1, gauss_T1)
+        v0 = tf_minus1_spectral(T11)
+        v1 = tf_minus1_spectral(T11, sigma=0.2)
         assert abs(v0 - v1) < 1e-8
 
 
@@ -409,8 +416,9 @@ class TestTateZeta:
 
 class TestTriangle:
     def test_geometric_equals_spectral(self, gauss_T1):
-        v_spec = tf_minus1_spectral(gauss_T1, gauss_T1)
-        v_geo = tf_minus1_geometric(gauss_T1, gauss_T1)
+        T11 = convolve_test_functions(gauss_T1, gauss_T1)
+        v_spec = tf_minus1_spectral(T11)
+        v_geo = tf_minus1_geometric(T11)
         assert abs(v_spec - v_geo) < 1e-6
 
     def test_geometric_first_coefficient_where_dt_does_not_divide_t_max(self):
@@ -418,11 +426,11 @@ class TestTriangle:
         # Fourier steps do not divide; the rules must weight by true spacing
         W = 0.45
         T = gaussian_test_function(W)
-        assert abs(tf_minus1_geometric(T, T) + 1.0 / (W * math.sqrt(2.0 * math.pi))) < 1e-6
+        assert abs(tf_minus1_geometric(convolve_test_functions(T, T)) + 1.0 / (W * math.sqrt(2.0 * math.pi))) < 1e-6
 
-    def test_unipotent_slice_matches_tate(self, gauss_T05):
+    def test_unipotent_slice_matches_tate(self, gauss_T05_sq):
         # the alpha = 1 slice of the geometric sum equals the Tate residue
-        T12 = convolve_test_functions(gauss_T05, gauss_T05)
+        T12 = gauss_T05_sq
         lau, _ = tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
         from seltrace.traceformula import _arch_orbital_nodes
 
@@ -432,8 +440,8 @@ class TestTriangle:
 
 
 class TestSpectralSide:
-    def test_terms(self, gauss_T05):
-        sp = spectral_side(gauss_T05, gauss_T05)
+    def test_terms(self, gauss_T05, gauss_T05_sq):
+        sp = spectral_side(gauss_T05_sq)
         h0 = complex(np.asarray(gauss_T05.h(np.zeros(1, complex)))[0])
         h1 = complex(np.asarray(gauss_T05.h(np.ones(1, complex)))[0])
         assert abs(sp["M0_term"] + 0.25 * h0 * h0) < 1e-12
@@ -441,10 +449,10 @@ class TestSpectralSide:
         assert abs(sp["continuous_term"].imag) < 1e-8
         assert abs(sp["residual_defdiscrete_scalar"] - (6 / math.pi) * h1 * h1) < 1e-12
 
-    def test_continuous_term_against_finer_midpoint_rule(self, gauss_T05):
+    def test_continuous_term_against_finer_midpoint_rule(self, gauss_T05, gauss_T05_sq):
         # the rule has no node at t = 0; an independent midpoint sum at half
         # the step over the same cut agrees to rounding
-        sp = spectral_side(gauss_T05, gauss_T05)
+        sp = spectral_side(gauss_T05_sq)
         dt = 0.01
         t = np.arange(-gauss_T05.t_max + 0.5 * dt, gauss_T05.t_max, dt)
         clogd = c_log_derivative(1j * t)
@@ -457,7 +465,7 @@ class TestSpectralSide:
         from seltrace.traceformula import spherical_from_h
 
         T0 = spherical_from_h(lambda s: np.zeros_like(np.asarray(s, dtype=complex)), 26.0)
-        sp = spectral_side(T0, gauss_T05)
+        sp = spectral_side(convolve_test_functions(T0, gauss_T05))
         assert abs(sp["computable_sum"]) < 1e-12
 
     def test_residual_line_oracle(self, gauss_T05):
@@ -470,6 +478,6 @@ class TestSpectralSide:
         h1 = complex(np.asarray(gauss_T05.h(np.ones(1, complex)))[0])
         assert abs(val - h1) < 1e-6
 
-    def test_cusp_display(self, gauss_T05):
-        sp = spectral_side(gauss_T05, gauss_T05, cusp_eigenvalues=[19.07, 25.05])
+    def test_cusp_display(self, gauss_T05_sq):
+        sp = spectral_side(gauss_T05_sq, cusp_eigenvalues=[19.07, 25.05])
         assert abs(sp["cusp_display_sum"]) < 1e-12
