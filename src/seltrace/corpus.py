@@ -4,8 +4,7 @@ Corpus schema (one function):
     {"name": str,
      "core": {"preset": "log_gaussian"|"zero", ...params},
      "terms": [{"exponent": [re, im], "log_poly": [[re, im], ...],
-                "side": "zero"|"infinity", "carrier": "sharp"|"smooth"}, ...],
-     "tail_decay_hint": float}
+                "side": "zero"|"infinity", "carrier": "sharp"|"smooth"}, ...]}
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ def function_from_spec(spec: dict) -> AsymptoticallyFiniteFunction:
     return AsymptoticallyFiniteFunction(
         core=core_from_spec(spec.get("core")),
         terms=tuple(terms),
-        tail_decay_hint=float(spec.get("tail_decay_hint", 8.0)),
     )
 
 

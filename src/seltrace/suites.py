@@ -361,8 +361,8 @@ def _suite_functional_equations(cfg: RunConfig) -> SuiteReport:
     rep.add("c_lattice_oracle[leading]", f"s={s0}", 1.0, coeffs[0], cfg.tol("fd"))
     rep.add("c_lattice_oracle[scattering]", f"s={s0}", c(s0), coeffs[1], cfg.tol("fd"))
     # c'/c: two computation routes and line symmetry
-    v, alt = special.c_log_derivative(0.3 + 0.7j, cross_check=True)
-    rep.add("clogd_two_routes", "s=0.3+0.7i", v, alt, cfg.tol("quadrature"))
+    rep.add("clogd_two_routes", "s=0.3+0.7i", special.c_log_derivative(0.3 + 0.7j),
+            special._c_log_derivative_xi(0.3 + 0.7j), cfg.tol("quadrature"))
     rep.add(
         "clogd_even",
         "s=0.4i",
@@ -634,16 +634,12 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     rep.add("weight_v[1]", "", 0.5 * math.log(2.0), weight_v(1.0), 1e-12)
     # volume-definition oracle at t = 2: the conditions are evaluated from
     # actual Moebius heights of a n_t . i = u (t + i), with the torus measure
-    # taken in the dominant-weight coordinate Delta(a) = sqrt(u)
+    # taken in the dominant-weight coordinate Delta(a) = sqrt(u).  Each height
+    # is monotone in log u and both lie below 1 between their crossings of 1
     t_val = 2.0
-    us = np.exp(np.linspace(-8.0, 8.0, 400001))
-    dlog = np.log(us[1]) - np.log(us[0])
-    z1 = us * t_val + 1j * us
-    h1 = np.sqrt(z1.imag)
-    z2 = -1.0 / z1
-    h2 = np.sqrt(z2.imag)
-    vol = 0.5 * float(np.sum((h1 < 1.0) & (h2 < 1.0))) * dlog
-    rep.add("weight_volume_oracle[t=2]", "1-D quadrature", weight_v(2.0), vol, 1e-4)
+    l_hi = _crossing_of_one(lambda u: math.sqrt(complex(u * t_val, u).imag), -8.0, 8.0)
+    l_lo = _crossing_of_one(lambda u: math.sqrt((-1.0 / complex(u * t_val, u)).imag), -8.0, 8.0)
+    rep.add("weight_volume_oracle[t=2]", "bisection in log u", weight_v(2.0), 0.5 * (l_hi - l_lo), 1e-14)
     T = gaussian_test_function(0.8)
     # unweighted orbital integral vs geodesic-polar coordinates
     direct = weighted_orbital_integral(T, -1, weighted=False)
@@ -670,6 +666,19 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     rep.add("M0_term", "c(0) = -1", -0.25 * complex(np.asarray(T.h(np.zeros(1, complex)))[0]) ** 2, sp["M0_term"], 1e-12)
     rep.add_bool("continuous_term_real", "", abs(sp["continuous_term"].imag) < 1e-8, f"{sp['continuous_term']}")
     return rep
+
+
+def _crossing_of_one(height: Callable, lo: float, hi: float) -> float:
+    """The log u in [lo, hi] where a monotone height(u) crosses 1, by 64
+    bisection steps in log u (an interval of 2^-64 (hi - lo))."""
+    above_hi = height(math.exp(hi)) > 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if (height(math.exp(mid)) > 1.0) == above_hi:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _scaled_woi(T, factor: float):

@@ -139,7 +139,6 @@ class AsymptoticallyFiniteFunction:
 
     core: Callable | None = None
     terms: tuple = ()
-    tail_decay_hint: float = 8.0
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -164,9 +163,9 @@ class AsymptoticallyFiniteFunction:
 
     def check_tail_decay(self):
         """Sampled certificate: core(x) x^(+-N) -> 0 at x = e^(+-u), for
-        u = 5, 10, ..., 30 and N = min(tail_decay_hint, 8); a core fails when
-        the last sample exceeds 1e-8 and the samples do not decrease."""
-        n = int(min(self.tail_decay_hint, 8))
+        u = 5, 10, ..., 30 and N = 8; a core fails when the last sample
+        exceeds 1e-8 and the samples do not decrease."""
+        n = 8
         u = np.asarray((5.0, 10.0, 15.0, 20.0, 25.0, 30.0), dtype=float)
         for sgn in (+1.0, -1.0):
             # x -> inf: core * x^n must die; x -> 0: core * x^-n must die
@@ -450,8 +449,7 @@ def product_asfinite(
             total = total + t1(x) * t2(x)
         return total
 
-    hint = min(f1.tail_decay_hint, f2.tail_decay_hint)
-    return AsymptoticallyFiniteFunction(core=core, terms=sharp_terms, tail_decay_hint=hint)
+    return AsymptoticallyFiniteFunction(core=core, terms=sharp_terms)
 
 
 def regularized_inner_product_direct(

@@ -345,8 +345,8 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     under the radius^2 rule `_kernel_radius2`, and only the live
     (point, m) pairs of a block are expanded, in steps of at most
     `_KERNEL_CHUNK` pairs (or one entry's shifts, if they alone pass it).
-    The translations go in steps of whole heights under the same bound, and
-    a height is cut into pieces only if its own shifts pass it.
+    The translations go in steps of whole heights under the same rule (or
+    one height, if its own shifts pass it).
 
     The reflection z -> -conj(z) normalizes PSL2(Z) and preserves u, so the
     sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y)
@@ -364,14 +364,11 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     if terms > _KERNEL_BUDGET:
         raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.2g})")
     cap = _KERNEL_CHUNK
-    of_piece, j = ranges(np.zeros(heights.size, dtype=int), np.maximum(1, -(-n_hi // cap)))
-    lo, count = 1 + j * cap, np.minimum(cap, n_hi[of_piece] - j * cap)
     tr = np.zeros(heights.size)
-    for g in steps(count, cap):
-        owner, n = ranges(lo[g], count[g])
-        owner = of_piece[g][owner]
-        kv = _live_values(k, (n / heights[owner]) ** 2, u_max)
-        tr += np.bincount(owner, weights=kv, minlength=heights.size)
+    for g in steps(n_hi, cap):
+        owner, n = ranges(np.ones(g.stop - g.start, dtype=int), n_hi[g])
+        kv = _live_values(k, (n / heights[g][owner]) ** 2, u_max)
+        tr[g] = np.bincount(owner, weights=kv, minlength=g.stop - g.start)
     out += 2.0 * tr[height_of]
 
     # u >= |cz + d|^2 + |cz + d|^-2 - 2, so a live row has |cz + d|^2 <= t_max

@@ -191,7 +191,7 @@ def _slow_funnel_profile():
         y = x**2
         return np.where(y > 0, y**2 * np.exp(-y), 0.0) / np.where(x > 0, x, 1.0)
 
-    return boundary_from_model(AsymptoticallyFiniteFunction(core=fy_model, tail_decay_hint=2.0))
+    return boundary_from_model(AsymptoticallyFiniteFunction(core=fy_model))
 
 
 def _psi_brute(f, z):

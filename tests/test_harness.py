@@ -85,7 +85,7 @@ class TestConfig:
                               "count_settable.py")
         out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1].split()[0] == "total"
-        assert int(out.splitlines()[-1].split()[-1]) <= 50
+        assert int(out.splitlines()[-1].split()[-1]) <= 48
 
     @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(seltrace.__path__)))
     def test_star_import(self, module):
