@@ -362,7 +362,8 @@ class TestCLI:
         assert "measure_ledger" in rec
 
     def test_tf_report_byte_stable(self, tmp_path):
-        # cold, then warm on the memoized triples, in one process
+        # cold, then warm on the process's memos (quadrature rules, the germ of
+        # c at 0)
         from seltrace import cli
 
         texts = []
