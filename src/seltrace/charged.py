@@ -38,7 +38,6 @@ __all__ = [
     "residue",
     "polar_consistency_check",
     "eval_vertical",
-    "constant_function",
     "rational_from_poles",
 ]
 
@@ -207,16 +206,6 @@ def rational_from_poles(poles, strip=(-8.0, 8.0)) -> ChargedMeromorphicFunction:
         return np.zeros_like(as_complex_array(s))
 
     return ChargedMeromorphicFunction(evaluator=ev, poles=poles, strip=strip, rational_poles=poles)
-
-
-def constant_function(value: complex) -> ChargedMeromorphicFunction:
-    value = complex(value)
-
-    def ev(s):
-        s = as_complex_array(s)
-        return np.full_like(s, value)
-
-    return ChargedMeromorphicFunction(evaluator=ev, poles=(), strip=(-50.0, 50.0))
 
 
 # ----------------------------------------------------------------------------

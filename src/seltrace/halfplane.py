@@ -43,7 +43,6 @@ from .util import (
     gl_nodes,
     panel_gl_nodes,
     ranges,
-    reduce_to_fundamental_domain,
     steps,
     trap_grid,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "eisenstein",
     "EisensteinSeries",
     "lattice_eisenstein",
-    "truncate",
     "fd_integrate",
     "maass_selberg",
     "rank_one_plancherel",
@@ -135,20 +133,14 @@ def schwartz_boundary(mu: float = 0.0, sigma: float = 1.0, amp: complex = 1.0) -
 
 @dataclass(frozen=True)
 class AutomorphicFunction:
-    """Gamma-invariant evaluator with optional constant-term machinery.
+    """Gamma-invariant evaluator with its exact constant term.
 
-    evaluator acts on complex arrays of upper-half-plane points; ct, when
-    supplied, is the exact constant term as a function of the height y.
+    evaluator acts on complex arrays of upper-half-plane points; ct is the
+    exact constant term as a function of the height y.
     """
 
     evaluator: Callable
-    ct: Callable | None = None
-
-    def __call__(self, z):
-        """Values at a point or an array of points, in the shape of z."""
-        z = np.asarray(z, dtype=complex)
-        out = self.on_grid(np.atleast_1d(z))
-        return out[0] if z.ndim == 0 else out
+    ct: Callable
 
     def on_grid(self, z_array):
         return self.evaluator(np.asarray(z_array, dtype=complex))
@@ -157,14 +149,15 @@ class AutomorphicFunction:
 def constant_term(phi, y):
     """Average over the closed horocycle at height y.
 
-    phi maps a flat array of points to values.  Uses the exact constant term
-    when phi carries one (`AutomorphicFunction.ct`); otherwise a 64-node
-    periodic trapezoid rule in x, spectrally accurate for smooth integrands.
+    Uses the exact constant term of an `AutomorphicFunction` (its `ct`); any
+    other phi maps a flat array of points to values and is averaged by a
+    64-node periodic trapezoid rule in x, spectrally accurate for smooth
+    integrands.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    if getattr(phi, "ct", None) is not None:
+    if isinstance(phi, AutomorphicFunction):
         out = np.asarray(phi.ct(y), dtype=complex)
         return out[0] if scalar else out
     xs = (np.arange(64) + 0.5) / 64 - 0.5
@@ -704,16 +697,7 @@ def lattice_eisenstein(s: complex, z) -> complex:
 
 
 # ----------------------------------------------------------------------------
-# Truncation and fundamental-domain quadrature
-
-
-def truncate(phi, T: float, z):
-    """Truncated function: subtract the constant term above height e^(2T)."""
-    zz = reduce_to_fundamental_domain(complex(z))
-    val = complex(phi(zz))
-    if zz.imag > math.exp(2.0 * T):
-        val = val - complex(constant_term(phi, zz.imag))
-    return val
+# Fundamental-domain quadrature
 
 
 def _fd_grids(Ymax: float, nx: int, ny: int, mx: int, v_breaks=()):

@@ -35,6 +35,8 @@ from .corpus import default_corpus
 from .halfplane import (
     EisensteinSeries,
     _FD_BASE,
+    _FD_STRIP_MX,
+    _fd_grids,
     boundary_from_model,
     constant_term,
     constant_term_symmetry_check,
@@ -474,49 +476,47 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
         core=log_gaussian_core(0.0, 0.5, 0.7),
         terms=(ExponentTerm(0.5, (1.0,), side="infinity", carrier="smooth"),),
     )
+    psi = {
+        name: pseudo_eisenstein_function(f)
+        for name, f in (
+            ("f0", f0),
+            ("f_a", schwartz_boundary(0.3, 0.6)),
+            ("f_c1", schwartz_boundary(-0.2, 0.45)),
+            ("f_c2", schwartz_boundary(0.2, 0.55)),
+            ("f_J", boundary_from_model(m_exp)),
+        )
+    }
     pairs = [
-        ("schwartz_a", f0, schwartz_boundary(0.3, 0.6)),
-        ("schwartz_b", f0, f0),
-        ("schwartz_c", schwartz_boundary(-0.2, 0.45), schwartz_boundary(0.2, 0.55)),
-        ("exponent_J", f0, boundary_from_model(m_exp)),
+        ("schwartz_a", "f0", "f_a"),
+        ("schwartz_b", "f0", "f0"),
+        ("schwartz_c", "f_c1", "f_c2"),
+        ("exponent_J", "f0", "f_J"),
     ]
-    # one Psi f per distinct boundary function, each evaluated once per
-    # fundamental-domain grid and once on the tail heights
-    psi = {id(f): pseudo_eisenstein_function(f) for _, f1, f2 in pairs for f in (f1, f2)}
-    memo = {}
+    # fd_integrate's rule up to Y = 16 and the tail above it, int_Y^inf
+    # ct1 ct2 dy/y^2 in y = Y e^v; each Psi f is evaluated once on each
+    # region and on the tail heights, and each pair is summed as fd_integrate
+    # sums
+    Y = 16.0
+    Z1, W1, Z2, W2 = _fd_grids(Y, _FD_BASE, _FD_BASE, _FD_STRIP_MX)
+    v, w = gl_nodes(0.0, 8.0, 240)
+    y_tail, w_tail = Y * np.exp(v), w * np.exp(-v)
+    vals = {name: (*map(p.on_grid, (Z1, Z2)), p.ct(y_tail)) for name, p in psi.items()}
 
-    def values(p, method, arg):
-        key = (id(p), method, arg.tobytes())
-        if key not in memo:
-            memo[key] = np.asarray(getattr(p, method)(arg))
-        return memo[key]
-
-    def ct_tail(p1, p2):
-        def tail(Y):
-            v, w = gl_nodes(0.0, 8.0, 240)
-            y = Y * np.exp(v)
-            return np.sum(values(p1, "ct", y) * values(p2, "ct", y) * (w * np.exp(-v))) / Y
-
-        return tail
-
-    for name, f1, f2 in pairs:
-        p1 = psi[id(f1)]
-        p2 = psi[id(f2)]
+    for name, a, b in pairs:
+        p1, p2 = psi[a], psi[b]
         val, bd = rank_one_plancherel(p1, p2)
-
-        def integrand(z, _p1=p1, _p2=p2):
-            return values(_p1, "on_grid", z) * values(_p2, "on_grid", z)
-
-        fd = fd_integrate(integrand, Ymax=16.0, tail=ct_tail(p1, p2), nx=_FD_BASE, ny=_FD_BASE)
+        (a1, a2, a_tail), (b1, b2, b_tail) = vals[a], vals[b]
+        tail = np.sum(a_tail * b_tail * w_tail) / Y
+        fd = complex(np.sum(a1 * b1 * W1) + np.sum(a2 * b2 * W2) + tail)
         rep.add(f"plancherel=fd[{name}]", name, fd, val, tol)
         if name == "schwartz_a":
-            adjoint = (f1, p2, fd)
+            adjoint = (p1.f, p2, fd)
         if name == "exponent_J":
             has_j = any(r["term_kind"].startswith("exponent_J") for r in bd)
             rep.add_bool("exponent_J_present", name, has_j)
         if name == "schwartz_b":
             # residual line = product of the projections onto constants
-            F1 = f1.transform()
+            F1 = p1.f.transform()
             resid = next(r["value"] for r in bd if r["term_kind"] == "residual")
             proj = (12.0 / math.pi) * complex(F1(1.0)) ** 2
             rep.add("residual=projection_product", name, proj, resid, cfg.tol("quadrature"))

@@ -23,11 +23,10 @@ absolute sum: a log-Gaussian core keeps about 600-1,000 of its 4,608 nodes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +63,6 @@ __all__ = [
     "pw_decay_profile",
     "product_asfinite",
     "log_gaussian_core",
-    "breakdown_to_csv",
 ]
 
 
@@ -184,10 +182,6 @@ class TwoTermLaurent:
 
     a_minus1: complex
     a_0: complex
-
-    def __iter__(self):
-        yield self.a_minus1
-        yield self.a_0
 
 
 def log_gaussian_core(mu: float = 0.0, sigma: float = 1.0, amp: complex = 1.0):
@@ -665,23 +659,3 @@ def pw_decay_profile(
         "n_power": n_power,
         "strip": strip,
     }
-
-
-def breakdown_to_csv(breakdown: Iterable[dict], path: str):
-    """Write a pairing breakdown as CSV (term_kind, location, charge, value)."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["term_kind", "location_re", "location_im", "charge", "value_re", "value_im"])
-        for row in breakdown:
-            loc = complex(row["location"])
-            val = complex(row["value"])
-            wr.writerow(
-                [
-                    row["term_kind"],
-                    f"{loc.real:.12e}",
-                    f"{loc.imag:.12e}",
-                    row["charge"],
-                    f"{val.real:.12e}",
-                    f"{val.imag:.12e}",
-                ]
-            )

@@ -70,7 +70,8 @@ class EllipticInputError(SeltraceError):
 
 @dataclass(frozen=True)
 class SphericalTestFunction:
-    """Compatible triple (h, g, k), built from h, and its truncations.
+    """Spherical test function: the multiplier h, the point-pair kernel k
+    built from it, and their truncations.
 
     `k` evaluates the point-pair kernel from a table in geodesic distance,
     built on its first call.  `t_max` is the cut of the spectral line that
@@ -78,20 +79,9 @@ class SphericalTestFunction:
     u of the last table node where |k| >= `_K_REACH` |k(0)|."""
 
     h: Callable
-    g: Callable
     k: Callable
     t_max: float
     reach: Callable
-
-
-def _fourier_g(h: Callable, t_max: float, dt: float):
-    t, w = trap_grid(t_max, dt)
-    hw = np.asarray(h(1j * t), dtype=complex) * w
-
-    def g(u):
-        return exp_sum(1j * np.asarray(u, dtype=float), t, hw) / (2.0 * np.pi)
-
-    return g
 
 
 def _g_cl_derivative(h: Callable, t_max: float, dt: float):
@@ -104,9 +94,8 @@ def _g_cl_derivative(h: Callable, t_max: float, dt: float):
     return gclp
 
 
-# spherical_from_h's quadrature budget: the t-steps of the Fourier rules for
-# g and g_cl', the rho-range of the g_cl' table, and the number of k nodes
-_G_DT = 0.01
+# spherical_from_h's quadrature budget: the t-step of the Fourier rule for
+# g_cl', the rho-range of the g_cl' table, and the number of k nodes
 _G_CL_DT = 0.02
 _RHO_MAX = 26.0
 _N_K_GRID = 6000
@@ -119,22 +108,21 @@ _K_BLOCK = 1 << 16
 
 
 def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
-    """Build (h, g, k) from the spectral multiplier h, cut at |t| <= t_max.
+    """Build (h, k) from the spectral multiplier h, cut at |t| <= t_max.
 
-    g comes from Fourier quadrature of h on the line; k from the Abel
-    inversion k(u) = -(2/pi) int_0^inf Q'(u + xi^2) d xi, where
-    Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2), with g_cl'
-    interpolated in a dense table.  The inversion runs once, on `_N_K_GRID`
-    equally spaced geodesic distances up to the support of g_cl'; k(u) is
-    the cubic through the four nodes nearest rho(u).  k is even in rho, so
+    k comes from the Abel inversion k(u) = -(2/pi) int_0^inf Q'(u + xi^2) d xi,
+    where Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2), with g_cl'
+    computed from h by Fourier quadrature on the line and interpolated in a
+    dense table.  The inversion runs once, on `_N_K_GRID` equally spaced
+    geodesic distances up to the support of g_cl'; k(u) is the cubic
+    through the four nodes nearest rho(u).  k is even in rho, so
     the node at -drho mirrors the one at +drho, and k is 0 from the last
     node on.  The tables are built on the first call of k or reach(): a
-    triple used only through h and g never builds them.
+    triple used only through h never builds them.
     """
     probe = np.abs(np.asarray(h(1j * np.array([0.0, 0.5 * t_max, t_max]))))
     if probe[-1] > 1e-9 * (1.0 + probe[0]):
         raise DecayError("h must decay rapidly on the spectral line")
-    g = _fourier_g(h, t_max, _G_DT)
 
     @lru_cache(maxsize=1)
     def table():
@@ -199,7 +187,7 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
         last = np.nonzero(np.abs(k_nodes) >= _K_REACH * abs(k_nodes[0]))[0][-1]
         return float(4.0 * math.sinh(0.5 * drho * last) ** 2)
 
-    return SphericalTestFunction(h=h, g=g, k=k, t_max=t_max, reach=reach)
+    return SphericalTestFunction(h=h, k=k, t_max=t_max, reach=reach)
 
 
 def gaussian_test_function(width: float) -> SphericalTestFunction:

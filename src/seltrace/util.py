@@ -1,5 +1,5 @@
 """Shared numerics: quadrature grids, block iteration, exponential sums,
-circle sampling, smooth cutoffs, modular reduction."""
+circle sampling, smooth cutoffs."""
 
 from __future__ import annotations
 
@@ -209,21 +209,6 @@ def smooth_eta_inf(x):
     """Mirror cutoff: 0 on (0, 1], 1 on [2, inf)."""
     x = np.asarray(x, dtype=float)
     return smooth_eta(1.0 / np.clip(x, 1e-300, None))
-
-
-def reduce_to_fundamental_domain(z: complex) -> complex:
-    """Reduce z in the upper half-plane to {|x| <= 1/2, |z| >= 1} under PSL2(Z),
-    in at most 200 inversion steps."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("point must lie in the upper half-plane")
-    for _ in range(200):
-        z = complex(z.real - np.round(z.real), z.imag)
-        n2 = z.real * z.real + z.imag * z.imag
-        if n2 >= 1.0 - 1e-15:
-            return z
-        z = complex(-z.real / n2, z.imag / n2)
-    return z
 
 
 def as_complex_array(x):

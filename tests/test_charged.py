@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from seltrace.charged import (
     AdmissibilityError,
     ChargedLaurent,
+    ChargedMeromorphicFunction,
     charged_product,
-    constant_function,
     eval_vertical,
     from_pole_table,
     merge_poles,
@@ -29,6 +29,11 @@ def one_over_one_minus_s():
     return rational_from_poles([ChargedLaurent(1.0, plus={-1: -1.0})])
 
 
+def constant(value: complex) -> ChargedMeromorphicFunction:
+    # entire, with no pole
+    return ChargedMeromorphicFunction(evaluator=lambda s: np.full_like(np.asarray(s, dtype=complex), value))
+
+
 def one_over_s_minus_half():
     return rational_from_poles([ChargedLaurent(0.5, minus={-1: 1.0})])
 
@@ -36,7 +41,7 @@ def one_over_s_minus_half():
 class TestChargedProduct:
     def test_constant_factor(self):
         h1 = one_over_one_minus_s()
-        prod = charged_product(h1, constant_function(2.0))
+        prod = charged_product(h1, constant(2.0))
         assert abs(residue(prod, 1.0, "plus") + 2.0) < 1e-12
         assert abs(prod(0.0) - 2.0) < 1e-12
 
@@ -70,7 +75,7 @@ class TestPolarConsistency:
         assert rep["max_deviation"] < 1e-9
 
     def test_entire_pair_vacuous(self):
-        rep = polar_consistency_check(constant_function(1.5), constant_function(-2.0))
+        rep = polar_consistency_check(constant(1.5), constant(-2.0))
         assert rep["max_deviation"] == 0.0
         assert rep["per_pole"] == []
 

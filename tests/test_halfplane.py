@@ -8,7 +8,6 @@ import pytest
 
 from seltrace import halfplane, traceformula
 from seltrace.halfplane import (
-    AutomorphicFunction,
     DegenerateParameterError,
     EisensteinSeries,
     boundary_from_model,
@@ -24,12 +23,11 @@ from seltrace.halfplane import (
     radon_transform,
     rank_one_plancherel,
     schwartz_boundary,
-    truncate,
 )
 from seltrace.special import PoleError, divisor_sigma, intertwining_c, kbessel, xi
 from seltrace.suites import _ms_pairs
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm, log_gaussian_core
-from seltrace.util import DecayError, reduce_to_fundamental_domain
+from seltrace.util import DecayError
 
 F_STD = schwartz_boundary(0.0, 0.5)
 PSI_STD = pseudo_eisenstein_function(F_STD)
@@ -38,9 +36,9 @@ PSI_STD = pseudo_eisenstein_function(F_STD)
 class TestPseudoEisenstein:
     def test_gamma_invariance(self):
         z0 = 0.13 + 0.9j
-        v = PSI_STD(z0)
-        assert abs(v - PSI_STD(z0 + 1.0)) < 1e-8
-        assert abs(v - PSI_STD(-1.0 / z0)) < 1e-8
+        v, v_shift, v_inv = (PSI_STD.on_grid(np.array([z]))[0] for z in (z0, z0 + 1.0, -1.0 / z0))
+        assert abs(v - v_shift) < 1e-8
+        assert abs(v - v_inv) < 1e-8
 
     def test_slow_funnel_profile_refused_past_budget(self, monkeypatch):
         # y^2 e^-y decays only quadratically toward the funnel: its cosets
@@ -52,7 +50,7 @@ class TestPseudoEisenstein:
         monkeypatch.setattr(halfplane, "coprime_rows", lambda *a: built.append(a))
         monkeypatch.setattr(halfplane, "_PSI_BUDGET", 1e5)
         with pytest.raises(DecayError, match="1044847 values of c"):
-            pseudo_eisenstein_function(f)(0.1 + 1.1j)
+            pseudo_eisenstein_function(f).on_grid(np.array([0.1 + 1.1j]))
         assert not built
 
     def test_slow_funnel_profile_refused_at_default_budget(self, monkeypatch):
@@ -60,7 +58,7 @@ class TestPseudoEisenstein:
         built = []
         monkeypatch.setattr(halfplane, "coprime_rows", lambda *a: built.append(a))
         with pytest.raises(DecayError, match="entries"):
-            pseudo_eisenstein_function(_slow_funnel_profile())(0.1 + 1.1j)
+            pseudo_eisenstein_function(_slow_funnel_profile()).on_grid(np.array([0.1 + 1.1j]))
         assert not built
 
     def test_budget_counts_window_entries(self, monkeypatch):
@@ -98,7 +96,7 @@ class TestPseudoEisenstein:
 
     def test_zero_function(self):
         zf = boundary_from_model(AsymptoticallyFiniteFunction())
-        assert pseudo_eisenstein_function(zf)(0.3 + 1.2j) == 0.0
+        assert pseudo_eisenstein_function(zf).on_grid(np.array([0.3 + 1.2j]))[0] == 0.0
 
     def test_empty_grid(self):
         out = PSI_STD.on_grid(np.zeros(0, dtype=complex))
@@ -246,7 +244,7 @@ class TestPsiFolding:
         on_grid = PSI_STD.on_grid(z)
         # two points of the base region and two of the strip
         for k in (0, Z1.size // 2, Z1.size + Z2.size // 2, z.size - 1):
-            alone = PSI_STD(z[k])
+            alone = PSI_STD.on_grid(z[k : k + 1])[0]
             assert abs(alone - on_grid[k]) <= 1e-14 * abs(on_grid[k])
 
     def test_threshold_drops_negligible_mass(self, monkeypatch):
@@ -265,20 +263,10 @@ class TestPsiFolding:
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
 
 
-class TestAutomorphicFunction:
-    def test_call_keeps_the_grid_shape(self):
-        phi = pseudo_eisenstein_function(schwartz_boundary(0.0, 0.5))
-        Z = np.array([[0.1 + 1.2j, -0.3 + 0.9j], [0.2 + 2.5j, 0.45 + 1.05j]])
-        vals = phi(Z)
-        assert vals.shape == (2, 2)
-        assert np.array_equal(vals, phi.on_grid(Z))
-        assert np.ndim(phi(0.1 + 1.2j)) == 0
-
-
 class TestConstantTerm:
     def test_constant_function(self):
-        one = AutomorphicFunction(evaluator=lambda z: np.ones_like(z, dtype=complex))
-        assert abs(constant_term(one, 2.3) - 1.0) < 1e-14
+        # a plain callable takes the 64-node average in x
+        assert abs(constant_term(lambda z: np.ones_like(z, dtype=complex), 2.3) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("mu,sigma", [(0.0, 0.5), (0.3, 0.6)])
     def test_series_share_one_cut(self, mu, sigma):
@@ -286,12 +274,12 @@ class TestConstantTerm:
         # constant term is the 64-node midpoint average of the values
         psi = pseudo_eisenstein_function(schwartz_boundary(mu, sigma))
         y = np.array([0.3, 0.6, 1.0, 2.0])
-        quad = constant_term(AutomorphicFunction(evaluator=psi.on_grid), y)
+        quad = constant_term(psi.on_grid, y)
         assert np.max(np.abs(psi.ct(y) - quad)) <= 1e-12
 
     def test_psi_constant_term_is_f_plus_Rf(self):
         y = 1.7
-        quad = constant_term(AutomorphicFunction(evaluator=PSI_STD.on_grid), y)
+        quad = constant_term(PSI_STD.on_grid, y)
         series = complex(F_STD(y)) + complex(radon_transform(F_STD, y))
         assert abs(quad - series) < 1e-8
 
@@ -509,21 +497,6 @@ class TestEisenstein:
 
 
 class TestTruncate:
-    def test_below_height_identity(self):
-        E = EisensteinSeries(2j)
-        z = 0.2 + 1.1j
-        assert abs(truncate(E, 1.0, z) - complex(E(z))) < 1e-12
-
-    def test_above_height_subtracts_ct(self):
-        s = 2j
-        E = EisensteinSeries(s)
-        T = 0.5
-        z = 0.1 + 1j * (math.exp(2 * T) + 1.0)
-        w = 0.5 * (1 + s)
-        y = z.imag
-        expect = complex(E(z)) - (y**w + intertwining_c(s) * y ** (1 - w))
-        assert abs(truncate(E, T, z) - expect) < 1e-10
-
     def test_ms_growth_linear_in_T(self):
         # the truncated norm grows linearly in T per the closed-form relation
         l1, r1, _ = maass_selberg(2j, -2j + 1e-3, 1.0)
@@ -608,11 +581,10 @@ class TestRankOnePlancherel:
 
 
 class TestModularReduction:
-    def test_reduction(self):
-        z = reduce_to_fundamental_domain(0.7 + 0.2j)
-        assert abs(z.real) <= 0.5 + 1e-12 and abs(z) >= 1.0 - 1e-12
-
     def test_invariance_of_psi_under_reduction(self):
+        # (-3z + 11)/(z - 4) = -3 - 1/(z - 4) maps z0 into F
         z0 = 3.7 + 0.11j
-        zr = reduce_to_fundamental_domain(z0)
-        assert abs(PSI_STD(z0) - PSI_STD(zr)) < 1e-8
+        zr = -3.0 - 1.0 / (z0 - 4.0)
+        assert abs(zr.real) <= 0.5 and abs(zr) >= 1.0
+        v0, vr = (PSI_STD.on_grid(np.array([z]))[0] for z in (z0, zr))
+        assert abs(v0 - vr) < 1e-8

@@ -12,7 +12,6 @@ from seltrace.torus import (
     CriticalExponentError,
     ExponentTerm,
     TailDecayError,
-    breakdown_to_csv,
     log_gaussian_core,
     mellin,
     mellin_inverse,
@@ -329,15 +328,6 @@ class TestPWProfile:
         zero = AsymptoticallyFiniteFunction()
         prof = pw_decay_profile(zero, (-1.0, 1.0), 4)
         assert prof["sup"] == 0.0
-
-
-class TestBreakdownCSV:
-    def test_columns(self, tmp_path):
-        _, bd = plancherel_inner_product(SHARP_X, SHARP_INVSQRT, 0.0)
-        path = tmp_path / "bd.csv"
-        breakdown_to_csv(bd, str(path))
-        header = path.read_text().splitlines()[0]
-        assert header == "term_kind,location_re,location_im,charge,value_re,value_im"
 
 
 class TestProductAsFinite:
