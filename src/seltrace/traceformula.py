@@ -31,13 +31,13 @@ import numpy as np
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
 from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coset_blocks, coset_windows, fold_mirror
-from .torus import TwoTermLaurent
 from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, ranges, steps, trap_grid
 
 __all__ = [
     "FitError",
     "EllipticInputError",
     "SphericalTestFunction",
+    "TwoTermLaurent",
     "MEASURE_LEDGER",
     "spherical_from_h",
     "gaussian_test_function",
@@ -66,6 +66,14 @@ class EllipticInputError(SeltraceError):
 
 # ----------------------------------------------------------------------------
 # Spherical transform chain
+
+
+@dataclass(frozen=True)
+class TwoTermLaurent:
+    """The germ a_{-1}/s + a_0 at s = 0."""
+
+    a_minus1: complex
+    a_0: complex
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,22 @@ class TestInversion:
         xs = np.exp(np.linspace(-2.5, 2.5, 40))
         assert np.max(np.abs(mellin_inverse(mellin(f), sigma, xs) - f(xs))) <= 1e-9
 
+    @pytest.mark.parametrize("a", [1.0, 0.5 + 2j])
+    def test_smooth_pole_near_the_line_is_refused(self, a):
+        # the evaluator holds a smooth carrier's polar part, which the
+        # contour misses by up to 2.3e-2 at 0.01 from the line: refused there,
+        # while at 0.05 from it the inversion meets f to its error floor
+        f = AsymptoticallyFiniteFunction(
+            core=log_gaussian_core(0.0, 0.7, 1.0), terms=(ExponentTerm(a, side="zero", carrier="smooth"),)
+        )
+        F = mellin(f)
+        xs = np.exp(np.linspace(-2.5, 2.5, 40))
+        for offset in (-0.01, 0.01):
+            with pytest.raises(DecayError, match="from the abscissa"):
+                mellin_inverse(F, a.real + offset, xs)
+        for offset in (-0.05, 0.05):
+            assert np.max(np.abs(mellin_inverse(F, a.real + offset, xs) - f(xs))) <= 1e-5
+
     @pytest.mark.parametrize("side", ["zero", "infinity"])
     def test_sharp_jump_inverts_to_its_midpoint(self, side):
         # at x = 1 the contour integral converges to the midpoint of the
