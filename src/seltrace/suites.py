@@ -492,10 +492,9 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
         ("schwartz_c", "f_c1", "f_c2"),
         ("exponent_J", "f0", "f_J"),
     ]
-    # fd_integrate's rule up to Y = 16 and the tail above it, int_Y^inf
-    # ct1 ct2 dy/y^2 in y = Y e^v; each Psi f is evaluated once on each
-    # region and on the tail heights, and each pair is summed as fd_integrate
-    # sums
+    # fd_integrate's rule up to Y = 16 plus the tail int_Y^inf ct1 ct2 dy/y^2
+    # in y = Y e^v: each Psi f is evaluated once per region and once on the
+    # tail heights, and each pair is summed in fd_integrate's order
     Y = 16.0
     Z1, W1, Z2, W2 = _fd_grids(Y, _FD_BASE, _FD_BASE, _FD_STRIP_MX)
     v, w = gl_nodes(0.0, 8.0, 240)

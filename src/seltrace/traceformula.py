@@ -69,14 +69,6 @@ class EllipticInputError(SeltraceError):
 
 
 @dataclass(frozen=True)
-class TwoTermLaurent:
-    """The germ a_{-1}/s + a_0 at s = 0."""
-
-    a_minus1: complex
-    a_0: complex
-
-
-@dataclass(frozen=True)
 class SphericalTestFunction:
     """Spherical test function: the multiplier h, the point-pair kernel k
     built from it, and their truncations.
@@ -265,6 +257,14 @@ def tf_minus1_spectral(T: SphericalTestFunction, sigma: float = 0.0) -> complex:
 
 # ----------------------------------------------------------------------------
 # Truncation fits
+
+
+@dataclass(frozen=True)
+class TwoTermLaurent:
+    """The germ a_{-1}/s + a_0 at s = 0."""
+
+    a_minus1: complex
+    a_0: complex
 
 
 def two_term_laurent(F_model, phi_model) -> TwoTermLaurent:
