@@ -700,16 +700,15 @@ def lattice_eisenstein(s: complex, z) -> complex:
 # Fundamental-domain quadrature
 
 
-def _fd_grids(Ymax: float, nx: int, ny: int, mx: int, v_breaks=()):
+def _fd_grids(Ymax: float, nx: int, ny: int, mx: int):
     """Quadrature nodes/weights for the standard fundamental domain up to Ymax.
 
     Region 1: {|x|<=1/2, sqrt(1-x^2) <= y <= 1}, an nx-node Gauss-Legendre
     x-rule with max(12, ny // 4) Gauss-Legendre heights per abscissa.
-    Region 2: the strip [−1/2,1/2] x [1, Ymax] in v = log y panels of width
-    at most 0.35 with 8 Gauss-Legendre nodes each (so an MS truncation height
-    can be made a panel edge via v_breaks), with the mx-point midpoint rule in
-    x: its integrands are 1-periodic and analytic in x, so the rule converges
-    like e^(−2 pi mx y).
+    Region 2: the strip [−1/2,1/2] x [1, Ymax] in equal v = log y panels of
+    width at most 0.35 with 8 Gauss-Legendre nodes each, with the mx-point
+    midpoint rule in x: its integrands are 1-periodic and analytic in x, so
+    the rule converges like e^(−2 pi mx y).
     Weights carry the hyperbolic measure dx dy/y^2.  The abscissae of both
     regions are exactly antisymmetric, so that mirror points share their
     values.
@@ -728,19 +727,8 @@ def _fd_grids(Ymax: float, nx: int, ny: int, mx: int, v_breaks=()):
     W1 = np.concatenate(W1)
 
     vmax = math.log(Ymax)
-    edges = {0.0, vmax}
-    for b in v_breaks:
-        if 0.0 < b < vmax:
-            edges.add(float(b))
-    base = sorted(edges)
-    # split into panels of width <= 0.35
-    panels = [base[0]]
-    for e in base[1:]:
-        start = panels[-1]
-        width = e - start
-        k = max(1, int(math.ceil(width / 0.35)))
-        panels.extend(start + width * (i + 1) / k for i in range(k))
-    v_nodes, v_w = panel_gl_nodes(np.asarray(panels), 8)
+    k = max(1, int(math.ceil(vmax / 0.35)))
+    v_nodes, v_w = panel_gl_nodes(vmax * np.arange(k + 1) / k, 8)
     yv = np.exp(v_nodes)
     xm = (np.arange(mx) + 0.5) / mx - 0.5
     xm = 0.5 * (xm - xm[::-1])

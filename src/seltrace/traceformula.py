@@ -315,8 +315,8 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
 # smaller than with steps of 2^18
 _KERNEL_CHUNK = 1 << 16
 # most terms a kernel sum may take on, estimated before it starts: a report's
-# one sum over both regions estimates 2.9e8 at width 1.0 and 6.8e8 at 1.1
-# (refused); the bound sits at u_max of about 5e4
+# one sum over both regions and i y0 estimates 2.17e8 at width 1.0 and 5.46e8
+# at 1.1 (refused); the bound sits at u_max of about 6e4
 _KERNEL_BUDGET = 4.8e8
 
 
@@ -398,37 +398,27 @@ _KERNEL_STRIP_MX = 32
 
 
 def two_term_laurent_kernel(T12: SphericalTestFunction):
-    """Kernel-pair truncation fit of the convolved triple T12 = T1 * T2.
+    """Kernel-pair truncation data of the convolved triple T12 = T1 * T2.
 
-    I(T) = integral over the fundamental domain up to height e^{2T} of the
-    diagonal kernel sum of k12, cut at its reach;
-    the model I(T) = a0 - a_{-1} T + c e^{-2T} is fitted (the exponential
-    term is the exact subleading correction of the level-1 translation tail)
-    on T = 1.5, 1.75, ..., 3, with the `_FD_BASE` fundamental-domain rule
-    whose strip takes `_KERNEL_STRIP_MX` midpoints per height; below y = e^3
-    the c >= 1 cosets (c y <= sqrt(u_max) ~ 16 at width 0.5) still add.  One
-    kernel sum takes the points of both regions, so `_KERNEL_BUDGET` sees
-    them all before any term is summed.
+    I(T) is the integral over the fundamental domain up to height e^{2T} of
+    the diagonal kernel sum of k12, cut at its reach u_max.  A row with
+    c >= 1 gives u >= c^2 y^2 - 2 + 1/(c^2 y^2), so above
+    y0 = sqrt(u_max + 2) only the translations are live: there K(z, z) is
+    sum_m k(m^2/y^2) = y int k(x^2) dx up to Poisson terms, the same at every
+    x, and I(T) = a0 - a_{-1} T with a_{-1} = -2 K(i y0, i y0) / y0.  So
+    I(T0) at T0 = (1/2) log y0 comes from the `_FD_BASE` fundamental-domain
+    rule up to y0, whose strip takes `_KERNEL_STRIP_MX` midpoints per
+    height, and a0 = I(T0) + a_{-1} T0.  One kernel sum takes the points of
+    both regions and i y0, so `_KERNEL_BUDGET` sees them all before any term
+    is summed.
     """
-    T_grid = np.arange(1.5, 3.01, 0.25)
     u_max = T12.reach()
-    Ymax = math.exp(2.0 * float(T_grid[-1]))
-    v_breaks = tuple(2.0 * T_grid[:-1])
-    Z1, W1, Z2, W2 = _fd_grids(Ymax, _FD_BASE, _FD_BASE, _KERNEL_STRIP_MX, v_breaks)
-    vals = kernel_diagonal_sum(T12.k, np.concatenate([Z1, Z2]), u_max)
-    base = float(np.real(np.sum(vals[: Z1.size] * W1)))
-    strip = vals[Z1.size :] * W2
-    y2 = Z2.imag
-    I = np.array(
-        [base + float(np.real(np.sum(strip[y2 <= math.exp(2.0 * T) + 1e-12]))) for T in T_grid]
-    )
-    A = np.vstack([np.ones_like(T_grid), T_grid, np.exp(-2.0 * T_grid)]).T
-    coef, *_ = np.linalg.lstsq(A, I, rcond=None)
-    a0, slope, _c = coef
-    resid = I - A @ coef
-    if np.max(np.abs(resid)) > 1e-4 * (1.0 + np.max(np.abs(I))):
-        raise FitError(f"kernel truncation fit residuals too large: {resid}")
-    return TwoTermLaurent(a_minus1=complex(-slope), a_0=complex(a0))
+    y0 = math.sqrt(u_max + 2.0)
+    Z1, W1, Z2, W2 = _fd_grids(y0, _FD_BASE, _FD_BASE, _KERNEL_STRIP_MX)
+    vals = kernel_diagonal_sum(T12.k, np.concatenate([Z1, Z2, [1j * y0]]), u_max)
+    I0 = float(np.sum(vals[: Z1.size] * W1) + np.sum(vals[Z1.size : -1] * W2))
+    a_minus1 = -2.0 * float(vals[-1]) / y0
+    return TwoTermLaurent(a_minus1=complex(a_minus1), a_0=complex(I0 + a_minus1 * 0.5 * math.log(y0)))
 
 
 # ----------------------------------------------------------------------------

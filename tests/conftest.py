@@ -34,8 +34,8 @@ def gauss_legendre_strip():
     rule: `gauss_legendre_strip(n)`."""
 
     def with_rule(n):
-        def grids(Ymax, nx, ny, mx, v_breaks=()):
-            Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, mx, v_breaks)
+        def grids(Ymax, nx, ny, mx):
+            Z1, W1, Z2, W2 = _fd_grids(Ymax, nx, ny, mx)
             xs, wx = gl_nodes(-0.5, 0.5, n)
             xs = 0.5 * (xs - xs[::-1])
             yv, wv = Z2.imag[::mx], W2[::mx] * mx

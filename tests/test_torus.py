@@ -30,6 +30,13 @@ SHARP_SQRT = AsymptoticallyFiniteFunction(terms=(ExponentTerm(0.5, side="zero"),
 _GAUSS_F = mellin(GAUSS)
 
 
+def _twisted_core(beta, sigma=1.0):
+    """A log-Gaussian core times x^(i beta): its transform moves up the line
+    by beta."""
+    core = log_gaussian_core(0.0, sigma)
+    return lambda x: core(x) * np.asarray(x, dtype=float) ** (1j * beta)
+
+
 class TestMellin:
     def test_gaussian_closed_form(self):
         F = mellin(GAUSS)
@@ -143,6 +150,18 @@ class TestInversion:
                 mellin_inverse(F, a.real + offset, xs)
         for offset in (-0.05, 0.05):
             assert np.max(np.abs(mellin_inverse(F, a.real + offset, xs) - f(xs))) <= 1e-5
+
+    def test_undecayed_remainder_refused_at_either_end(self):
+        # the sharp x gives the transform a rational part, so its remainder
+        # must have decayed by |t| = 120 at both ends; the core rule's error
+        # on x^(i beta) times a narrow log-Gaussian sits at the end of the line
+        # far from beta, still 8.5e-4 there, and at beta = +90 (the lower end)
+        # the inversion missed f by 5.8e-3 with no error
+        xs = np.exp(np.linspace(-2.5, 2.5, 40))
+        for beta in (90.0, -90.0):
+            f = AsymptoticallyFiniteFunction(core=_twisted_core(beta, 0.5), terms=(ExponentTerm(1.0, side="zero"),))
+            with pytest.raises(DecayError, match="t_max=120"):
+                mellin_inverse(mellin(f), 0.0, xs)
 
     @pytest.mark.parametrize("side", ["zero", "infinity"])
     def test_sharp_jump_inverts_to_its_midpoint(self, side):
@@ -301,6 +320,34 @@ class TestPlancherel:
         )
         with pytest.raises(DecayError, match="t_max=40"):
             plancherel_inner_product(f, SHARP_SQRT, 0.0)
+
+    def test_undecayed_contour_refused_at_either_end(self):
+        # x^(+-i beta) moves a log-Gaussian pair's integrand to t = beta, where
+        # it is still 6.9e-3 at the nearer end of the line; at beta = -37 (the
+        # lower end) the cut missed the direct value by 2.0e-5 with no error
+        for beta in (37.0, -37.0):
+            f = AsymptoticallyFiniteFunction(core=_twisted_core(beta))
+            mirror = AsymptoticallyFiniteFunction(core=_twisted_core(-beta))
+            with pytest.raises(DecayError, match="t_max=40"):
+                plancherel_inner_product(f, mirror, 0.0)
+
+    @pytest.mark.parametrize("carrier", ["smooth", "sharp"])
+    @pytest.mark.parametrize("a", [0.5, 0.3 + 1j])
+    def test_pole_near_the_line_is_refused(self, a, carrier):
+        # the pieces with an evaluator sample the other factor's polar parts,
+        # sharp (the rational part) or smooth (the evaluator) alike: at 0.01
+        # from the line the pairing missed the direct value by up to 5.3e-3
+        # and at 0.03 by up to 1.9e-8, with no error; at 0.05 it meets it
+        f = AsymptoticallyFiniteFunction(
+            core=log_gaussian_core(0.0, 0.7, 1.0), terms=(ExponentTerm(a, side="zero", carrier=carrier),)
+        )
+        direct = regularized_inner_product_direct(f, GAUSS)
+        for offset in (-0.03, -0.01, 0.01, 0.03):
+            with pytest.raises(DecayError, match="from the abscissa"):
+                plancherel_inner_product(f, GAUSS, a.real + offset)
+        for offset in (-0.05, 0.05):
+            got, _ = plancherel_inner_product(f, GAUSS, a.real + offset)
+            assert abs(got - direct) <= 1e-9
 
     def test_admissibility_propagates(self):
         from seltrace.charged import AdmissibilityError

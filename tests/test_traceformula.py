@@ -220,19 +220,35 @@ class TestKernelDiagonalSum:
 
     def test_point_alone_matches_fit_grid(self, gauss_T05_sq):
         # a point takes exactly its own live cosets, whichever band of the
-        # fit grid (64 x 64 base region and the M = 32 strip) it is in
+        # fit grid (64 x 64 base region, the M = 32 strip up to
+        # y0 = sqrt(u_max + 2) and the point i y0) it is in
         from seltrace import traceformula
 
         T12 = gauss_T05_sq
         u_max = T12.reach()
-        Z1, _, Z2, _ = _fd_grids(math.exp(6.0), traceformula._FD_BASE, traceformula._FD_BASE,
-                                 traceformula._KERNEL_STRIP_MX)
-        z = np.concatenate([Z1, Z2])
+        y0 = math.sqrt(u_max + 2.0)
+        Z1, _, Z2, _ = _fd_grids(y0, traceformula._FD_BASE, traceformula._FD_BASE, traceformula._KERNEL_STRIP_MX)
+        z = np.concatenate([Z1, Z2, [1j * y0]])
         on_grid = kernel_diagonal_sum(T12.k, z, u_max)
-        # two points of the base region and two of the strip
-        for i in (0, Z1.size // 2 + 3, Z1.size + Z2.size // 3, z.size - 1):
+        # two points of the base region, two of the strip and i y0
+        for i in (0, Z1.size // 2 + 3, Z1.size + Z2.size // 3, z.size - 2, z.size - 1):
             alone = kernel_diagonal_sum(T12.k, z[i : i + 1], u_max)[0]
             assert abs(alone - on_grid[i]) <= 1e-14 * abs(on_grid[i])
+
+    def test_only_translations_above_the_last_live_coset(self, gauss_T05_sq):
+        # a c >= 1 row gives u >= c^2 y^2 - 2 + 1/(c^2 y^2), so from
+        # y0 = sqrt(u_max + 2) on the sum is the bare translation sum
+        # sum_m k(m^2 / y^2), whatever x is: the kernel fit rests on this
+        T12 = gauss_T05_sq
+        u_max = T12.reach()
+        y0 = math.sqrt(u_max + 2.0)
+        z = np.array([1j * y0, 0.3 + 1.01j * y0, -0.5 + 2j * y0])
+        got = kernel_diagonal_sum(T12.k, z, u_max)
+        for zj, gj in zip(z, got):
+            n = math.floor(zj.imag * math.sqrt(u_max))
+            u = (np.arange(-n, n + 1) / zj.imag) ** 2
+            want = float(np.sum(T12.k(u[u <= u_max])))
+            assert abs(gj - want) <= 1e-13 * abs(want)
 
     def test_budget_refuses_before_summing(self, monkeypatch):
         from seltrace import traceformula
@@ -261,6 +277,14 @@ class TestKernelTruncationFit:
         want = two_term_laurent_kernel(gauss_T05_sq)
         assert abs(got.a_0 - want.a_0) <= 1e-9
         assert abs(got.a_minus1 - want.a_minus1) <= 1e-12
+
+    def test_slope_meets_geometric_at_wide_width(self):
+        # at W = 0.7 the c >= 1 cosets are live up to y = sqrt(u_max) = 43;
+        # the old fixed window T = 1.5...3 (y <= 403) straddled that height
+        # and missed a_{-1} by 3.4e-6, while i y0 above it meets it to 8.4e-8
+        T = gaussian_test_function(0.7)
+        T12 = convolve_test_functions(T, T)
+        assert abs(two_term_laurent_kernel(T12).a_minus1 - tf_minus1_geometric(T12)) <= 2e-7
 
     @pytest.mark.parametrize("width", [0.5, 0.7])
     def test_base_rule_meets_160(self, width, monkeypatch):
