@@ -15,8 +15,7 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from functools import partial
 
 from . import traceformula as tf
 from .config import ConfigError, load_config
@@ -118,43 +117,9 @@ def _cmd_tf_report(args) -> int:
         raise ConfigError(f"--width must be a positive number, got {args.width!r}")
     cusp_t = _read_cusp_data(args.cusp_data) if args.cusp_data else None
     T = tf.gaussian_test_function(args.width)
-    T12 = tf.convolve_test_functions(T, T)
-    sp = tf.spectral_side(T12, cusp_eigenvalues=cusp_t)
-    v_spec = tf.tf_minus1_spectral(T12)
-    v_geo = tf.tf_minus1_geometric(T12)
-    hyper = 0.5 * tf.weighted_orbital_integral(T12, -1)
-    ident = tf.identity_term(T12)
-    tate, _ = tf.tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
-    fit = tf.two_term_laurent_kernel(T12)
-    report = {
-        "test_function": {"family": "gaussian", "width": args.width},
-        "tf_minus1": {
-            "spectral": _c2(v_spec),
-            "geometric": _c2(v_geo),
-            "deviation_geo_spec": abs(v_geo - v_spec),
-            "deviation_fit_spec": abs(fit.a_minus1 - v_spec),
-            "deviation_fit_geo": abs(fit.a_minus1 - v_geo),
-        },
-        "tf0_terms": {
-            "M0_term": _c2(sp["M0_term"]),
-            "residual_term": _c2(sp["residual_term"]),
-            "residual_defdiscrete_scalar": _c2(sp["residual_defdiscrete_scalar"]),
-            "continuous_term": _c2(sp["continuous_term"]),
-            "spectral_computable_sum": _c2(sp["computable_sum"]),
-            "identity_term": _c2(ident),
-            "hyperbolic_term": _c2(hyper),
-            "tate_a0": _c2(tate.a_0),
-            "tate_aminus1": _c2(tate.a_minus1),
-        },
-        "measure_ledger": tf.MEASURE_LEDGER,
-        "truncation_fit": {"a_minus1": _c2(fit.a_minus1), "a_0": _c2(fit.a_0)},
-        "cuspidal_remainder": _c2(fit.a_0 - sp["computable_sum"]),
-        "geometric_computable_sum": _c2(ident + hyper + tate.a_0),
-        "elliptic_remainder": _c2(fit.a_0 - (ident + hyper + tate.a_0)),
-    }
-    if cusp_t is not None:
-        report["cusp_display_sum"] = _c2(sp["cusp_display_sum"])
-    text = json.dumps(report, indent=1, sort_keys=True)
+    report = tf.ledger(tf.convolve_test_functions(T, T), cusp_t)
+    report["test_function"] = {"family": "gaussian", "width": args.width}
+    text = json.dumps(report, indent=1, sort_keys=True, default=_c2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -227,24 +192,13 @@ def _cmd_auto(args) -> int:
 def _cmd_special(args) -> int:
     from . import special
 
-    s = complex(args.re, args.im)
-    if args.fn == "zeta":
-        val = special.zeta(s)
-    elif args.fn == "xi":
-        val = special.xi(s)
-    elif args.fn == "c":
-        val = special.intertwining_c(s)
-    elif args.fn == "clogd":
-        val = special.c_log_derivative(s)
-    elif args.fn == "gamma":
-        val = special.gamma(s)
-    elif args.fn == "kbessel":
+    if args.fn == "kbessel":
         res = special.kbessel_imag_order(args.nu, args.y)
         print(json.dumps({"value": res.value, "underflowed": res.underflowed}))
         return 0
-    else:
-        val = special.divisor_sigma(args.n, s)
-    c = complex(val)
+    fns = {"zeta": special.zeta, "xi": special.xi, "c": special.intertwining_c, "clogd": special.c_log_derivative,
+           "gamma": special.gamma, "sigma": partial(special.divisor_sigma, args.n)}
+    c = complex(fns[args.fn](complex(args.re, args.im)))
     print(json.dumps({"re": c.real, "im": c.imag}))
     return 0
 

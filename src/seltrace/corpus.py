@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
 from .torus import AsymptoticallyFiniteFunction, ExponentTerm, log_gaussian_core
 
 __all__ = ["core_from_spec", "function_from_spec", "load_corpus", "default_corpus"]

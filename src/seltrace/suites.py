@@ -76,12 +76,13 @@ from .traceformula import (
     gaussian_test_function,
     identity_term,
     kernel_constant_terms,
+    ledger,
     spectral_side,
+    tate_kernel_term,
     tate_zeta_term,
     tf_minus1_geometric,
     tf_minus1_spectral,
     two_term_laurent,
-    two_term_laurent_kernel,
     weight_v,
     weighted_orbital_integral,
 )
@@ -595,13 +596,12 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     rep.add("triangle_geo_spec[width1]", "", v_spec1, v_geo1, tol)
     # full triangle on the narrow pair (kernel truncation fit included)
     Tn = gaussian_test_function(0.5)
-    Tnn = convolve_test_functions(Tn, Tn)
-    v_spec = tf_minus1_spectral(Tnn)
-    v_geo = tf_minus1_geometric(Tnn)
-    fit = two_term_laurent_kernel(Tnn)
+    led = ledger(convolve_test_functions(Tn, Tn), None)
+    v_spec, v_geo = led["tf_minus1"]["spectral"], led["tf_minus1"]["geometric"]
+    fit = led["truncation_fit"]
     rep.add("triangle_geo_spec[width0.5]", "", v_spec, v_geo, tol)
-    rep.add("triangle_fit_spec[width0.5]", "", v_spec, fit.a_minus1, tol)
-    rep.add("triangle_fit_geo[width0.5]", "", v_geo, fit.a_minus1, tol)
+    rep.add("triangle_fit_spec[width0.5]", "", v_spec, fit["a_minus1"], tol)
+    rep.add("triangle_fit_geo[width0.5]", "", v_geo, fit["a_minus1"], tol)
     # model truncation fits
     ind = AsymptoticallyFiniteFunction(terms=(ExponentTerm(0.0, side="infinity"),))
     lau = two_term_laurent(ind, ind)
@@ -621,8 +621,7 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     # spectral terms (the cuspidal content of the width-0.5 pair is
     # h(i t_1)^2 = 1.8e-20 at t_1 = 19.07, so the remainder is quadrature
     # noise)
-    sp = spectral_side(Tnn)
-    rep.add("tf0_cusp_remainder", "width 0.5 pair", sp["computable_sum"], fit.a_0, 5e-6)
+    rep.add("tf0_cusp_remainder", "width 0.5 pair", led["tf0_terms"]["spectral_computable_sum"], fit["a_0"], 5e-6)
     return rep
 
 
@@ -699,9 +698,8 @@ def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:
     # residue consistency against the unipotent slice of the geometric sum
     T1 = gaussian_test_function(0.5)
     T12 = convolve_test_functions(T1, T1)
-    lau_k, _ = tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))
-    rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T12), lau_k.a_minus1,
-            cfg.tol("fd"))
+    rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T12),
+            tate_kernel_term(T12).a_minus1, cfg.tol("fd"))
     return rep
 
 

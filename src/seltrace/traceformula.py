@@ -53,6 +53,8 @@ __all__ = [
     "tf_minus1_geometric",
     "spectral_side",
     "convolve_test_functions",
+    "tate_kernel_term",
+    "ledger",
 ]
 
 
@@ -270,14 +272,14 @@ class TwoTermLaurent:
 def two_term_laurent(F_model, phi_model) -> TwoTermLaurent:
     """Model-space truncation fit: I(T) = int_{x <= e^T} F phi d*x.
 
-    Fits I(T) = -a_{-1} T + a_0 on the tail of the grid T = 2, 2.5, ..., 6
-    and verifies that the fit residuals decay along the grid (they are
+    Takes I(T) = -a_{-1} T + a_0 as the line through the heights T = 5.5
+    and 6 and verifies that its residuals decay at T = 4.5 and 5 (they are
     exponentially small in T for asymptotically constant inputs).  Each
     truncated integral runs from u = log x = -40 on Gauss-Legendre panels with
     edges pinned at u = 0 (possible sharp-carrier jump) and at the truncation
     height itself.
     """
-    T_grid = np.arange(2.0, 6.01, 0.5)
+    T_grid = np.arange(4.5, 6.01, 0.5)
 
     def I_of(T):
         edges = np.concatenate([
@@ -290,13 +292,10 @@ def two_term_laurent(F_model, phi_model) -> TwoTermLaurent:
         return complex(np.sum(vals * uw))
 
     I = np.array([I_of(T) for T in T_grid])
-
-    A = np.vstack([np.ones_like(T_grid), T_grid]).T
-    tail = slice(-4, None)
-    coef, *_ = np.linalg.lstsq(A[tail], I[tail], rcond=None)
-    a0, slope = coef
-    resid_all = I - (A @ coef)
-    r = np.abs(resid_all)
+    slope = (I[-1] - I[-2]) / (T_grid[-1] - T_grid[-2])
+    a0 = I[-1] - slope * T_grid[-1]
+    # the line has no residual at its own two heights; the others test it
+    r = np.abs(I[:-2] - (a0 + slope * T_grid[:-2]))
     if not (r[0] + 1e-14 >= r[-1] and r[-1] < 1e-6 * (1.0 + np.max(np.abs(I)))):
         raise FitError(f"truncation-fit residuals do not decay: {r}")
     return TwoTermLaurent(a_minus1=complex(-slope), a_0=complex(a0))
@@ -507,6 +506,12 @@ def tate_zeta_term(F_profile: Callable) -> tuple[TwoTermLaurent, Callable]:
     return TwoTermLaurent(a_minus1=complex(-2.0 * R), a_0=complex(C)), Z
 
 
+def tate_kernel_term(T12: SphericalTestFunction) -> TwoTermLaurent:
+    """Two-term Laurent data of `tate_zeta_term` for the profile k12(x^2) of
+    the convolved triple: the unipotent slice of the geometric side."""
+    return tate_zeta_term(lambda x: np.asarray(T12.k(np.asarray(x) ** 2)))[0]
+
+
 # the measure normalizations of the geometric side, emitted with every
 # `tf report`; Vol([A]^1) = 1 is the factor in `tf_minus1_geometric`
 MEASURE_LEDGER = {
@@ -533,7 +538,7 @@ def tf_minus1_geometric(T12: SphericalTestFunction) -> complex:
 # Spectral side
 
 
-def spectral_side(T: SphericalTestFunction, cusp_eigenvalues=None) -> dict:
+def spectral_side(T: SphericalTestFunction) -> dict:
     """Computable spectral terms of the constant Laurent coefficient of the
     convolved triple T = T1 * T2, whose multiplier is h = h1 h2.
 
@@ -546,9 +551,7 @@ def spectral_side(T: SphericalTestFunction, cusp_eigenvalues=None) -> dict:
                     cut t_max
 
     The pairings h1(s) h2(-s) of the formula are read as h(s): every
-    multiplier h is even.  Cuspidal terms are never computed; optional
-    eigenvalue data (t_j with s_j = i t_j) is folded into `cusp_display_sum`
-    for display only.
+    multiplier h is even.  Cuspidal terms are never computed.
     """
     h0, h1 = (complex(v) for v in np.asarray(T.h(np.array([0.0, 1.0], dtype=complex))))
     m0 = 0.25 * complex(intertwining_c(0.0)) * h0
@@ -557,15 +560,59 @@ def spectral_side(T: SphericalTestFunction, cusp_eigenvalues=None) -> dict:
     t = (np.arange(n) + 0.5) * dt
     integrand = np.real(c_log_derivative(1j * t)) * np.real(np.asarray(T.h(1j * t)))
     continuous = -2.0 * dt * np.sum(integrand) / (4.0 * np.pi)
-
-    out = {
+    return {
         "M0_term": m0,
         "residual_term": h1,
         "residual_defdiscrete_scalar": (6.0 / np.pi) * h1,
         "continuous_term": complex(continuous),
-        "computable_sum": m0 + h1 + complex(continuous),
+        "spectral_computable_sum": m0 + h1 + complex(continuous),
+    }
+
+
+# ----------------------------------------------------------------------------
+# The ledger: every term of a report
+
+
+def ledger(T12: SphericalTestFunction, cusp_eigenvalues) -> dict:
+    """Every term of the two-term Laurent data of the convolved triple
+    T12 = T1 * T2, as the body of a `tf report`: nested dicts of complex,
+    float and str values, each term from its function in this module.  The
+    hyperbolic term is half the weighted orbital integral at alpha = -1;
+    the cuspidal and elliptic remainders are the kernel fit's a_0 minus the
+    spectral sum and minus the geometric one, identity + hyperbolic + Tate
+    a_0.  Cusp data t_j (s_j = i t_j), or None, adds
+    `cusp_display_sum` = sum_j h(i t_j), for display only.
+    """
+    sp = spectral_side(T12)
+    v_spec = tf_minus1_spectral(T12)
+    v_geo = tf_minus1_geometric(T12)
+    hyper = 0.5 * weighted_orbital_integral(T12, -1)
+    ident = identity_term(T12)
+    tate = tate_kernel_term(T12)
+    fit = two_term_laurent_kernel(T12)
+    geo = ident + hyper + tate.a_0
+    out = {
+        "tf_minus1": {
+            "spectral": v_spec,
+            "geometric": v_geo,
+            "deviation_geo_spec": abs(v_geo - v_spec),
+            "deviation_fit_spec": abs(fit.a_minus1 - v_spec),
+            "deviation_fit_geo": abs(fit.a_minus1 - v_geo),
+        },
+        "tf0_terms": {
+            **sp,
+            "identity_term": ident,
+            "hyperbolic_term": hyper,
+            "tate_a0": tate.a_0,
+            "tate_aminus1": tate.a_minus1,
+        },
+        "measure_ledger": MEASURE_LEDGER,
+        "truncation_fit": {"a_minus1": fit.a_minus1, "a_0": fit.a_0},
+        "cuspidal_remainder": fit.a_0 - sp["spectral_computable_sum"],
+        "geometric_computable_sum": geo,
+        "elliptic_remainder": fit.a_0 - geo,
     }
     if cusp_eigenvalues is not None:
         tj = np.asarray(cusp_eigenvalues, dtype=float)
-        out["cusp_display_sum"] = complex(np.sum(np.asarray(T.h(1j * tj))))
+        out["cusp_display_sum"] = complex(np.sum(np.asarray(T12.h(1j * tj))))
     return out

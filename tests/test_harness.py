@@ -85,7 +85,7 @@ class TestConfig:
                               "count_settable.py")
         out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1].split()[0] == "total"
-        assert int(out.splitlines()[-1].split()[-1]) <= 44
+        assert int(out.splitlines()[-1].split()[-1]) <= 43
 
     @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(seltrace.__path__)))
     def test_star_import(self, module):
@@ -399,10 +399,36 @@ class TestCLI:
         want = sum(math.exp(-((0.5 * tj) ** 2) / 2.0) for tj in t)
         assert abs(display[0] - want) < 1e-14 and display[1] == 0.0
 
+    def test_tf_report_schema(self, tmp_path):
+        # every key of the report, so that no field the benchmark reads can
+        # be dropped silently
+        from seltrace import cli
+
+        cusp = tmp_path / "cusp.json"
+        cusp.write_text(json.dumps({"eigenvalues_t": [2.0]}))
+        args = ["tf", "report", "--width", "0.5", "--out"]
+        assert cli.main(args + [str(tmp_path / "plain.json")]) == 0
+        assert cli.main(args + [str(tmp_path / "cusp_out.json"), "--cusp-data", str(cusp)]) == 0
+        top = {
+            "test_function", "tf_minus1", "tf0_terms", "measure_ledger", "truncation_fit",
+            "cuspidal_remainder", "geometric_computable_sum", "elliptic_remainder",
+        }
+        for name, extra in (("plain.json", set()), ("cusp_out.json", {"cusp_display_sum"})):
+            rec = json.loads((tmp_path / name).read_text())
+            assert set(rec) == top | extra
+            assert set(rec["test_function"]) == {"family", "width"}
+            assert set(rec["tf_minus1"]) == {
+                "spectral", "geometric", "deviation_geo_spec", "deviation_fit_spec", "deviation_fit_geo",
+            }
+            assert set(rec["tf0_terms"]) == {
+                "M0_term", "residual_term", "residual_defdiscrete_scalar", "continuous_term",
+                "spectral_computable_sum", "identity_term", "hyperbolic_term", "tate_a0", "tate_aminus1",
+            }
+            assert set(rec["truncation_fit"]) == {"a_minus1", "a_0"}
+
     def test_tf_report_wide_width(self, tmp_path):
         # the kernel sum reaches u = 688 here, so the fit integrates up to
-        # y0 = sqrt(690) = 26.3, above the last live coset; a fixed
-        # u_max = 250 and a fit window T = 0.75...2.25 once raised FitError
+        # y0 = sqrt(690) = 26.3, above the last live coset
         from seltrace import cli
 
         path = tmp_path / "tf.json"
@@ -438,14 +464,13 @@ class TestCLI:
         assert err.startswith("error: ") and "--cusp-data" in err and err.count("\n") == 1
 
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
+        # a kernel budget below what W = 0.5 needs: the kernel sum refuses
+        # inside the ledger, and the CLI reports it without a traceback
         from seltrace import cli, traceformula
 
-        def failing_fit(*args, **kwargs):
-            raise traceformula.FitError("kernel truncation fit residuals too large")
-
-        monkeypatch.setattr(traceformula, "two_term_laurent_kernel", failing_fit)
-        code = cli.main(["tf", "report", "--width", "0.7"])
+        monkeypatch.setattr(traceformula, "_KERNEL_BUDGET", 1e3)
+        code = cli.main(["tf", "report", "--width", "0.5"])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: FitError: kernel truncation fit")
+        assert err.startswith("error: DecayError: kernel sum to u = ")
         assert "Traceback" not in err
