@@ -593,13 +593,13 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     rep.add("gaussian_spectral_value", "width 1", -1.0 / math.sqrt(2.0 * math.pi), v_spec1, 1e-7)
     rep.add("sigma_shift_invariance", "Re s = 0.2", v_spec1, tf_minus1_spectral(T11, sigma=0.2), cfg.tol("analytic"))
     v_geo1 = tf_minus1_geometric(T11)
-    rep.add("triangle_geo_spec[width1]", "", v_spec1, v_geo1, tol)
+    rep.add("triangle_geo_spec[width1]", "", v_spec1, v_geo1, 1e-10)
     # full triangle on the narrow pair (kernel truncation fit included)
     Tn = gaussian_test_function(0.5)
     led = ledger(convolve_test_functions(Tn, Tn), None)
     v_spec, v_geo = led["tf_minus1"]["spectral"], led["tf_minus1"]["geometric"]
     fit = led["truncation_fit"]
-    rep.add("triangle_geo_spec[width0.5]", "", v_spec, v_geo, tol)
+    rep.add("triangle_geo_spec[width0.5]", "", v_spec, v_geo, 1e-10)
     rep.add("triangle_fit_spec[width0.5]", "", v_spec, fit["a_minus1"], tol)
     rep.add("triangle_fit_geo[width0.5]", "", v_geo, fit["a_minus1"], tol)
     # model truncation fits
@@ -627,7 +627,6 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
 
 def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     rep = SuiteReport("geometric-terms", config_echo=_config_echo(cfg))
-    tol = cfg.tol("quadrature")
     rep.add("weight_v[0]", "", 0.0, weight_v(0.0), 1e-14)
     rep.add("weight_v[1]", "", 0.5 * math.log(2.0), weight_v(1.0), 1e-12)
     # volume-definition oracle at t = 2: the conditions are evaluated from
@@ -641,7 +640,7 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     T = gaussian_test_function(0.8)
     # unweighted orbital integral vs geodesic-polar coordinates
     direct = weighted_orbital_integral(T, -1, weighted=False)
-    d, dw = gl_nodes(0.0, 9.0, 2400)
+    d, dw = panel_gl_nodes(np.linspace(0.0, 9.0, 121), 12)
     polar = 4.0 * np.sum(np.asarray(T.k(4.0 * np.sinh(d) ** 2)) * np.cosh(d) * dw)
     rep.add("orbital_geodesic_polar", "alpha=-1", direct, polar, cfg.tol("fd"))
     # linearity and zero function
@@ -652,18 +651,33 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     # identity term and the transform-chain oracle for the residual line
     idt = identity_term(T)
     rep.add("identity_term", "(pi/3) k(0)", (math.pi / 3.0) * float(np.asarray(T.k(0.0))), idt, 1e-12)
-    un, uw2 = gl_nodes(0.0, 8.0, 800)
+    un, uw2 = panel_gl_nodes(np.linspace(0.0, 8.0, 81), 10)
     l, lw = panel_gl_nodes(np.linspace(math.log(8.0), 14.0, 30), 10)
     un = np.concatenate([un, np.exp(l)])
     uw2 = np.concatenate([uw2, np.exp(l) * lw])
     resid_oracle = math.pi * float(np.sum(np.asarray(T.k(un)) * uw2))
     h_at_1 = complex(np.asarray(T.h(np.array([1.0 + 0j])))[0])
-    rep.add("residual_line_oracle", "pi int k = h(1)", h_at_1, resid_oracle, tol)
+    rep.add("residual_line_oracle", "pi int k = h(1)", h_at_1, resid_oracle, 1e-9)
+    # k(0) of the Abel chain against its Plancherel integral, relative
+    for W in (0.3, 0.5, 1.0):
+        Tw = gaussian_test_function(W)
+        T12 = convolve_test_functions(Tw, Tw)
+        k0_ref = _k0_plancherel(T12)
+        rep.add(f"k0_plancherel[width{W:g}]", "T*T", k0_ref, float(np.asarray(T12.k(0.0))), 1e-11 * k0_ref)
     # spectral side shape
     sp = spectral_side(convolve_test_functions(T, T))
     rep.add("M0_term", "c(0) = -1", -0.25 * complex(np.asarray(T.h(np.zeros(1, complex)))[0]) ** 2, sp["M0_term"], 1e-12)
     rep.add_bool("continuous_term_real", "", abs(sp["continuous_term"].imag) < 1e-8, f"{sp['continuous_term']}")
     return rep
+
+
+def _k0_plancherel(T12) -> float:
+    """k(0) = (1/4 pi) int_R h(2ir) r tanh(pi r) dr, by the midpoint rule with
+    step at most 1e-2 on 0 <= r <= t_max/2 (the integrand is even)."""
+    n = math.ceil(50.0 * T12.t_max)
+    dr = 0.5 * T12.t_max / n
+    r = (np.arange(n) + 0.5) * dr
+    return float(np.sum(np.real(T12.h(2j * r)) * r * np.tanh(np.pi * r))) * dr / (2.0 * np.pi)
 
 
 def _crossing_of_one(height: Callable, lo: float, hi: float) -> float:
@@ -699,7 +713,7 @@ def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:
     T1 = gaussian_test_function(0.5)
     T12 = convolve_test_functions(T1, T1)
     rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T12),
-            tate_kernel_term(T12).a_minus1, cfg.tol("fd"))
+            tate_kernel_term(T12).a_minus1, 1e-11)
     return rep
 
 

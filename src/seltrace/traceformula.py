@@ -31,7 +31,7 @@ import numpy as np
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
 from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coset_blocks, coset_windows, fold_mirror
-from .util import DecayError, SeltraceError, exp_sum, gl_nodes, panel_gl_nodes, ranges, steps, trap_grid
+from .util import DecayError, SeltraceError, exp_sum, panel_gl_nodes, ranges, steps, trap_grid
 
 __all__ = [
     "FitError",
@@ -86,21 +86,14 @@ class SphericalTestFunction:
     reach: Callable
 
 
-def _g_cl_derivative(h: Callable, t_max: float, dt: float):
-    t, w = trap_grid(t_max, dt)
-    kern = np.asarray(h(1j * t), dtype=complex) * (-1j * t * 0.5) * w
-
-    def gclp(rho):
-        return exp_sum(0.5j * np.asarray(rho, dtype=float), t, kern) / (4.0 * np.pi)
-
-    return gclp
-
-
 # spherical_from_h's quadrature budget: the t-step of the Fourier rule for
-# g_cl', the rho-range of the g_cl' table, and the number of k nodes
+# Q', the rho-range and node count of the Q' table, and the number of k nodes
 _G_CL_DT = 0.02
 _RHO_MAX = 26.0
+_N_Q_GRID = 13001
 _N_K_GRID = 6000
+# the most t nodes the Fourier rule may take (2 t_max / _G_CL_DT): width 0.005
+_MAX_T_NODES = 240_000
 # the kernel sums keep |k| >= _K_REACH |k(0)|: u <= 249.1 at width 0.5
 _K_REACH = 5e-8
 # (node, xi) entries of Q' that the table build evaluates at a time, and
@@ -109,42 +102,66 @@ _ABEL_CHUNK = 250_000
 _K_BLOCK = 1 << 16
 
 
+def _even_cubic(values):
+    """Horner coefficients, constant term first, of the cubic through the
+    nodes j-1 .. j+2 on each node interval [j, j+1] of a table that is even
+    about node 0 (node -1 mirrors node 1) and 0 from its last node on."""
+    padded = np.concatenate([values[1:2], values, [0.0, 0.0]])
+    km, k0, k1, k2 = padded[:-3], padded[1:-2], padded[2:-1], padded[3:]
+    coef = np.stack([
+        k0,
+        k1 - k0 / 2.0 - km / 3.0 - k2 / 6.0,
+        (km + k1) / 2.0 - k0,
+        (k0 - k1) / 2.0 + (k2 - km) / 6.0,
+    ])
+    coef[:, -1] = 0.0
+    return coef
+
+
+def _read_even_cubic(coef, x):
+    """The table of `_even_cubic` at x >= 0 in node units."""
+    x = np.minimum(x, coef.shape[1] - 1)
+    j = x.astype(np.intp)
+    x -= j
+    c0, c1, c2, c3 = coef
+    return ((c3[j] * x + c2[j]) * x + c1[j]) * x + c0[j]
+
+
 def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     """Build (h, k) from the spectral multiplier h, cut at |t| <= t_max.
 
     k comes from the Abel inversion k(u) = -(2/pi) int_0^inf Q'(u + xi^2) d xi,
-    where Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2), with g_cl'
-    computed from h by Fourier quadrature on the line and interpolated in a
-    dense table.  The inversion runs once, on `_N_K_GRID` equally spaced
-    geodesic distances up to the support of g_cl'; k(u) is the cubic
-    through the four nodes nearest rho(u).  k is even in rho, so
-    the node at -drho mirrors the one at +drho, and k is 0 from the last
-    node on.  The tables are built on the first call of k or reach(): a
-    triple used only through h never builds them.
+    where Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2), even in rho,
+    with Q'(0) = g_cl''(0)/2.  Q' (from h by Fourier quadrature on the line)
+    and k are tabulated on `_N_Q_GRID` and `_N_K_GRID` equally spaced rho in
+    [0, `_RHO_MAX`], and both are read by the cubic of `_even_cubic`.  The
+    tables are built on the first call of k or reach(): a triple used only
+    through h never builds them.
     """
+    n_t = 2.0 * t_max / _G_CL_DT
+    if n_t > _MAX_T_NODES:
+        raise DecayError(f"spectral cut t_max = {t_max:.6g} needs {n_t:.3g} Fourier nodes, more than {_MAX_T_NODES}")
     probe = np.abs(np.asarray(h(1j * np.array([0.0, 0.5 * t_max, t_max]))))
     if probe[-1] > 1e-9 * (1.0 + probe[0]):
         raise DecayError("h must decay rapidly on the spectral line")
 
     @lru_cache(maxsize=1)
     def table():
-        """(drho, Horner coefficients of the cubic on each node interval,
-        constant term first: the constant terms are k at the nodes)."""
-        # dense g_cl' table; Q'(v) after that costs one interpolation
-        rho_tab = np.linspace(0.0, _RHO_MAX, 52001)
-        gclp_tab = np.real(_g_cl_derivative(h, t_max, _G_CL_DT)(rho_tab))
-        eps = rho_tab[1]
-        qp_origin = gclp_tab[1] / (2.0 * eps)
-        peak = float(np.max(np.abs(gclp_tab)))
-        supp = np.nonzero(np.abs(gclp_tab) > 1e-17 * peak)[0]
-        rho_cut = float(rho_tab[supp[-1]]) if supp.size else _RHO_MAX
-        v_cut = 4.0 * math.sinh(0.5 * rho_cut) ** 2
-        # Abel inversion in xi = e^l so the quadrature tracks the support of Q'
-        l_nodes, l_w = panel_gl_nodes(np.linspace(-16.0, 0.5 * math.log(v_cut) + 0.5, 60), 10)
-        xi_nodes = np.exp(l_nodes)
-        xi2, xi_weights = xi_nodes**2, xi_nodes * l_w
+        """(drho, `_even_cubic` coefficients of k: the constant terms are k
+        at the nodes)."""
+        # g_cl'(rho) = sum_t kern e^{-i rho t / 2}; g_cl'' adds a factor -it/2
+        t, w = trap_grid(t_max, _G_CL_DT)
+        kern = np.asarray(h(1j * t), dtype=complex) * (-0.5j * t) * w / (4.0 * np.pi)
+        rho_q = np.linspace(0.0, _RHO_MAX, _N_Q_GRID)[1:]
+        qp = np.real(exp_sum(0.5j * rho_q, t, kern)) / (2.0 * np.sinh(rho_q))
+        qp_coef = _even_cubic(np.concatenate([[0.5 * np.real(np.sum(kern * (-0.5j * t)))], qp]))
+        # Abel inversion in xi = e^l, so the quadrature tracks the support of
+        # Q', plus the node xi = 0 for [0, e^-16]
+        l_nodes, l_w = panel_gl_nodes(np.linspace(-16.0, math.log(2.0 * math.sinh(0.5 * _RHO_MAX)) + 0.5, 60), 10)
+        xi2 = np.concatenate([[0.0], np.exp(2.0 * l_nodes)])
+        xi_weights = np.concatenate([[math.exp(-16.0)], np.exp(l_nodes) * l_w])
 
-        drho = rho_cut / (_N_K_GRID - 1)
+        drho = _RHO_MAX / (_N_K_GRID - 1)
         u_nodes = 4.0 * np.sinh(0.5 * drho * np.arange(_N_K_GRID)) ** 2
         k_nodes = np.empty(_N_K_GRID)
         # node 0 is a one-row product of its own, so k(0) does not depend on
@@ -152,36 +169,19 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
         step = max(1, _ABEL_CHUNK // xi2.size)
         edges = [0, *range(1, _N_K_GRID, step), _N_K_GRID]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            rho = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[lo:hi, None] + xi2[None, :]))
-            qp = np.interp(rho, rho_tab, gclp_tab, right=0.0) / (2.0 * np.sinh(np.maximum(rho, 1e-6)))
-            qp[rho < 1e-6] = qp_origin
-            k_nodes[lo:hi] = -(2.0 / np.pi) * (qp @ xi_weights)
-
-        # cubic through the nodes j-1 .. j+2 on [j, j+1]; k(-drho) = k(drho),
-        # k = 0 from the last node on (the zero last row)
-        padded = np.concatenate([k_nodes[1:2], k_nodes, [0.0, 0.0]])
-        km, k0, k1, k2 = padded[:-3], padded[1:-2], padded[2:-1], padded[3:]
-        coef = np.stack([
-            k0,
-            k1 - k0 / 2.0 - km / 3.0 - k2 / 6.0,
-            (km + k1) / 2.0 - k0,
-            (k0 - k1) / 2.0 + (k2 - km) / 6.0,
-        ])
-        coef[:, -1] = 0.0
-        return drho, coef
+            x = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[lo:hi, None] + xi2)) * ((_N_Q_GRID - 1) / _RHO_MAX)
+            k_nodes[lo:hi] = -(2.0 / np.pi) * (_read_even_cubic(qp_coef, x) @ xi_weights)
+        return drho, _even_cubic(k_nodes)
 
     def k(u):
-        drho, (c0, c1, c2, c3) = table()
+        drho, coef = table()
         u = np.asarray(u, dtype=float)
         uf = u.ravel()
         out = np.empty(uf.size)
         for i in range(0, uf.size, _K_BLOCK):
             # u < 0 only by rounding: it is read as u = 0
             x = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(uf[i : i + _K_BLOCK], 0.0))) / drho
-            np.minimum(x, _N_K_GRID - 1, out=x)
-            j = x.astype(np.intp)
-            x -= j
-            out[i : i + _K_BLOCK] = ((c3[j] * x + c2[j]) * x + c1[j]) * x + c0[j]
+            out[i : i + _K_BLOCK] = _read_even_cubic(coef, x)
         return out.reshape(u.shape) if u.shape else float(out[0])
 
     def reach():
@@ -442,10 +442,10 @@ def unit_hecke_global_factor(alpha) -> float:
 
 
 def _arch_orbital_nodes():
-    """Nodes for int_0^inf of slowly decaying point-pair integrands: a dense
-    900-node head on [0, 6] plus a log-spaced tail out to x = e^9."""
+    """Nodes for int_0^inf of slowly decaying point-pair integrands: 120
+    panels of 12 nodes on [0, 6] plus a log-spaced tail out to x = e^9."""
     x_head = 6.0
-    x1, w1 = gl_nodes(0.0, x_head, 900)
+    x1, w1 = panel_gl_nodes(np.linspace(0.0, x_head, 121), 12)
     l, lw = panel_gl_nodes(np.linspace(math.log(x_head), 9.0, 24), 10)
     x2 = np.exp(l)
     w2 = x2 * lw

@@ -445,6 +445,16 @@ class TestCLI:
         assert cli.main(["tf", "report", "--width", "1.1"]) == 3
         assert capsys.readouterr().err.startswith("error: DecayError: kernel sum to u = 7.089e+04")
 
+    def test_tf_report_refuses_tiny_width(self, capsys):
+        # W = 0.001 cuts the line at t_max = 1.2e4, a Fourier rule of 1.2e6
+        # nodes; the test function is refused before any table is built
+        from seltrace import cli
+
+        assert cli.main(["tf", "report", "--width", "0.001"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: DecayError: spectral cut t_max = 12000 needs 1.2e+06 Fourier nodes")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("width", ["0", "-0.5", "nan"])
     def test_tf_report_rejects_width(self, width, capsys):
         from seltrace import cli

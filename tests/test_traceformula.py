@@ -79,23 +79,33 @@ class TestLazyAbelTables:
             20.0: 6.971992635646460438e-4,
         }
         u = np.array(list(ref))
-        assert np.max(np.abs(gauss_T05_sq.k(u) - np.array(list(ref.values())))) <= 2.5e-7 * ref[0.0]
+        assert np.max(np.abs(gauss_T05_sq.k(u) - np.array(list(ref.values())))) <= 1e-10 * ref[0.0]
 
     def test_report_builds_one_g_cl_table(self, monkeypatch, tmp_path):
-        # only the convolved triple's k is used; the Gaussian's table is never
-        # built
+        # only the convolved triple's k is used: its Q' and k tables are the
+        # two cubic tables built, and the Gaussian's are never built
         from seltrace import cli, traceformula
 
-        calls = []
-        build = traceformula._g_cl_derivative
+        sizes = []
+        build = traceformula._even_cubic
 
-        def counting(*args):
-            calls.append(args)
-            return build(*args)
+        def counting(values):
+            sizes.append(len(values))
+            return build(values)
 
-        monkeypatch.setattr(traceformula, "_g_cl_derivative", counting)
+        monkeypatch.setattr(traceformula, "_even_cubic", counting)
         assert cli.main(["tf", "report", "--width", "0.4917", "--out", str(tmp_path / "tf.json")]) == 0
-        assert len(calls) == 1
+        assert sizes == [traceformula._N_Q_GRID, traceformula._N_K_GRID]
+
+    def test_oversized_fourier_rule_refused_at_construction(self):
+        # t_max = 2400.5 would take 240,050 t nodes; h is never evaluated
+        from seltrace.traceformula import spherical_from_h
+
+        def h(s):
+            raise AssertionError("h evaluated")
+
+        with pytest.raises(DecayError, match="more than 240000"):
+            spherical_from_h(h, 2400.5)
 
     def test_report_convolves_once(self, monkeypatch, tmp_path):
         # every trace-formula term takes the one convolved triple
