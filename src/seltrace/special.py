@@ -22,6 +22,7 @@ from .util import SeltraceError, PoleProximityError, circle_coefficients, exp_su
 
 __all__ = [
     "PoleError",
+    "DomainError",
     "UnderflowWarning",
     "gamma",
     "zeta",
@@ -38,6 +39,10 @@ __all__ = [
 
 class PoleError(SeltraceError):
     """Evaluation exactly at (or numerically on top of) a pole."""
+
+
+class DomainError(SeltraceError):
+    """An argument outside the domain on which the function is validated."""
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -112,11 +117,22 @@ def _zeta_em(s: np.ndarray) -> np.ndarray:
     return exp_sum(s, np.log(n), np.ones_like(n)) + tail * np.exp(-math.log(N) * s)
 
 
+# zeta is bounded against mpmath for |Im s| <= _ZETA_IM_MAX only
+_ZETA_IM_MAX = 250.0
+
+
+def _check_zeta_domain(s: np.ndarray):
+    if np.any(np.abs(s.imag) > _ZETA_IM_MAX):
+        raise DomainError(f"|Im s| = {np.max(np.abs(s.imag)):.6g} is past zeta's validated band |Im s| <= 250")
+
+
 def zeta(s):
-    """Riemann zeta, ~1e-12 of max(1, |zeta|) for |Im s| <= 250.  PoleError at s = 1."""
+    """Riemann zeta, ~1e-12 of max(1, |zeta|) for |Im s| <= 250.  PoleError at
+    s = 1; DomainError for |Im s| > 250."""
     s = np.asarray(s, dtype=complex)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
+    _check_zeta_domain(s)
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("zeta has its pole at s = 1")
     left = s.real < -0.5
@@ -142,6 +158,7 @@ def xi(s):
     s = np.asarray(s, dtype=complex)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
+    _check_zeta_domain(s)
     if np.any(np.abs(s) < 1e-12) or np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("xi has poles at s = 0 and s = 1")
     z = np.where(s.real < 0.5, 1.0 - s, s)

@@ -321,44 +321,22 @@ def _charged_res_with_power(coeffs: dict, x: np.ndarray):
     return out
 
 
-def _polar_inverse_value(p: ChargedLaurent, x: np.ndarray, sigma: float):
-    """Closed-form (1/2 pi i) int over Re s = sigma of (polar part) x^s ds.
-
-    For x > 1 the contour closes to the left and picks up the residue of a
-    pole left of it; for x < 1 it closes to the right and picks up minus the
-    residue of a pole right of it; an on-contour pole gives the
-    principal-value half of both.  That is the charged term with
-    Res+ = -1(x > 1) and Res- = -1(x < 1) times the residue.  At x = 1 the
-    contour integral converges to the midpoint of the jump, so both
-    indicators take the value 1/2 there."""
-    w = _charged_term(_side(p.location, sigma), -np.heaviside(x - 1.0, 0.5), -np.heaviside(1.0 - x, 0.5))
-    return w * _x_power(p.location, x) * _charged_res_with_power(p.total(), x)
-
-
-def _residue_corrections_inverse(p: ChargedLaurent, x: np.ndarray, sigma: float):
-    """- Res+ of F(s) x^s (poles left of the contour) + Res- (right side),
-    with principal-value halves on the contour itself."""
-    rp = _charged_res_with_power(p.plus, x)
-    rm = _charged_res_with_power(p.minus, x)
-    return _x_power(p.location, x) * _charged_term(_side(p.location, sigma), rp, rm)
-
-
-def _line_grid(center: float, dt: float, n: int):
-    """Trapezoid nodes center + k dt (k = -n..n) and weights.  The nodes are
-    exactly symmetric about center, so odd parts of an integrand cancel to
-    the last bit."""
-    t = center + dt * np.arange(-n, n + 1)
-    w = np.full(t.shape, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return t, w
+def _evaluator_poles(F: ChargedMeromorphicFunction) -> tuple:
+    """F's poles less its rational part, chargewise: the polar parts that
+    F's evaluator holds."""
+    neg = [ChargedLaurent(p.location, *({k: -v for k, v in c.items()} for c in (p.plus, p.minus)))
+           for p in F.rational_poles]
+    return merge_poles([*F.poles, *neg])
 
 
 def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
     """Inverse transform at abscissa sigma with charged residue bookkeeping.
 
     The contour runs over |Im s| <= `_INVERSE_T_MAX` at step `_LINE_DT` and
-    samples F's evaluator; F's rational part is inverted in closed form.
+    samples F's evaluator, whose poles take the residue corrections of their
+    side of it.  A rational pole at a inverts to its sharp term in closed
+    form, the same at every sigma: x^a R-(x) on x > 1, -x^a R+(x) on x < 1,
+    half of each at x = 1 (R+- as in `_charged_res_with_power`).
     Raises DecayError when a transform with a rational part (sharp carriers,
     so polynomial decay) has not decayed by either end of it, or when a
     non-rational pole lies within `_POLE_CLEARANCE` of the abscissa: the
@@ -369,7 +347,8 @@ def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
     if np.any(xs <= 0):
         raise ValueError("x must be positive")
     rational = F.rational_poles
-    _check_pole_clearance([p for p in F.poles if p not in rational], sigma)
+    sampled = _evaluator_poles(F)
+    _check_pole_clearance(sampled, sigma)
     t, w = trap_grid(_INVERSE_T_MAX, _LINE_DT)
     remainder = F.evaluator(sigma + 1j * t)
     if rational:
@@ -382,10 +361,13 @@ def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
             )
     out = exp_sum(-1j * np.log(xs), t, remainder * w) / (2.0 * np.pi) * xs**sigma
     out = out.astype(complex)
+    above, below = np.heaviside(xs - 1.0, 0.5), np.heaviside(1.0 - xs, 0.5)
     for p in rational:
-        out = out + _polar_inverse_value(p, xs, sigma)
-    for p in F.poles:
-        out = out + _residue_corrections_inverse(p, xs, sigma)
+        rp, rm = _charged_res_with_power(p.plus, xs), _charged_res_with_power(p.minus, xs)
+        out = out + _x_power(p.location, xs) * (above * rm - below * rp)
+    for p in sampled:
+        rp, rm = _charged_res_with_power(p.plus, xs), _charged_res_with_power(p.minus, xs)
+        out = out + _x_power(p.location, xs) * _charged_term(_side(p.location, sigma), rp, rm)
     return out[0] if scalar else out
 
 
@@ -476,11 +458,12 @@ def _cached_product(F1: ChargedMeromorphicFunction, F2n: ChargedMeromorphicFunct
 
 
 @lru_cache(maxsize=16)
-def _line_values(F: ChargedMeromorphicFunction, sigma: float, center: float, dt: float, n: int) -> np.ndarray:
-    """F's evaluator on the vertical line sigma + i `_line_grid(center, dt, n)`,
-    memoized per (function, line) pair."""
+def _line_values(F: ChargedMeromorphicFunction, sigma: float, center: float) -> np.ndarray:
+    """F's evaluator on the pairing line sigma + i (center + t), t the nodes
+    of `trap_grid(_PAIRING_T_MAX, _LINE_DT)`, memoized per (function, line)
+    pair."""
     with np.errstate(all="ignore"):
-        return F.evaluator(sigma + 1j * _line_grid(center, dt, n)[0])
+        return F.evaluator(sigma + 1j * (center + trap_grid(_PAIRING_T_MAX, _LINE_DT)[0]))
 
 
 def _rational_pair_contour(poles1, poles2, sigma: float) -> complex:
@@ -547,12 +530,12 @@ def _split_contour(
         raise DecayError("multiple distinct on-contour pole ordinates are unsupported")
     center = ordinates[0] if ordinates else 0.0
 
-    n = int(round(_PAIRING_T_MAX / _LINE_DT))
-    t, w = _line_grid(center, _LINE_DT, n)
-    s_line = sigma + 1j * t
+    t, w = trap_grid(_PAIRING_T_MAX, _LINE_DT)
+    n = t.size // 2
+    s_line = sigma + 1j * (center + t)
 
     # partner transforms recur across pairings, so their lines are memoized
-    line = (float(sigma), float(center), _LINE_DT, n)
+    line = (float(sigma), float(center))
     e1 = _line_values(F1, *line)
     e2 = _line_values(F2n, *line)
     with np.errstate(all="ignore"):

@@ -31,7 +31,7 @@ import numpy as np
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
 from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coset_blocks, coset_windows, fold_mirror
-from .util import DecayError, SeltraceError, exp_sum, panel_gl_nodes, ranges, steps, trap_grid
+from .util import DecayError, SeltraceError, circle_coefficients, exp_sum, panel_gl_nodes, ranges, steps, trap_grid
 
 __all__ = [
     "FitError",
@@ -487,9 +487,10 @@ def tate_zeta_term(F_profile: Callable) -> tuple[TwoTermLaurent, Callable]:
 
     Z(F, w) = Z_inf(F_inf, w) zeta(w) with
     Z_inf(w) = int_R F_inf(x) |x|^(w-1) dx, by the trapezoid rule in
-    u = log x on |u| <= 30.  The simple pole at w = 1 has residue Z_inf(1);
-    the constant term is extracted by a symmetric limit at steps 1e-3 and
-    5e-4 with Richardson refinement.  Returns (laurent, Z_callable).
+    u = log x on |u| <= 30.  The Laurent coefficients b_-1, b_0 of Z at
+    w = 1 are sampled on 16 points of the circle |w - 1| = 1/8
+    (`util.circle_coefficients`); w = 1 - s/2 makes them a_-1 = -2 b_-1 and
+    a_0 = b_0.  Returns (laurent, Z_callable).
     """
     u, uw = trap_grid(30.0, 0.01)
     # the profile does not depend on w, so every Z_inf call shares it
@@ -498,12 +499,8 @@ def tate_zeta_term(F_profile: Callable) -> tuple[TwoTermLaurent, Callable]:
     def Z(w):
         return exp_sum(-np.asarray(w), u, c) * zeta(w)
 
-    # residue of zeta at 1 is 1; the finite part from 1 +- h, h = 1e-3, 5e-4
-    h = np.array([1e-3, 0.5e-3])
-    R = complex(exp_sum(-1.0, u, c))
-    c1, c2 = 0.5 * (Z(1.0 + h) + Z(1.0 - h))
-    C = (4.0 * c2 - c1) / 3.0
-    return TwoTermLaurent(a_minus1=complex(-2.0 * R), a_0=complex(C)), Z
+    b = circle_coefficients(Z, 1.0, (-1, 0), 0.125, 16)
+    return TwoTermLaurent(a_minus1=complex(-2.0 * b[-1]), a_0=complex(b[0])), Z
 
 
 def tate_kernel_term(T12: SphericalTestFunction) -> TwoTermLaurent:

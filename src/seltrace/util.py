@@ -68,15 +68,17 @@ def steps(sizes: np.ndarray, cap: int):
 
 
 def trap_grid(t_max: float, dt: float):
-    """Symmetric uniform grid on [-t_max, t_max] with trapezoid weights.
+    """Uniform grid on [-t_max, t_max] with trapezoid weights, the one rule
+    for every vertical line.
 
-    The n = round(2 t_max / dt) steps are 2 t_max / n wide, and the weights
-    use that spacing; it is dt itself where n dt = 2 t_max to rounding."""
+    The n = round(2 t_max / dt) steps are 2 t_max / n wide (dt itself where
+    n dt = 2 t_max to rounding), and the nodes step (k - n/2), k = 0..n, are
+    exactly antisymmetric, so odd parts of an integrand cancel to the bit."""
     n = int(round(2.0 * t_max / dt))
-    t = np.linspace(-t_max, t_max, n + 1)
     step = 2.0 * t_max / n
     if abs(step - dt) <= 8.0 * np.finfo(float).eps * dt:
         step = dt
+    t = step * (np.arange(n + 1) - 0.5 * n)
     w = np.full(n + 1, step)
     w[0] *= 0.5
     w[-1] *= 0.5

@@ -455,6 +455,16 @@ class TestCLI:
         assert err.startswith("error: DecayError: spectral cut t_max = 12000 needs 1.2e+06 Fourier nodes")
         assert "Traceback" not in err
 
+    def test_tf_report_refuses_lines_past_the_zeta_band(self, capsys):
+        # W = 0.02 reads the spectral line to t = 12/W = 600, past zeta's
+        # validated |Im s| <= 250, where xi overflowed to nan
+        from seltrace import cli
+
+        assert cli.main(["tf", "report", "--width", "0.02"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: |Im s| = ")
+        assert "Traceback" not in err and "Warning" not in err
+
     @pytest.mark.parametrize("width", ["0", "-0.5", "nan"])
     def test_tf_report_rejects_width(self, width, capsys):
         from seltrace import cli

@@ -1,6 +1,7 @@
 """Special-function layer against closed forms and the mpmath oracle."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from seltrace import special, util
 from seltrace.special import (
+    DomainError,
     PoleError,
     c_log_derivative,
     divisor_sigma,
@@ -37,6 +39,19 @@ class TestZeta:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             zeta(1.0 + 0j)
+
+    def test_validated_band_is_the_domain(self):
+        # zeta is bounded against mpmath for |Im s| <= 250 only; past it xi's
+        # Gamma factor overflowed to nan, so xi, c and c'/c refuse too, before
+        # any overflow warning
+        assert np.isfinite(zeta(250j)) and np.isfinite(xi(0.5 + 250j))
+        assert np.isfinite(intertwining_c(-250j)) and np.isfinite(c_log_derivative(250j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (zeta, xi, intertwining_c, c_log_derivative):
+                for s in (250.5j, -3.0 - 250.5j, np.array([0.5, 2.0 + 250.5j])):
+                    with pytest.raises(DomainError, match="250"):
+                        f(s)
 
     @pytest.mark.parametrize(
         "s", [0.3 + 40j, -2.5 + 33j, 2.0 + 59j, 0.5 + 14.1347j, -0.1 + 0.05j, 1.0 + 9.0647j]

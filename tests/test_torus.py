@@ -173,6 +173,39 @@ class TestInversion:
         assert max(abs(v - vals[1]) for v in vals) < 1e-10
         assert abs(vals[1] - (f.core_values(1.0) + 0.5)) < 1e-9
 
+    def test_sharp_terms_invert_alike_at_every_abscissa(self):
+        # only rational poles: the inversion is the sharp terms in closed form,
+        # so moving the abscissa across the poles changes no bit
+        f = AsymptoticallyFiniteFunction(terms=(
+            ExponentTerm(1.0, (1.0, 0.5), side="zero"),
+            ExponentTerm(0.0, side="zero"),
+            ExponentTerm(-0.3 + 0.2j, side="infinity"),
+        ))
+        F = mellin(f)
+        xs = np.array([0.05, 0.3, 0.99, 1.0, 1.01, 2.0, 20.0])
+        vals = [mellin_inverse(F, sigma, xs) for sigma in (-0.5, 0.0, 0.5, 1.5)]
+        for v in vals[1:]:
+            assert np.array_equal(v, vals[0])
+        off = xs != 1.0
+        assert np.max(np.abs(vals[0][off] - f(xs[off]))) < 1e-14
+        # the midpoint of each jump at x = 1
+        assert abs(vals[0][xs == 1.0][0] - 1.5) < 1e-15
+
+    def test_sharp_and_smooth_term_at_one_exponent(self):
+        # both polar parts merge into one pole: the sharp part inverts in
+        # closed form, and only the smooth part takes residue corrections.
+        # The smooth term is small, so the 1/t tail of its polar part passes
+        # the decay band that the sharp term's rational part switches on
+        f = AsymptoticallyFiniteFunction(
+            core=log_gaussian_core(0.0, 0.7, 1.0),
+            terms=(ExponentTerm(0.5, side="zero"), ExponentTerm(0.5, (3e-7, 2e-7), side="zero", carrier="smooth")),
+        )
+        F = mellin(f)
+        assert len(F.poles) == 1 and len(F.rational_poles) == 1
+        xs = np.exp(np.linspace(-2.5, 2.5, 40))
+        for sigma in (0.0, 1.0):
+            assert np.max(np.abs(mellin_inverse(F, sigma, xs) - f(xs))) <= 1e-9
+
     def test_one_exponent_on_both_sides_keeps_its_charges(self):
         # x^a on (0, 1) and on [1, inf): the polar parts cancel but the
         # charges do not, and the inversion returns x^a on either side of a

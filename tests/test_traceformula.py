@@ -432,6 +432,8 @@ class TestTateZeta:
         for w in (1.5, 2.0, 3.0):
             assert abs(Z(w) - xi(complex(w))) < 1e-10
         assert abs(lau.a_minus1 + 2.0) < 1e-8
+        # the constant term of xi at 1
+        assert abs(lau.a_0 - 0.5 * (np.euler_gamma - math.log(4.0 * math.pi))) < 1e-11
 
     def test_zero_profile(self):
         lau, _ = tate_zeta_term(lambda x: np.zeros_like(np.asarray(x, dtype=float)))

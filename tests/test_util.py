@@ -190,6 +190,7 @@ def test_two_dimensional_s_through_mellin():
 @pytest.mark.parametrize("t_max, dt", [(26.0, 0.01), (12.0 / 0.45, 0.01), (12.0 / 0.47, 0.02)])
 def test_trap_grid_weights_follow_the_node_spacing(t_max, dt):
     t, w = trap_grid(t_max, dt)
+    assert np.array_equal(t, -t[::-1])
     step = np.diff(t)
     assert np.max(np.abs(w[1:-1] - step.mean())) <= 1e-15
     assert abs(np.sum(w) - 2.0 * t_max) <= 1e-12 * t_max
