@@ -31,7 +31,7 @@ import numpy as np
 from .special import c_log_derivative, intertwining_c, zeta
 from .charged import ChargedLaurent, ChargedMeromorphicFunction
 from .halfplane import FUNDAMENTAL_DOMAIN_VOLUME, _FD_BASE, _fd_grids, coset_blocks, coset_windows, fold_mirror
-from .util import DecayError, SeltraceError, circle_coefficients, exp_sum, panel_gl_nodes, ranges, steps, trap_grid
+from .util import _NEGLIGIBLE, DecayError, SeltraceError, circle_coefficients, exp_sum, panel_gl_nodes, ranges, steps, trap_grid
 
 __all__ = [
     "FitError",
@@ -76,9 +76,10 @@ class SphericalTestFunction:
     built from it, and their truncations.
 
     `k` evaluates the point-pair kernel from a table in geodesic distance,
-    built on its first call.  `t_max` is the cut of the spectral line that
-    the triple was built on, and `reach()` the cut of the kernel sums: the
-    u of the last table node where |k| >= `_K_REACH` |k(0)|."""
+    built on its first call; it is exactly 0 where Q' has fallen below its
+    rounding floor (`spherical_from_h`).  `t_max` is the cut of the spectral
+    line that the triple was built on, and `reach()` the cut of the kernel
+    sums: the u of the last table node where |k| >= `_K_REACH` |k(0)|."""
 
     h: Callable
     k: Callable
@@ -96,10 +97,15 @@ _N_K_GRID = 6000
 _MAX_T_NODES = 240_000
 # the kernel sums keep |k| >= _K_REACH |k(0)|: u <= 249.1 at width 0.5
 _K_REACH = 5e-8
-# (node, xi) entries of Q' that the table build evaluates at a time, and
-# points that k interpolates at a time
+# (node, xi) entries of Q' per row block of the Abel step, counted over the
+# whole xi rule (each block reads only the prefix of the rule that reaches a
+# nonzero Q' node, `_cut_at_floor`)
 _ABEL_CHUNK = 250_000
-_K_BLOCK = 1 << 16
+# points that k interpolates at a time: the read's temporaries, about 1 MB,
+# stay below the heap size at which the allocator hands memory back, so a
+# kernel-sum step seldom faults their pages in afresh (glibc, 2-core host: a
+# width 1.0 report took 1.3e6 minor faults at 1 << 16, 2.1e5 at 1 << 14)
+_K_BLOCK = 1 << 14
 
 
 def _even_cubic(values):
@@ -127,6 +133,22 @@ def _read_even_cubic(coef, x):
     return ((c3[j] * x + c2[j]) * x + c1[j]) * x + c0[j]
 
 
+def _cut_at_floor(q: np.ndarray):
+    """(q with every node past its last one at |q| >= `_NEGLIGIBLE` max|q| set
+    to 0, v_end): the cubic of `_even_cubic` reads only zero nodes, so is
+    exactly 0, at v >= v_end (inf when the table has no such v)."""
+    # written so that a nan keeps the whole table
+    live = int(np.nonzero(~(np.abs(q) < _NEGLIGIBLE * np.max(np.abs(q))))[0][-1])
+    q = q.copy()
+    q[live + 1 :] = 0.0
+    # the cubic on [j, j+1] reads nodes j-1 .. j+2, so it is 0 from node
+    # live + 2 on; one node more keeps the rounding of u + xi^2 off that edge
+    end = live + 3
+    if end >= _N_Q_GRID:
+        return q, math.inf
+    return q, 4.0 * math.sinh(0.5 * end * _RHO_MAX / (_N_Q_GRID - 1)) ** 2
+
+
 def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     """Build (h, k) from the spectral multiplier h, cut at |t| <= t_max.
 
@@ -134,9 +156,13 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     where Q'(v) = g_cl'(rho)/(2 sinh rho) at v = 4 sinh^2(rho/2), even in rho,
     with Q'(0) = g_cl''(0)/2.  Q' (from h by Fourier quadrature on the line)
     and k are tabulated on `_N_Q_GRID` and `_N_K_GRID` equally spaced rho in
-    [0, `_RHO_MAX`], and both are read by the cubic of `_even_cubic`.  The
-    tables are built on the first call of k or reach(): a triple used only
-    through h never builds them.
+    [0, `_RHO_MAX`], and both are read by the cubic of `_even_cubic`.  Q' is
+    set to 0 past its last node at `_NEGLIGIBLE` of its largest, where the
+    table holds only the Fourier sum's rounding, and the Abel step evaluates
+    only the entries that read a nonzero node (`_cut_at_floor`): k is exactly
+    0 from v_end on, as it is past `_RHO_MAX`.  The tables are built on the
+    first call of k or reach(): a triple used only through h never builds
+    them.
     """
     n_t = 2.0 * t_max / _G_CL_DT
     if n_t > _MAX_T_NODES:
@@ -154,7 +180,8 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
         kern = np.asarray(h(1j * t), dtype=complex) * (-0.5j * t) * w / (4.0 * np.pi)
         rho_q = np.linspace(0.0, _RHO_MAX, _N_Q_GRID)[1:]
         qp = np.real(exp_sum(0.5j * rho_q, t, kern)) / (2.0 * np.sinh(rho_q))
-        qp_coef = _even_cubic(np.concatenate([[0.5 * np.real(np.sum(kern * (-0.5j * t)))], qp]))
+        q, v_end = _cut_at_floor(np.concatenate([[0.5 * np.real(np.sum(kern * (-0.5j * t)))], qp]))
+        qp_coef = _even_cubic(q)
         # Abel inversion in xi = e^l, so the quadrature tracks the support of
         # Q', plus the node xi = 0 for [0, e^-16]
         l_nodes, l_w = panel_gl_nodes(np.linspace(-16.0, math.log(2.0 * math.sinh(0.5 * _RHO_MAX)) + 0.5, 60), 10)
@@ -163,14 +190,17 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
 
         drho = _RHO_MAX / (_N_K_GRID - 1)
         u_nodes = 4.0 * np.sinh(0.5 * drho * np.arange(_N_K_GRID)) ** 2
-        k_nodes = np.empty(_N_K_GRID)
+        k_nodes = np.zeros(_N_K_GRID)
         # node 0 is a one-row product of its own, so k(0) does not depend on
-        # how the BLAS blocks the rows of the others
+        # how the BLAS blocks the rows of the others; rows from v_end on and
+        # each block's xi past v_end - u would read only zero Q' nodes
         step = max(1, _ABEL_CHUNK // xi2.size)
-        edges = [0, *range(1, _N_K_GRID, step), _N_K_GRID]
+        n_rows = int(np.searchsorted(u_nodes, v_end))
+        edges = [0, *range(1, n_rows, step), n_rows]
         for lo, hi in zip(edges[:-1], edges[1:]):
-            x = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[lo:hi, None] + xi2)) * ((_N_Q_GRID - 1) / _RHO_MAX)
-            k_nodes[lo:hi] = -(2.0 / np.pi) * (_read_even_cubic(qp_coef, x) @ xi_weights)
+            n_xi = int(np.searchsorted(xi2, v_end - u_nodes[lo]))
+            x = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[lo:hi, None] + xi2[:n_xi])) * ((_N_Q_GRID - 1) / _RHO_MAX)
+            k_nodes[lo:hi] = -(2.0 / np.pi) * (_read_even_cubic(qp_coef, x) @ xi_weights[:n_xi])
         return drho, _even_cubic(k_nodes)
 
     def k(u):

@@ -39,13 +39,13 @@ def gl_nodes(a: float, b: float, n: int):
 
 
 def panel_gl_nodes(edges, n: int):
-    """Composite Gauss-Legendre nodes over consecutive panels `edges`."""
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gl_nodes(a, b, n)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    """Composite Gauss-Legendre nodes over consecutive panels `edges`: on each
+    panel, the nodes and weights of `gl_nodes`, bit for bit."""
+    x, w = gauss_legendre(n)
+    edges = np.asarray(edges, dtype=float)
+    a = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - a)
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def ranges(lo: np.ndarray, count: np.ndarray):

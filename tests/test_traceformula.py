@@ -123,6 +123,104 @@ class TestLazyAbelTables:
         assert len(calls) == 1
 
 
+def _peaked_multiplier(width, t0):
+    """h(it) = e^{-W^2 (t - t0)^2 / 4} + e^{-W^2 (t + t0)^2 / 4}, cut at
+    t0 + max(26, 12/W): its Q' oscillates."""
+
+    def h(s):
+        s = np.asarray(s, dtype=complex)
+        return np.exp(0.25 * width**2 * (s + 1j * t0) ** 2) + np.exp(0.25 * width**2 * (s - 1j * t0) ** 2)
+
+    return h, t0 + max(26.0, 12.0 / width)
+
+
+def _gaussian_square(width):
+    T = gaussian_test_function(width)
+    return lambda s: T.h(s) * T.h(s), T.t_max
+
+
+class TestAbelFloor:
+    """The table build evaluates the Abel step only where Q' is above its
+    rounding floor; against the whole 6,000 x 591 rule on the uncut Q'."""
+
+    @pytest.mark.parametrize("case, reach", [
+        ((_gaussian_square, 0.3), None),
+        ((_gaussian_square, 0.5), 249.12148966939284),
+        ((_gaussian_square, 1.0), None),
+        ((_peaked_multiplier, 0.7, 19.07), None),
+    ], ids=["width0.3", "width0.5", "width1", "peaked0.7"])
+    def test_cut_table_is_the_whole_rule(self, monkeypatch, case, reach):
+        from seltrace import traceformula
+
+        make, *args = case
+        h, t_max = make(*args)
+        cuts = []
+        cut = traceformula._cut_at_floor
+
+        def recording(q):
+            cuts.append(cut(q))
+            return cuts[-1]
+
+        monkeypatch.setattr(traceformula, "_cut_at_floor", recording)
+        T = traceformula.spherical_from_h(h, t_max)
+        got = T.reach()
+        drho, (k, *_) = inspect.getclosurevars(T.k).nonlocals["table"]()
+        (_, v_end), = cuts
+        # the table as built before the floor: every node, every xi
+        monkeypatch.setattr(traceformula, "_cut_at_floor", lambda q: (q, math.inf))
+        T_full = traceformula.spherical_from_h(h, t_max)
+        _, (k_full, *_) = inspect.getclosurevars(T_full.k).nonlocals["table"]()
+
+        assert np.max(np.abs(k - k_full)) <= 2.0**-50 * abs(k_full[0])
+        u = 4.0 * np.sinh(0.5 * drho * np.arange(k.size)) ** 2
+        past = np.searchsorted(u, v_end)
+        assert 0 < past < k.size
+        assert np.all(k[past:] == 0.0)
+        # the cubic reads only zero nodes from the interval after next on
+        assert np.all(T.k(np.linspace(u[past + 2], 1.1 * u[-1], 500)) == 0.0)
+        assert got == T_full.reach()
+        if reach is not None:
+            assert got == reach
+
+    def test_skipped_entries_read_zero(self, monkeypatch):
+        # cut Q' at rho = 3, where it is still large, so that any skipped
+        # entry that read a nonzero node would show far above rounding
+        from seltrace import traceformula
+
+        h, t_max = _gaussian_square(0.5)
+        cut = traceformula._cut_at_floor
+
+        def early(q):
+            return np.where(np.arange(q.size) < 1500, q, 0.0)
+
+        tables = []
+        for cutting in (lambda q: cut(early(q)), lambda q: (early(q), math.inf)):
+            monkeypatch.setattr(traceformula, "_cut_at_floor", cutting)
+            T = traceformula.spherical_from_h(h, t_max)
+            tables.append(inspect.getclosurevars(T.k).nonlocals["table"]()[1][0])
+        k, k_all = tables
+        assert np.max(np.abs(k - k_all)) <= 2.0**-50 * abs(k_all[0])
+        # near the end of the cut k is far above rounding
+        assert np.max(np.abs(k_all[np.nonzero(k)[0][-1] - 200 :])) > 1e-8 * abs(k_all[0])
+
+    def test_table_build_reads_under_a_million_entries(self, monkeypatch):
+        # 794,153 (row, xi) entries of Q' at W = 0.5; the whole rule is
+        # 6,000 x 591 = 3,546,000
+        from seltrace import traceformula
+
+        read = []
+        cubic = traceformula._read_even_cubic
+
+        def counting(coef, x):
+            read.append(x.size)
+            return cubic(coef, x)
+
+        monkeypatch.setattr(traceformula, "_read_even_cubic", counting)
+        T = gaussian_test_function(0.5)
+        convolve_test_functions(T, T).reach()
+        assert 0 < sum(read) <= 1_000_000
+
+
 class TestReach:
     def test_width_half_reach(self, gauss_T05_sq):
         reach = gauss_T05_sq.reach()

@@ -8,7 +8,7 @@ import pytest
 from seltrace import torus, util
 from seltrace.corpus import default_corpus
 from seltrace.torus import AsymptoticallyFiniteFunction, log_gaussian_core, mellin
-from seltrace.util import exp_sum, panel_gl_nodes, trap_grid
+from seltrace.util import exp_sum, gl_nodes, panel_gl_nodes, trap_grid
 
 
 def _core_nodes():
@@ -197,3 +197,17 @@ def test_trap_grid_weights_follow_the_node_spacing(t_max, dt):
     if abs(t.size - 1 - 2.0 * t_max / dt) < 1e-9:
         # dt divides 2 t_max: the weights are dt itself
         assert np.all(w[1:-1] == dt)
+
+
+@pytest.mark.parametrize("edges, n", [
+    # the Mellin core rule, `_arch_orbital_nodes`' head and tail, the Abel xi rule
+    (np.linspace(0.0, 36.0, 145), 16),
+    (np.linspace(0.0, 6.0, 121), 12),
+    (np.linspace(math.log(6.0), 9.0, 24), 10),
+    (np.linspace(-16.0, math.log(2.0 * math.sinh(13.0)) + 0.5, 60), 10),
+], ids=["mellin_core", "arch_head", "arch_tail", "abel_xi"])
+def test_panel_nodes_are_the_per_panel_rules(edges, n):
+    xs, ws = zip(*(gl_nodes(a, b, n) for a, b in zip(edges[:-1], edges[1:])))
+    x, w = panel_gl_nodes(edges, n)
+    assert np.array_equal(x, np.concatenate(xs))
+    assert np.array_equal(w, np.concatenate(ws))
