@@ -40,6 +40,7 @@ from .util import (
     DecayError,
     SeltraceError,
     exp_sum,
+    gauss_legendre,
     gl_nodes,
     panel_gl_nodes,
     ranges,
@@ -247,10 +248,6 @@ def fold_mirror(z) -> tuple[np.ndarray, np.ndarray]:
 # folded points per height band of `coset_windows`; each band sizes its own
 # row windows
 _COSET_BAND = 256
-# (row, point) entries per block of `coset_blocks`, 256 kB per float array,
-# so that a block's arrays stay in cache; blocks of 131,072 entries took
-# about twice as long on the same entries of a pseudo-Eisenstein sum
-_COSET_BLOCK = 32_768
 
 
 def coset_windows(x: np.ndarray, y: np.ndarray, radius2: Callable) -> list:
@@ -271,13 +268,13 @@ def coset_windows(x: np.ndarray, y: np.ndarray, radius2: Callable) -> list:
 
 def coset_blocks(windows: list):
     """(band, c, d) for the rows of each window of `coset_windows`, band by
-    band in order of c then d, in blocks of at most `_COSET_BLOCK`
-    (row, point) entries (or one row, if that alone passes it)."""
+    band in order of c then d, in the blocks of `util.steps`: at most
+    `util._BLOCK` (row, point) entries (or one row, if that alone passes
+    it)."""
     for b, *window in windows:
         cs, ds = coprime_rows(*window)
-        step = max(1, _COSET_BLOCK // (b.stop - b.start))
-        for i in range(0, cs.size, step):
-            yield b, cs[i : i + step], ds[i : i + step]
+        for g in steps(np.full(cs.size, b.stop - b.start)):
+            yield b, cs[g], ds[g]
 
 
 def _funnel_radius2(h_min: float, y_lo: float, y_hi: float) -> np.ndarray:
@@ -389,11 +386,6 @@ class PseudoEisenstein(AutomorphicFunction):
 _HOROCYCLE_DR = 0.04
 # model values below this share of the sampled peak are left out of F(w)
 _HOROCYCLE_FLOOR = 1e-17
-# (w, r) entries evaluated per block in `_horocycle_F`, 2 MB per float array:
-# on `verify all`'s largest Radon call (398 heights) blocks of 4e6 entries
-# peaked at 357 MB under tracemalloc and blocks of 2^18 at 115 MB, and took
-# 0.76 s against 0.57 s.  A block holds whole w's, so its size changes no value
-_HOROCYCLE_BLOCK = 1 << 18
 
 
 def _model_window(f: BoundaryFunction, log_x_lo: float, log_x_hi: float):
@@ -421,7 +413,9 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
         F(w) = w^(-1/2) int_R G(sech(r) / sqrt(w)) dr,
     a log-localized integrand resolved by a uniform r-trapezoid whose range
     grows only like |log w|.  Each w takes only the r-nodes whose argument
-    lies in the window where |G| is above _HOROCYCLE_FLOOR of its peak."""
+    lies in the window where |G| is above _HOROCYCLE_FLOOR of its peak.  The
+    (w, r) entries are evaluated in the blocks of `util.steps`; a block holds
+    whole w's, so its size changes no value."""
     warr = np.atleast_1d(np.asarray(warr, dtype=float))
     r_max = 0.5 * float(np.max(np.abs(np.log(warr)))) + 42.0
     r = np.arange(0.0, r_max, _HOROCYCLE_DR)
@@ -438,7 +432,7 @@ def _horocycle_F(f: BoundaryFunction, warr: np.ndarray) -> np.ndarray:
     a = np.searchsorted(-sech, -x_hi / inv_sqrt_w, side="left")
     b = np.searchsorted(-sech, -x_lo / inv_sqrt_w, side="right")
     counts = np.maximum(b - a, 0)
-    for g in steps(counts, _HOROCYCLE_BLOCK):
+    for g in steps(counts):
         n = counts[g]
         owner, idx = ranges(a[g], n)
         vals = f.model_values(inv_sqrt_w[g][owner] * sech[idx])
@@ -715,16 +709,14 @@ def _fd_grids(Ymax: float, nx: int, ny: int, mx: int):
     """
     xs, wx = gl_nodes(-0.5, 0.5, nx)
     xs = 0.5 * (xs - xs[::-1])
-    n1 = max(12, ny // 4)
-    Z1 = []
-    W1 = []
-    for xv, wxv in zip(xs, wx):
-        ylo = math.sqrt(max(1.0 - xv * xv, 0.0))
-        yv, wy = gl_nodes(ylo, 1.0, n1)
-        Z1.append(xv + 1j * yv)
-        W1.append(wxv * wy / yv**2)
-    Z1 = np.concatenate(Z1)
-    W1 = np.concatenate(W1)
+    # each abscissa's gl_nodes(ylo, 1, max(12, ny // 4)), in one broadcast
+    # and bit for bit
+    y, w = gauss_legendre(max(12, ny // 4))
+    ylo = np.sqrt(np.maximum(1.0 - xs * xs, 0.0))[:, None]
+    half = 0.5 * (1.0 - ylo)
+    yv = ylo + half * (y + 1.0)
+    Z1 = (xs[:, None] + 1j * yv).ravel()
+    W1 = (wx[:, None] * (half * w) / yv**2).ravel()
 
     vmax = math.log(Ymax)
     k = max(1, int(math.ceil(vmax / 0.35)))

@@ -97,15 +97,6 @@ _N_K_GRID = 6000
 _MAX_T_NODES = 240_000
 # the kernel sums keep |k| >= _K_REACH |k(0)|: u <= 249.1 at width 0.5
 _K_REACH = 5e-8
-# (node, xi) entries of Q' per row block of the Abel step, counted over the
-# whole xi rule (each block reads only the prefix of the rule that reaches a
-# nonzero Q' node, `_cut_at_floor`)
-_ABEL_CHUNK = 250_000
-# points that k interpolates at a time: the read's temporaries, about 1 MB,
-# stay below the heap size at which the allocator hands memory back, so a
-# kernel-sum step seldom faults their pages in afresh (glibc, 2-core host: a
-# width 1.0 report took 1.3e6 minor faults at 1 << 16, 2.1e5 at 1 << 14)
-_K_BLOCK = 1 << 14
 
 
 def _even_cubic(values):
@@ -160,7 +151,9 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
     set to 0 past its last node at `_NEGLIGIBLE` of its largest, where the
     table holds only the Fourier sum's rounding, and the Abel step evaluates
     only the entries that read a nonzero node (`_cut_at_floor`): k is exactly
-    0 from v_end on, as it is past `_RHO_MAX`.  The tables are built on the
+    0 from v_end on, as it is past `_RHO_MAX`.  The Abel rows go in the
+    blocks of `util.steps`, each row counted as the whole xi rule, after
+    node 0 alone.  The tables are built on the
     first call of k or reach(): a triple used only through h never builds
     them.
     """
@@ -193,26 +186,22 @@ def spherical_from_h(h: Callable, t_max: float) -> SphericalTestFunction:
         k_nodes = np.zeros(_N_K_GRID)
         # node 0 is a one-row product of its own, so k(0) does not depend on
         # how the BLAS blocks the rows of the others; rows from v_end on and
-        # each block's xi past v_end - u would read only zero Q' nodes
-        step = max(1, _ABEL_CHUNK // xi2.size)
+        # each block's xi past v_end - u would read only zero Q' nodes.  The
+        # blocks of `steps` count each row as the whole xi rule
         n_rows = int(np.searchsorted(u_nodes, v_end))
-        edges = [0, *range(1, n_rows, step), n_rows]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n_xi = int(np.searchsorted(xi2, v_end - u_nodes[lo]))
-            x = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[lo:hi, None] + xi2[:n_xi])) * ((_N_Q_GRID - 1) / _RHO_MAX)
-            k_nodes[lo:hi] = -(2.0 / np.pi) * (_read_even_cubic(qp_coef, x) @ xi_weights[:n_xi])
+        blocks = [slice(0, 1), *(slice(g.start + 1, g.stop + 1) for g in steps(np.full(n_rows - 1, xi2.size)))]
+        for g in blocks:
+            n_xi = int(np.searchsorted(xi2, v_end - u_nodes[g.start]))
+            x = 2.0 * np.arcsinh(0.5 * np.sqrt(u_nodes[g, None] + xi2[:n_xi])) * ((_N_Q_GRID - 1) / _RHO_MAX)
+            k_nodes[g] = -(2.0 / np.pi) * (_read_even_cubic(qp_coef, x) @ xi_weights[:n_xi])
         return drho, _even_cubic(k_nodes)
 
     def k(u):
         drho, coef = table()
         u = np.asarray(u, dtype=float)
-        uf = u.ravel()
-        out = np.empty(uf.size)
-        for i in range(0, uf.size, _K_BLOCK):
-            # u < 0 only by rounding: it is read as u = 0
-            x = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(uf[i : i + _K_BLOCK], 0.0))) / drho
-            out[i : i + _K_BLOCK] = _read_even_cubic(coef, x)
-        return out.reshape(u.shape) if u.shape else float(out[0])
+        # u < 0 only by rounding: it is read as u = 0
+        out = _read_even_cubic(coef, 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(u, 0.0))) / drho)
+        return out if u.shape else float(out)
 
     def reach():
         drho, (k_nodes, *_) = table()
@@ -337,15 +326,9 @@ def _live_values(k: Callable, u: np.ndarray, u_max: float) -> np.ndarray:
     return np.where(u <= u_max, np.asarray(k(u), dtype=float), 0.0)
 
 
-# (point, shift) pairs per step of kernel_diagonal_sum, 512 kB per float
-# array: a `tf report` peaks at 55 MB RSS at width 0.5, 50 MB at 0.7 and
-# 48 MB at 1.0 (98 and 127 MB at 0.7 and 1.0 with steps of 1e6 pairs), and
-# a process of bench report rounds at width 0.45-0.5 stays about 4 MB
-# smaller than with steps of 2^18
-_KERNEL_CHUNK = 1 << 16
 # most terms a kernel sum may take on, estimated before it starts: a report's
-# one sum over both regions and i y0 estimates 2.17e8 at width 1.0 and 5.46e8
-# at 1.1 (refused); the bound sits at u_max of about 6e4
+# one sum over both regions, i y0 and 2 i y0 estimates 2.17e8 at width 1.0
+# and 5.46e8 at 1.1 (refused); the bound sits at u_max of about 6e4
 _KERNEL_BUDGET = 4.8e8
 
 
@@ -368,10 +351,11 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     are exactly the m with (x - Re w - m)^2 <= u_max y Im w - (y - Im w)^2.
     The rows come in the (row, point) blocks of `halfplane.coset_blocks`
     under the radius^2 rule `_kernel_radius2`, and only the live
-    (point, m) pairs of a block are expanded, in steps of at most
-    `_KERNEL_CHUNK` pairs (or one entry's shifts, if they alone pass it).
-    The translations go in steps of whole heights under the same rule (or
-    one height, if its own shifts pass it).
+    (point, m) pairs of a block are expanded, in the steps of `util.steps`:
+    at most `util._BLOCK` pairs (or one entry's shifts, if they alone pass
+    it).  The translations go in steps of whole heights under the same rule
+    (or one height, if its own shifts pass it), so k never reads more than
+    `_BLOCK` points at a time but for one such entry or height.
 
     The reflection z -> -conj(z) normalizes PSL2(Z) and preserves u, so the
     sum at -conj(z) equals the sum at z: it runs once per distinct (|x|, y)
@@ -388,9 +372,8 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
     terms = float(np.sum(n_hi)) + 3.0 * u_max * z.size
     if terms > _KERNEL_BUDGET:
         raise DecayError(f"kernel sum to u = {u_max:.4g} needs ~{terms:.2e} terms (> {_KERNEL_BUDGET:.2g})")
-    cap = _KERNEL_CHUNK
     tr = np.zeros(heights.size)
-    for g in steps(n_hi, cap):
+    for g in steps(n_hi):
         owner, n = ranges(np.ones(g.stop - g.start, dtype=int), n_hi[g])
         kv = _live_values(k, (n / heights[g][owner]) ** 2, u_max)
         tr[g] = np.bincount(owner, weights=kv, minlength=g.stop - g.start)
@@ -413,7 +396,7 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
         r = np.sqrt(r2[live])
         m_lo = np.ceil(dx - r)
         m_count = (np.floor(dx + r) - m_lo + 1.0).astype(int)
-        for g in steps(m_count, cap):
+        for g in steps(m_count):
             owner, m = ranges(m_lo[g], m_count[g])
             u = ((dx[g][owner] - m) ** 2 + dy2[g][owner]) / yy[g][owner]
             acc[b] += np.bincount(point[g][owner], weights=_live_values(k, u, u_max), minlength=b.stop - b.start)
@@ -424,6 +407,10 @@ def kernel_diagonal_sum(k: Callable, z: np.ndarray, u_max: float) -> np.ndarray:
 # smooth in x as the cubic table of k, so it needs more midpoints than the
 # pseudo-Eisenstein pairings
 _KERNEL_STRIP_MX = 32
+# most relative change of a(y) = -2 K(i y, i y) / y from y0 to 2 y0 that the
+# kernel line accepts: 6.0e-10 at width 0.5 and 2.6e-11 at 1.0, 9.8e-9 at 0.2
+# and 1.9e-7 at 0.18, where a_{-1} starts to miss the geometric value
+_FIT_LINE_TOL = 1e-7
 
 
 def two_term_laurent_kernel(T12: SphericalTestFunction):
@@ -438,15 +425,26 @@ def two_term_laurent_kernel(T12: SphericalTestFunction):
     I(T0) at T0 = (1/2) log y0 comes from the `_FD_BASE` fundamental-domain
     rule up to y0, whose strip takes `_KERNEL_STRIP_MX` midpoints per
     height, and a0 = I(T0) + a_{-1} T0.  One kernel sum takes the points of
-    both regions and i y0, so `_KERNEL_BUDGET` sees them all before any term
-    is summed.
+    both regions, i y0 and 2 i y0, so `_KERNEL_BUDGET` sees them all before
+    any term is summed.
+
+    Raises FitError when a(y) = -2 K(i y, i y) / y differs between y0 and
+    2 y0 by more than `_FIT_LINE_TOL` of a(2 y0): then the Poisson terms are
+    not negligible at y0 (a narrow k, whose u_max is small) and the line
+    does not hold there.
     """
     u_max = T12.reach()
     y0 = math.sqrt(u_max + 2.0)
     Z1, W1, Z2, W2 = _fd_grids(y0, _FD_BASE, _FD_BASE, _KERNEL_STRIP_MX)
-    vals = kernel_diagonal_sum(T12.k, np.concatenate([Z1, Z2, [1j * y0]]), u_max)
-    I0 = float(np.sum(vals[: Z1.size] * W1) + np.sum(vals[Z1.size : -1] * W2))
-    a_minus1 = -2.0 * float(vals[-1]) / y0
+    vals = kernel_diagonal_sum(T12.k, np.concatenate([Z1, Z2, [1j * y0, 2j * y0]]), u_max)
+    I0 = float(np.sum(vals[: Z1.size] * W1) + np.sum(vals[Z1.size : -2] * W2))
+    a_minus1 = -2.0 * float(vals[-2]) / y0
+    a_far = -float(vals[-1]) / y0
+    if not abs(a_minus1 - a_far) <= _FIT_LINE_TOL * abs(a_far):
+        raise FitError(
+            f"kernel line a(y) = -2K(iy, iy)/y is {a_minus1:.10g} at y0 = {y0:.4g} and {a_far:.10g} at 2 y0: "
+            "the Poisson terms are not negligible at y0"
+        )
     return TwoTermLaurent(a_minus1=complex(a_minus1), a_0=complex(I0 + a_minus1 * 0.5 * math.log(y0)))
 
 

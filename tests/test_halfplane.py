@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from seltrace import halfplane, traceformula
+from seltrace import halfplane, traceformula, util
 from seltrace.halfplane import (
     DegenerateParameterError,
     EisensteinSeries,
@@ -27,7 +27,7 @@ from seltrace.halfplane import (
 from seltrace.special import PoleError, divisor_sigma, intertwining_c, kbessel, xi
 from seltrace.suites import _ms_pairs
 from seltrace.torus import AsymptoticallyFiniteFunction, ExponentTerm, log_gaussian_core
-from seltrace.util import DecayError
+from seltrace.util import DecayError, gl_nodes
 
 F_STD = schwartz_boundary(0.0, 0.5)
 PSI_STD = pseudo_eisenstein_function(F_STD)
@@ -258,7 +258,7 @@ class TestPsiFolding:
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
         z = _fd_points(16.0, 40, 40)
         whole = PSI_STD.on_grid(z)
-        monkeypatch.setattr(halfplane, "_COSET_BLOCK", 1000)
+        monkeypatch.setattr(util, "_BLOCK", 1000)
         pieces = PSI_STD.on_grid(z)
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
 
@@ -337,14 +337,14 @@ class TestRadon:
         ref = self._horocycle_full_grid(f, w)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         # blocks of a few hundred (w, r) entries give the same sums, bit for bit
-        monkeypatch.setattr(halfplane, "_HOROCYCLE_BLOCK", 500)
+        monkeypatch.setattr(util, "_BLOCK", 500)
         assert np.array_equal(halfplane._horocycle_F(f, w), got)
 
     def test_horocycle_blocks_leave_values_bitwise(self, monkeypatch):
         # a block of `_horocycle_F` holds whole w's, so its size regroups no sum
         ys = np.geomspace(0.05, 5.0, 40)
         whole = radon_transform(F_STD, ys)
-        monkeypatch.setattr(halfplane, "_HOROCYCLE_BLOCK", 1000)
+        monkeypatch.setattr(util, "_BLOCK", 1000)
         assert np.array_equal(radon_transform(F_STD, ys), whole)
 
     def test_funnel_constant_is_scattering_residue(self):
@@ -514,6 +514,21 @@ class TestFdIntegrate:
     def test_zero(self):
         v = fd_integrate(lambda z: np.zeros_like(z), Ymax=10.0, tail=0.0, nx=200, ny=200)
         assert v == 0.0
+
+    @pytest.mark.parametrize("n", [64, 140, 160, 200])
+    def test_base_region_is_the_per_abscissa_rule(self, n):
+        # the base region's broadcast is each abscissa's own `gl_nodes` rule
+        # on [sqrt(1 - x^2), 1], bit for bit
+        Z1, W1, _, _ = halfplane._fd_grids(16.0, n, n, halfplane._FD_STRIP_MX)
+        xs, wx = gl_nodes(-0.5, 0.5, n)
+        xs = 0.5 * (xs - xs[::-1])
+        zs, ws = [], []
+        for xv, wxv in zip(xs, wx):
+            yv, wy = gl_nodes(math.sqrt(max(1.0 - xv * xv, 0.0)), 1.0, max(12, n // 4))
+            zs.append(xv + 1j * yv)
+            ws.append(wxv * wy / yv**2)
+        assert np.array_equal(Z1, np.concatenate(zs))
+        assert np.array_equal(W1, np.concatenate(ws))
 
     def test_strip_midpoints_match_gauss_legendre(self, monkeypatch, gauss_legendre_strip):
         # Psi f1 Psi f2 is 1-periodic and analytic in x, so the strip's

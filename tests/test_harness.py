@@ -455,6 +455,21 @@ class TestCLI:
         assert err.startswith("error: DecayError: spectral cut t_max = 12000 needs 1.2e+06 Fourier nodes")
         assert "Traceback" not in err
 
+    def test_tf_report_refuses_a_kernel_line_that_does_not_hold(self, tmp_path, capsys):
+        # at W = 0.1 the kernel line reads a(y0) = -4.507 and a(2 y0) = -3.990
+        # (geometric: -3.989): the Poisson terms are not negligible at y0.  At
+        # W = 0.2 they are (relative change 9.8e-9) and the report stands
+        from seltrace import cli
+
+        assert cli.main(["tf", "report", "--width", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: FitError: kernel line a(y) = -2K(iy, iy)/y is -4.50658")
+        assert "Traceback" not in err
+        path = tmp_path / "tf.json"
+        assert cli.main(["tf", "report", "--width", "0.2", "--out", str(path)]) == 0
+        rec = json.loads(path.read_text())
+        assert rec["tf_minus1"]["deviation_fit_geo"] <= 1e-7
+
     def test_tf_report_refuses_lines_past_the_zeta_band(self, capsys):
         # W = 0.02 reads the spectral line to t = 12/W = 600, past zeta's
         # validated |Im s| <= 250, where xi overflowed to nan

@@ -291,13 +291,12 @@ class TestKernelDiagonalSum:
         assert np.array_equal(kernel_diagonal_sum(k, z, 30.0), kernel_diagonal_sum(k, -z.conj(), 30.0))
 
     def test_chunking_does_not_change_the_sum(self, monkeypatch):
-        # at chunk 16 the shifts of a c = 1 row and the translations of the
-        # upper heights pass the chunk.  Every call of k after k(0) keeps it,
-        # except one height whose own translations (y sqrt(30) of them) pass
-        # it and go alone; one entry's shifts (at most 2 sqrt(30) + 1) fit
-        # it.  At a shared block of 100 entries the band of 36 folded points
-        # takes its rows two at a time
-        from seltrace import halfplane, traceformula
+        # at a block of 16 the shifts of a c = 1 row and the translations of
+        # the upper heights pass the block.  Every call of k after k(0) keeps
+        # it, except one height whose own translations (y sqrt(30) of them)
+        # pass it and go alone; one entry's shifts (at most 2 sqrt(30) + 1)
+        # fit it.  The band of 36 folded points takes its rows one at a time
+        from seltrace import halfplane, traceformula, util
 
         sizes = []
 
@@ -308,8 +307,7 @@ class TestKernelDiagonalSum:
         x, y = np.meshgrid(np.linspace(-0.5, 0.5, 7), np.geomspace(0.3, 6.0, 9))
         z = (x + 1j * y).ravel()
         whole = kernel_diagonal_sum(k, z, u_max=30.0)
-        monkeypatch.setattr(traceformula, "_KERNEL_CHUNK", 16)
-        monkeypatch.setattr(halfplane, "_COSET_BLOCK", 100)
+        monkeypatch.setattr(util, "_BLOCK", 16)
         bands = []
         real_blocks = halfplane.coset_blocks
 
