@@ -105,7 +105,9 @@ class BoundaryFunction:
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         x = np.sqrt(y)
-        return x * self.model(x)
+        out = self.model(x)
+        out *= x
+        return out
 
     def model_values(self, x):
         return self.model(np.asarray(x, dtype=float))

@@ -94,22 +94,26 @@ def trap_grid(t_max: float, dt: float):
     return t, w
 
 
-# shortest vertical progression worth factoring; shorter inputs go dense
+# shortest progression worth factoring; shorter axes go dense
 _MIN_PROGRESSION = 256
 
 
-def _vertical_step(s: np.ndarray):
-    """Imaginary step d if s_k = s_0 + i k d to rounding (constant real part,
-    either direction, at least _MIN_PROGRESSION points), else None."""
-    n = s.size
+def _progression_step(v: np.ndarray):
+    """The step of an axis that `exp_sum` can factor, else None: at least
+    _MIN_PROGRESSION points v_k = v_0 + k d to rounding, either direction.
+    A real v is the nodes u and d is real; a complex v is a vertical line s,
+    with constant real part, and d is its imaginary step."""
+    n = v.size
     if n < _MIN_PROGRESSION:
         return None
-    d = (s[-1].imag - s[0].imag) / (n - 1)
-    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(s)))
-    dev_im = s.imag - (s[0].imag + d * np.arange(n))
-    dev_re = s.real - s[0].real
-    # written so that a nan anywhere fails the test
-    if not (np.max(np.abs(dev_im)) <= tol and np.max(np.abs(dev_re)) <= tol):
+    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(v)))
+    # written so that a nan anywhere fails either test
+    if np.iscomplexobj(v):
+        if not np.max(np.abs(v.real - v[0].real)) <= tol:
+            return None
+        v = v.imag
+    d = (v[-1] - v[0]) / (n - 1)
+    if not np.max(np.abs(v - (v[0] + d * np.arange(n)))) <= tol:
         return None
     return d
 
@@ -160,14 +164,24 @@ def exp_sum(s, u, c):
     every row the dropped part is at most 2^-60 of sum_j |c_j exp(-s_k u_j)|,
     below one rounding of the sum.
 
-    On a vertical progression s_{bB+m} = s_{bB} + i m d, taken in blocks of
-    B = ceil(sqrt(n)) points, exp(-s u) factors as exp(-s_{bB} u) exp(-i m d u):
-    the whole line is one (n/B x n_u) @ (n_u x B) product built from
-    O(sqrt(n) n_u) exponentials, and no n x n_u array is ever formed.  Any
-    other s takes the dense formula in the row blocks of `steps`, at most
-    `_BLOCK` exponentials each (or one row, if it alone passes that).  Both are
-    the same sum, exact to rounding.  Real s and u keep the exponents real;
-    the result takes the type of the exponentials times c.
+    With complex exponents, the longer of the two axes is factored when it is
+    a progression (`_progression_step`), taken in blocks of B = ceil(sqrt(n))
+    points:
+      * nodes u_{bB+m} = u_{bB} + m du, where n_u >= n_s: exp(-s u) is
+        exp(-s u_{bB}) exp(-s m du), and each row is the sum over b of
+        exp(-s u_{bB}) (sum_m exp(-s m du) c_{bB+m}), one (rows x B) @
+        (B x n_u/B) product in the row blocks of `steps`.  The dropped terms
+        keep their places with weight 0 (the dropped ends are cut off), so
+        u stays a progression;
+      * else a vertical line s_{bB+m} = s_{bB} + i m d: exp(-s u) is
+        exp(-s_{bB} u) exp(-i m d u), and the whole line is one
+        (n_s/B x n_u) @ (n_u x B) product.
+    Either takes O(sqrt(n) n_other) exponentials in place of n_s n_u, and no
+    n_s x n_u array is formed.  Any other input, and real s and u, whose
+    exponents stay real, take the dense formula in the row blocks of `steps`,
+    at most `_BLOCK` exponentials each (or one row, if it alone passes that).
+    All are the same sum, exact to rounding; the result takes the type of the
+    exponentials times c.
     """
     real = not (np.iscomplexobj(s) or np.iscomplexobj(u))
     s = np.asarray(s, dtype=float if real else complex)
@@ -175,17 +189,33 @@ def exp_sum(s, u, c):
     c = np.asarray(c)
     sf = s.reshape(-1)
     keep = _live_terms(sf, u, c)
-    if keep is not None:
+    du = None if real or np.iscomplexobj(u) or u.size < sf.size else _progression_step(u)
+    d = None if real or du is not None else _progression_step(sf)
+    if keep is not None and du is not None:
+        live = np.flatnonzero(keep)
+        g = slice(live[0], live[-1] + 1)
+        u, c = u[g], np.where(keep[g], c[g], 0)
+    elif keep is not None:
         u, c = u[keep], c[keep]
-    d = None if real else _vertical_step(sf)
     if d is not None:
         n = sf.size
         B = math.isqrt(n - 1) + 1
         head = np.exp(-np.multiply.outer(sf[::B], u)) * c
         step = np.exp(np.multiply.outer(-1j * d * np.arange(B), u))
-        out = (head @ step.T).reshape(-1)[:n]
+        return (head @ step.T).reshape(-1)[:n].reshape(s.shape)
+    out = np.empty(sf.shape, dtype=np.result_type(s, u, c))
+    if du is not None:
+        B = math.isqrt(u.size - 1) + 1
+        n_b = -(-u.size // B)
+        blocks = np.zeros(n_b * B, dtype=c.dtype)
+        blocks[: u.size] = c
+        blocks = blocks.reshape(n_b, B).T
+        u_head, m_du = u[::B], du * np.arange(B)
+        for g in steps(np.full(sf.size, n_b + B)):
+            head = np.exp(-np.multiply.outer(sf[g], u_head))
+            step = np.exp(-np.multiply.outer(sf[g], m_du))
+            out[g] = np.sum(head * (step @ blocks), axis=1)
     else:
-        out = np.empty(sf.shape, dtype=np.result_type(s, u, c))
         for g in steps(np.full(sf.size, u.size)):
             out[g] = np.exp(-np.multiply.outer(sf[g], u)) @ c
     return out.reshape(s.shape)

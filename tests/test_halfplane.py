@@ -33,6 +33,19 @@ F_STD = schwartz_boundary(0.0, 0.5)
 PSI_STD = pseudo_eisenstein_function(F_STD)
 
 
+@pytest.mark.parametrize("amp", [1.0, 0.8 - 0.3j])
+@pytest.mark.parametrize("shape", ["array", "0-d"])
+def test_boundary_values_are_the_model_formula(amp, shape):
+    # computed in place on the model's values, bit for bit x * model(x)
+    y = np.random.default_rng(29).uniform(1e-6, 50.0, 5000)
+    y = y if shape == "array" else np.asarray(y[11])
+    f = schwartz_boundary(0.2, 0.45, amp)
+    x = np.sqrt(y)
+    got = f(y)
+    assert np.shape(got) == np.shape(y)
+    assert np.array_equal(got, x * f.model(x))
+
+
 class TestPseudoEisenstein:
     def test_gamma_invariance(self):
         z0 = 0.13 + 0.9j

@@ -74,7 +74,7 @@ class TestZeta:
         # 1 - 2^(1-s), where an eta-series zeta loses its digits, is checked,
         # plus a stride
         s = sigma + direction * 1j * np.arange(0.005, 40.005, 0.005)
-        assert util._vertical_step(s) is not None
+        assert util._progression_step(s) is not None
         vals = zeta(s)
         k = np.round(s.imag * math.log(2.0) / (2.0 * math.pi))
         dist = np.abs(s - (1.0 + 2j * math.pi * k / math.log(2.0)))

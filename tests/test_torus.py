@@ -1,12 +1,14 @@
 """Torus Mellin calculus: transforms, inversion, regularized pairings."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seltrace import torus, util
 from seltrace.torus import (
     AsymptoticallyFiniteFunction,
     CriticalExponentError,
@@ -424,6 +426,55 @@ class TestPWProfile:
         zero = AsymptoticallyFiniteFunction()
         prof = pw_decay_profile(zero, (-1.0, 1.0), 4)
         assert prof["sup"] == 0.0
+
+    def test_one_factored_line_per_sigma(self, monkeypatch):
+        # each of the 9 sigmas is one 801-point vertical line, which exp_sum
+        # factors; sharp_x's pole at s = 1 sits on the last line, and its
+        # neighbours are left out of the band sups
+        seen = []
+
+        def spy(f):
+            F = mellin(f)
+
+            def ev(s):
+                seen.append(np.asarray(s))
+                return F.evaluator(s)
+
+            return replace(F, evaluator=ev)
+
+        monkeypatch.setattr(torus, "mellin", spy)
+        prof = pw_decay_profile(SHARP_X, (-1.0, 1.0), 2)
+        assert len(seen) == 9
+        assert all(s.size == 801 and util._progression_step(s) is not None for s in seen)
+        assert np.all(np.isfinite(prof["band_sups"]))
+        assert not prof["bounded_looking"]
+
+
+class TestInPlaceValues:
+    """The in-place value chains give the formulas' values bit for bit."""
+
+    X = np.random.default_rng(23).uniform(1e-6, 50.0, 5000)
+
+    @pytest.mark.parametrize("amp", [1.0, 0.7, 0.8 - 0.3j, 2 + 0j])
+    @pytest.mark.parametrize("shape", ["array", "0-d"])
+    def test_log_gaussian_core(self, amp, shape):
+        x = self.X if shape == "array" else np.asarray(self.X[7])
+        mu, sigma = 0.3, 0.6
+        got = log_gaussian_core(mu, sigma, amp)(x)
+        assert np.shape(got) == np.shape(x)
+        assert np.array_equal(got, amp * np.exp(-((np.log(x) - mu) ** 2) / (2.0 * sigma**2)))
+
+    @pytest.mark.parametrize("shape", ["array", "0-d"])
+    def test_model_with_exponent_terms(self, shape):
+        x = self.X if shape == "array" else np.asarray(self.X[7])
+        terms = (
+            ExponentTerm(0.5, (1.0, 0.2), side="infinity", carrier="smooth"),
+            ExponentTerm(-0.4 + 1j, side="infinity"),
+        )
+        f = AsymptoticallyFiniteFunction(core=log_gaussian_core(0.1, 0.5, 0.8 - 0.3j), terms=terms)
+        got = f(x)
+        assert np.shape(got) == np.shape(x)
+        assert np.array_equal(got, f.core_values(x) + terms[0](x) + terms[1](x))
 
 
 class TestProductAsFinite:

@@ -43,7 +43,7 @@ def test_ascending_line(sigma):
     u, c = _core_nodes()
     t, _ = trap_grid(120.0, 0.01)
     s = sigma + 1j * t
-    assert util._vertical_step(s) is not None
+    assert util._progression_step(s) is not None
     got = exp_sum(s, u, c)
     assert got.shape == s.shape
     _check_rows(s, got, u, c, _sample_rows(s.size))
@@ -55,7 +55,7 @@ def test_descending_line(sigma):
     u, c = _core_nodes()
     t, _ = trap_grid(120.0, 0.01)
     s = -(sigma + 1j * t)
-    assert util._vertical_step(s) < 0
+    assert util._progression_step(s) < 0
     got = exp_sum(s, u, c)
     _check_rows(s, got, u, c, _sample_rows(s.size))
 
@@ -64,7 +64,7 @@ def test_non_progression_input():
     u, c = _core_nodes()
     rng = np.random.default_rng(7)
     s = rng.uniform(-1.0, 1.0, 1000) + 1j * rng.uniform(-40.0, 40.0, 1000)
-    assert util._vertical_step(s) is None
+    assert util._progression_step(s) is None
     got = exp_sum(s, u, c)
     _check_rows(s, got, u, c, np.arange(s.size))
 
@@ -92,7 +92,7 @@ def test_perturbed_line_is_not_factored():
     t, _ = trap_grid(40.0, 0.01)
     t[500] += 1e-9
     s = 0.4 + 1j * t
-    assert util._vertical_step(s) is None
+    assert util._progression_step(s) is None
     got = exp_sum(s, u, c)
     _check_rows(s, got, u, c, np.arange(400, 600))
 
@@ -100,7 +100,7 @@ def test_perturbed_line_is_not_factored():
 def test_short_progression():
     u, c = _core_nodes()
     s = 0.3 + 1j * np.linspace(-5.0, 5.0, util._MIN_PROGRESSION - 1)
-    assert util._vertical_step(s) is None
+    assert util._progression_step(s) is None
     got = exp_sum(s, u, c)
     _check_rows(s, got, u, c, np.arange(s.size))
 
@@ -270,3 +270,124 @@ def test_inversion_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+class _ExpCounter:
+    """Stands in for numpy inside `util`, counting the exponentials taken of
+    complex arguments: the terms of a sum, not `_live_terms`' real bounds."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        out = np.exp(x, *args, **kwargs)
+        if np.iscomplexobj(out):
+            self.count += out.size
+        return out
+
+
+def _count_exponentials(monkeypatch):
+    counter = _ExpCounter()
+    monkeypatch.setattr(util, "np", counter)
+    return counter
+
+
+# the inversion's contour at 40 points, and Tate's circle |w - 1| = 1/8
+_U_ROWS = {
+    "inversion": -1j * np.log(np.geomspace(0.2, 5.0, 40)),
+    "tate_circle": -(1.0 + 0.125 * np.exp(2j * np.pi * np.arange(16) / 16)),
+}
+
+
+def _u_progression(n_u):
+    return trap_grid(120.0, 0.01)[0] if n_u == 24001 else np.linspace(-4.0, 4.0, n_u)
+
+
+def _check_against_one_shot(s, u, c, got):
+    terms = np.exp(-np.multiply.outer(s, u))
+    scale = np.abs(terms) @ np.abs(c)
+    err = np.abs(got - terms @ c)
+    assert np.all(err <= 1e-15 * scale), float(np.max(err / scale))
+
+
+@pytest.mark.parametrize("rows", sorted(_U_ROWS))
+@pytest.mark.parametrize("n_u", [256, 257, 24001])
+def test_node_progression_is_the_one_shot_sum(monkeypatch, rows, n_u):
+    # n_u nodes in blocks of B = 16, 17 and 155, none a multiple of B but
+    # 256; Gaussian-weighted, so the far nodes carry little of any row
+    rng = np.random.default_rng(n_u)
+    s, u = _U_ROWS[rows], _u_progression(n_u)
+    c = (rng.standard_normal(n_u) + 1j * rng.standard_normal(n_u)) * np.exp(-(u**2) / 8.0)
+    counter = _count_exponentials(monkeypatch)
+    got = exp_sum(s, u, c)
+    # the window may cut dropped ends off, which only shortens the blocks
+    B = math.isqrt(n_u - 1) + 1
+    assert 0 < counter.count <= s.size * (B + -(-n_u // B))
+    _check_against_one_shot(s, u, c, got)
+
+
+def test_node_progression_keeps_dropped_interior_terms_at_zero():
+    # `_live_terms` drops both ends, where the weights fall below 2^-60 of
+    # the sum, and the zero weights of |u| < 5 between full-size ones: the
+    # kept terms still form one progression
+    rng = np.random.default_rng(17)
+    u = _u_progression(24001)
+    c = (rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size)) * np.exp(-(u**2) / 200.0)
+    c[np.abs(u) < 5.0] = 0.0
+    s = _U_ROWS["inversion"]
+    keep = util._live_terms(s, u, c)
+    live = np.flatnonzero(keep)
+    assert live[0] > 0 and live[-1] < u.size - 1
+    assert not np.all(keep[live[0] : live[-1] + 1])
+    _check_against_one_shot(s, u, c, exp_sum(s, u, c))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_node_progression_propagates_non_finite_weights(bad):
+    u = _u_progression(24001)
+    c = np.exp(-(u**2) / 8.0).astype(complex)
+    c[-1] = bad
+    s = _U_ROWS["inversion"]
+    with np.errstate(invalid="ignore"):
+        got = exp_sum(s, u, c)
+        plain = np.exp(-np.multiply.outer(s, u)) @ c
+    assert not np.any(np.isfinite(plain))
+    assert np.array_equal(np.isfinite(got), np.isfinite(plain))
+    assert np.array_equal(np.isnan(got), np.isnan(plain))
+
+
+def test_short_and_non_uniform_nodes_keep_their_paths(monkeypatch):
+    rng = np.random.default_rng(19)
+    s = _U_ROWS["inversion"]
+    # one node short of a factored axis: the dense formula
+    u = np.linspace(-4.0, 4.0, util._MIN_PROGRESSION - 1)
+    c = rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size)
+    counter = _count_exponentials(monkeypatch)
+    _check_against_one_shot(s, u, c, exp_sum(s, u, c))
+    assert counter.count == s.size * u.size
+    # one node off the progression, against a vertical line of 300 points:
+    # the line is factored, as when the nodes were never a progression
+    u = _u_progression(24001)
+    u[5000] += 1e-9
+    c = (rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size)) * np.exp(-(u**2) / 8.0)
+    s = 0.2 + 1j * np.linspace(-3.0, 3.0, 300)
+    assert util._progression_step(u) is None
+    n_kept = np.count_nonzero(util._live_terms(s, u, c))
+    B = math.isqrt(s.size - 1) + 1
+    counter.count = 0
+    got = exp_sum(s, u, c)
+    assert counter.count == (-(-s.size // B) + B) * n_kept
+    _check_against_one_shot(s, u, c, got)
+
+
+def test_inversion_sum_work(monkeypatch):
+    # 40 points against the 24,001 contour nodes: 40 (155 + 155) exponentials,
+    # where the dense formula takes 960,040
+    t, w = trap_grid(torus._INVERSE_T_MAX, torus._LINE_DT)
+    c = mellin(default_corpus()["gauss_unit"]).evaluator(1j * t) * w
+    counter = _count_exponentials(monkeypatch)
+    exp_sum(-1j * np.log(np.geomspace(0.2, 5.0, 40)), t, c)
+    assert counter.count <= 12_400
