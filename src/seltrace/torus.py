@@ -17,8 +17,9 @@ composite Gauss-Legendre panels in the log variable u = log x, which are
 spectrally accurate for the rapidly decaying cores this module requires.
 Every sum over those nodes (and the inversion's sum over the contour) is one
 `util.exp_sum` call, which factors a vertical line of s, or the contour's
-uniform nodes, into block products and first drops the nodes whose terms add up to at most 2^-60 of every row's
-absolute sum: a log-Gaussian core keeps about 600-1,000 of its 4,608 nodes.
+uniform nodes, into block products and first drops the nodes whose terms add
+up to at most 2^-60 of every row's absolute sum: a log-Gaussian core keeps
+about 600-1,000 of its 4,608 nodes.
 """
 
 from __future__ import annotations
@@ -352,9 +353,9 @@ def mellin_inverse(F: ChargedMeromorphicFunction, sigma: float, x):
     samples F's evaluator, whose poles take the residue corrections of their
     side of it.  Its nodes t are a progression, so the sum over them at every
     x is `util.exp_sum`'s factored node path: about 2 sqrt(n_t) exponentials
-    per x in place of n_t.  A rational pole at a inverts to its sharp term in closed
-    form, the same at every sigma: x^a R-(x) on x > 1, -x^a R+(x) on x < 1,
-    half of each at x = 1 (R+- as in `_charged_res_with_power`).
+    per x in place of n_t.  A rational pole at a inverts to its sharp term in
+    closed form, the same at every sigma: x^a R-(x) on x > 1, -x^a R+(x) on
+    x < 1, half of each at x = 1 (R+- as in `_charged_res_with_power`).
     Raises DecayError when a transform with a rational part (sharp carriers,
     so polynomial decay) has not decayed by either end of it, or when a
     non-rational pole lies within `_POLE_CLEARANCE` of the abscissa: the
