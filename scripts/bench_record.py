@@ -13,7 +13,10 @@ checkout, holds per side: the commit, nproc, the numpy version, every run's
 end-to-end metrics, their median and quartiles per workload, the traced
 run's per-layer metrics and its per-operation check ratios of round 0.  With
 two sides it also counts, per workload and metric, the pairs the last side
-wins.
+wins, and compares two metrics on equal operation sets (`shared_rounds`),
+since a faster side fits more rounds into the same seconds: the traced
+runs' largest check ratio over the rounds both reached, and each pair's
+per-operation peak RSS over the rounds both of its runs reached.
 """
 
 from __future__ import annotations
@@ -66,6 +69,45 @@ def _values(record: dict) -> dict:
     return {name: m["value"] for name, m in record["metrics"].items()}
 
 
+def _max_over_rounds(record: dict, rounds: int, values) -> float | None:
+    """Largest of values(op) over the operations of rounds 0 .. rounds - 1."""
+    return max((v for op in record["ops"] if op["round"] < rounds for v in values(op)), default=None)
+
+
+def _check_ratios(op: dict) -> list:
+    return [c["ratio"] for c in op.get("checks", ())]
+
+
+def _peak_rss(op: dict) -> list:
+    return [op["peak_rss_mb"]] if "peak_rss_mb" in op else []
+
+
+def _shared_rounds(base: dict, new: dict) -> dict:
+    """Per workload, the metrics that grow with the rounds a run fits, taken
+    over the rounds both sides reached: `max_dev_ratio` of the traced runs,
+    and per pair of untraced runs the per-operation peak RSS, with the pairs
+    the last side wins (lower RSS)."""
+    out = {}
+    for workload in base["runs"]:
+        tb, tn = base["traced"][workload], new["traced"][workload]
+        shared = min(tb["rounds"], tn["rounds"])
+        rss = {"rounds": [], "base": [], "new": []}
+        for rb, rn in zip(base["runs"][workload], new["runs"][workload]):
+            k = min(rb["rounds"], rn["rounds"])
+            rss["rounds"].append(k)
+            rss["base"].append(_max_over_rounds(rb, k, _peak_rss))
+            rss["new"].append(_max_over_rounds(rn, k, _peak_rss))
+        out[workload] = {
+            "traced_rounds": shared,
+            "max_dev_ratio": {"base": _max_over_rounds(tb, shared, _check_ratios),
+                              "new": _max_over_rounds(tn, shared, _check_ratios)},
+            "peak_rss_mb": {**rss,
+                            "median": {k: statistics.median(rss[k]) for k in ("base", "new")},
+                            "wins": sum(1 for a, b in zip(rss["base"], rss["new"]) if b < a)},
+        }
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", required=True, type=int, help="number in the file name BENCH_<pr>.json")
@@ -95,6 +137,7 @@ def main(argv=None) -> int:
                       + " ".join(f"{k}={v:.6g}" for k, v in _values(rec).items()), flush=True)
 
     doc = {"pr": args.pr, "seconds": seconds, "seeds": seeds, "sides": {}}
+    traced_runs = {}
     for label, checkout in sides.items():
         first = runs[label][workloads[0]][0]
         side = {"commit": first["commit"], "source_sha256": first["source_sha256"],
@@ -106,6 +149,7 @@ def main(argv=None) -> int:
                             verified=r["verified"], rounds=r["rounds"], **_values(r)) for r in recs]
             metrics = sorted({k for r in recs for k in r["metrics"]})
             traced = _run(checkout, workload, seeds[0], seconds, 1)
+            traced_runs.setdefault(label, {})[workload] = traced
             side["workloads"][workload] = {
                 "runs": per_run,
                 "summary": {m: _summary([r[m] for r in per_run]) for m in metrics},
@@ -127,6 +171,9 @@ def main(argv=None) -> int:
                 won = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
                 wins[workload][metric] = {"pairs": len(a), "won_by": new, "wins": won}
         doc["pair_wins"] = wins
+        shared = _shared_rounds({"runs": runs[base], "traced": traced_runs[base]},
+                                {"runs": runs[new], "traced": traced_runs[new]})
+        doc["shared_rounds"] = {"base": base, "new": new, "workloads": shared}
 
     out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out_path, "w") as fh:

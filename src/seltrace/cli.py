@@ -116,6 +116,7 @@ def _cmd_tf_report(args) -> int:
     if not (math.isfinite(args.width) and args.width > 0.0):
         raise ConfigError(f"--width must be a positive number, got {args.width!r}")
     cusp_t = _read_cusp_data(args.cusp_data) if args.cusp_data else None
+    tf.check_report_width(args.width)
     T = tf.gaussian_test_function(args.width)
     report = tf.ledger(tf.convolve_test_functions(T, T), cusp_t)
     report["test_function"] = {"family": "gaussian", "width": args.width}

@@ -174,37 +174,59 @@ def constant_term(phi, y):
 
 
 # probe heights of `_psi_threshold`, from 1 down to e^-45
-_PROBE_HEIGHTS = np.exp(-np.linspace(0.0, 45.0, 200))
+_PROBE_HEIGHTS = np.exp(-np.linspace(0.0, 45.0, 2001))
 
 
-def _psi_threshold(f: BoundaryFunction) -> float:
-    """Largest probe height h_min whose left-out cosets carry at most
-    `_PSI_DROP` of |f|.
+def _psi_threshold(f: BoundaryFunction, drop: float) -> float:
+    """Largest probe height h_c whose left-out cosets carry at most `drop`
+    of |f|.
 
     About 3/(pi h) cosets per point reach an orbit height >= h, so leaving out
-    the heights below h_min drops about (3/pi) int_0^h_min |f(t)| t^-2 dt: a
+    the heights below h_c drops about M = (3/pi) int_0^h_c |f(t)| t^-2 dt: a
     trapezoid rule in log t over the probe heights, plus |f(h_0)|/h_0 for the
     stretch below the lowest one, h_0 = e^-45, as though |f(t)| t^-2 stayed
-    there at its value.  Raises DecayError when that stretch alone passes the
+    there at its value.  The coset sums of `_psi_values` take
+    drop = `_COSET_DROP` and add back the mean of what they leave out
+    (`_coset_mean`); `radon_transform` takes drop = `_PSI_DROP` and adds
+    nothing.  Raises DecayError when the stretch below h_0 alone passes the
     bound: the funnel decays too slowly for any coset truncation."""
     h = _PROBE_HEIGHTS[::-1]
     g = np.abs(f(h)) / h
     steps = 0.5 * (g[1:] + g[:-1]) * np.diff(np.log(h))
     mass = (3.0 / math.pi) * (g[0] + np.concatenate(([0.0], np.cumsum(steps))))
-    if not mass[0] <= _PSI_DROP:
+    if not mass[0] <= drop:
         raise DecayError(
             f"|f| = {abs(g[0] * h[0]):.2e} at the lowest probe height {h[0]:.2e} leaves "
-            f"{mass[0]:.2e} > {_PSI_DROP:.0e} below it: the funnel decays too slowly"
+            f"{mass[0]:.2e} > {drop:.0e} below it: the funnel decays too slowly"
         )
-    return float(h[np.count_nonzero(mass <= _PSI_DROP) - 1])
+    return float(h[np.count_nonzero(mass <= drop) - 1])
 
 
-def _c_max(h_min: float, y: float) -> int:
-    """Bound on the c >= 1 whose rows lift height y to h_min or above.
+# Gauss-Legendre panels (16 nodes each) in log t of `_coset_mean`, between
+# the lowest probe height and the cut
+_MEAN_PANELS = 90
+
+
+def _coset_mean(f: BoundaryFunction, h_c: float):
+    """m = (3/pi) int_0^h_c f(t) t^-2 dt: on average, what the cosets below
+    orbit height h_c add to a coset sum.
+
+    This is the signed form of the mass M that `_psi_threshold` bounds with
+    |f|.  The integral runs on `_MEAN_PANELS` Gauss-Legendre panels in log t
+    from h_0 = e^-45 to h_c, plus f(h_0)/h_0 for the stretch below h_0."""
+    h_0 = float(_PROBE_HEIGHTS[-1])
+    v, w = panel_gl_nodes(np.linspace(math.log(h_0), math.log(h_c), _MEAN_PANELS + 1), 16)
+    t = np.exp(v)
+    vals = f(np.append(t, h_0))
+    return (3.0 / math.pi) * (np.sum(vals[:-1] / t * w) + vals[-1] / h_0)
+
+
+def _c_max(h_c: float, y: float) -> int:
+    """Bound on the c >= 1 whose rows lift height y to h_c or above.
 
     A row (c, d) lifts z to height y / ((c x + d)^2 + c^2 y^2), which is at
-    least h_min only if c^2 y <= 1 / h_min."""
-    return int(math.floor(1.0 / math.sqrt(h_min * y))) + 1
+    least h_c only if c^2 y <= 1 / h_c."""
+    return int(math.floor(1.0 / math.sqrt(h_c * y))) + 1
 
 
 def _row_windows(x_lo: float, x_hi: float, radius2):
@@ -279,55 +301,65 @@ def coset_blocks(windows: list):
             yield b, cs[g], ds[g]
 
 
-def _funnel_radius2(h_min: float, y_lo: float, y_hi: float) -> np.ndarray:
+def _funnel_radius2(h_c: float, y_lo: float, y_hi: float) -> np.ndarray:
     """Radius^2 rule of the pseudo-Eisenstein coset sums on heights
-    [y_lo, y_hi]: a row lifts z to h_min or above only if
-    (c x + d)^2 <= y / h_min - c^2 y^2, a concave function of y that peaks at
-    1 / (2 h_min c^2), for c up to `_c_max(h_min, y_lo)`."""
-    c = np.arange(1, _c_max(h_min, y_lo) + 1)
-    yc = np.clip(1.0 / (2.0 * h_min * c * c), y_lo, y_hi)
-    return yc / h_min - (c * yc) ** 2
+    [y_lo, y_hi]: a row lifts z to h_c or above only if
+    (c x + d)^2 <= y / h_c - c^2 y^2, a concave function of y that peaks at
+    1 / (2 h_c c^2), for c up to `_c_max(h_c, y_lo)`."""
+    c = np.arange(1, _c_max(h_c, y_lo) + 1)
+    yc = np.clip(1.0 / (2.0 * h_c * c * c), y_lo, y_hi)
+    return yc / h_c - (c * yc) ** 2
 
 
-# mass of |f| a pseudo-Eisenstein sum may leave out below its lowest orbit
-# height (see `_psi_threshold`)
+# pointwise error bound of a pseudo-Eisenstein value, and the mass of |f|
+# `radon_transform` may leave out below its lowest orbit height (see
+# `_psi_threshold`)
 _PSI_DROP = 1e-12
-# most (row, point) entries of the band windows `_psi_values` takes on:
-# `verify all` peaks at 5.2e7 (c <= 82) and the torus-automorphic bench
-# rounds at 6.6e7, so this leaves a margin of 1.5
+# mass of |f| the coset sums of `_psi_values` may leave out: they add back
+# its mean (`_coset_mean`), and the cosets' fluctuation about it measured
+# 0.29 of the mass at 3e-12 on the bench grids, inside `_PSI_DROP`
+_COSET_DROP = 3.0 * _PSI_DROP
+# most (row, point) entries of the band windows `_psi_values` takes on in one
+# call: at the coset cut `verify all` peaks at 6.3e6 (c <= 72) and the
+# torus-automorphic bench rounds at 2.7e7 (c <= 85, round 0 of seeds
+# 9001-9010), so this leaves a margin of 3.7
 _PSI_BUDGET = 1e8
 
 
 def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
     """Sum of f over the heights of the Gamma_inf \\ Gamma orbit of z.
 
-    The sum takes exactly the cosets whose orbit height is at least h_min,
-    the threshold of `_psi_threshold`, so a point's value does not depend on
-    the points evaluated with it.  The row (c, -d) lifts -conj(z) to the
-    height (c, d) lifts z to, so the sum runs once per distinct (|x|, y)
-    (`fold_mirror`), over the row blocks of `coset_blocks` under the radius^2
-    rule `_funnel_radius2`; f is evaluated only on the live entries of a
-    block.
+    The sum takes exactly the cosets whose orbit height is at least h_c,
+    the cut of `_psi_threshold` at `_COSET_DROP`, and adds to every point the
+    mean m of the cosets below it (`_coset_mean`), so what it misses is their
+    fluctuation about m.  A point's value does not depend on the points
+    evaluated with it.  The row (c, -d) lifts -conj(z) to the height (c, d)
+    lifts z to, so the sum runs once per distinct (|x|, y) (`fold_mirror`),
+    over the row blocks of `coset_blocks` under the radius^2 rule
+    `_funnel_radius2`; f is evaluated only on the live entries of a block, in
+    its own dtype (real for a real core), and the block sums are added into
+    the complex values.
 
     Raises DecayError, before any row is built, when the band windows hold
     more than `_PSI_BUDGET` (row, point) entries."""
     folded, point_of = fold_mirror(z)
     x, y = folded.real, folded.imag
-    h_min = _psi_threshold(f)
+    h_c = _psi_threshold(f, _COSET_DROP)
     # a band's c_max comes from its lowest height, and every c < c_max - 1
     # has a nonempty window, so this many entries are certain before the
     # windows are sized
-    c_maxes = [_c_max(h_min, y_lo) for y_lo in y[::_COSET_BAND]]
+    c_maxes = [_c_max(h_c, y_lo) for y_lo in y[::_COSET_BAND]]
     sizes = np.diff([*range(0, y.size, _COSET_BAND), y.size])
     c_max = max(c_maxes, default=0)
     _check_psi_budget(sum((c - 2) * n for c, n in zip(c_maxes, sizes)), c_max)
-    windows = coset_windows(x, y, partial(_funnel_radius2, h_min))
+    windows = coset_windows(x, y, partial(_funnel_radius2, h_c))
     entries = 0.0
     for b, *window in windows:
         _, d_lo, d_hi = _row_windows(*window)
         entries += float(np.sum(d_hi - d_lo + 1)) * (b.stop - b.start)
     _check_psi_budget(entries, c_max)
     out = np.asarray(f(y), dtype=complex)
+    out += _coset_mean(f, h_c)
     for b, c, d in coset_blocks(windows):
         # a block is (point, row), so that each point's live entries are one
         # run of the values f takes on them
@@ -337,7 +369,7 @@ def _psi_values(f: BoundaryFunction, z: np.ndarray) -> np.ndarray:
         heights *= heights
         heights += yb * yb * (c * c)
         np.divide(yb, heights, out=heights)
-        live = heights >= h_min
+        live = heights >= h_c
         counts = np.count_nonzero(live, axis=1)
         has = counts > 0
         starts = (np.cumsum(counts) - counts)[has]
@@ -362,8 +394,11 @@ class PseudoEisenstein(AutomorphicFunction):
     """Psi f, carrying its boundary datum for spectral-side computations.
 
     Its values sum f over every coset whose orbit height is at least the
-    threshold at which the left-out cosets carry about `_PSI_DROP` of |f|
-    (see `_psi_threshold` and `_psi_values`).
+    cut h_c at which the left-out cosets carry about `_COSET_DROP` of |f|,
+    plus the mean of those left out, so each value is within about
+    `_PSI_DROP` of the full sum (see `_psi_threshold`, `_coset_mean` and
+    `_psi_values`).  Its constant term is f plus `radon_transform`, which
+    takes its own cut.
     """
 
     f: BoundaryFunction
@@ -460,17 +495,19 @@ def radon_transform(f: BoundaryFunction, y):
         Rf(y) = sum_{c >= 1} phi(c) * y * F(c^2 y),
         F(w)  = int_R f(1/(w (1+tau^2))) dtau.
 
-    Rf(y) is the x-average of the c >= 1 cosets of `_psi_values`, and the
-    c-sum takes exactly the terms whose peak argument 1/(c^2 y) is at least
-    the same threshold h_min (`_psi_threshold`): the cosets left out carry
-    about (3/pi) int_0^h_min |f(t)| t^-2 dt, at most `_PSI_DROP`.  Raises
+    Rf(y) is the x-average of the c >= 1 cosets of `_psi_values`.  The c-sum
+    takes exactly the terms whose peak argument 1/(c^2 y) is at least its own
+    cut h_min, `_psi_threshold` at `_PSI_DROP`: the cosets left out carry
+    about (3/pi) int_0^h_min |f(t)| t^-2 dt, at most `_PSI_DROP`.  It adds
+    no mean for them, as the coset sums do: its cut drops whole (c, height)
+    terms, and `_coset_mean` does not describe what those carry.  Raises
     DecayError, before any F(w) is built, when the series needs more than
     `_RADON_BUDGET` (coset, height) entries.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
-    h_min = _psi_threshold(f)
+    h_min = _psi_threshold(f, _PSI_DROP)
     c_maxes = np.array([_c_max(h_min, v) for v in y], dtype=int)
     entries = int(c_maxes.sum())
     if entries > _RADON_BUDGET:

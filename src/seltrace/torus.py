@@ -145,15 +145,22 @@ class AsymptoticallyFiniteFunction:
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def core_values(self, x):
+        """The core at x in its own dtype: float64 for a real core (zeros
+        when there is none), complex128 for a complex one."""
         x = np.asarray(x, dtype=float)
         if self.core is None:
-            return np.zeros_like(x, dtype=complex)
-        return np.asarray(self.core(x), dtype=complex)
+            return np.zeros_like(x)
+        v = np.asarray(self.core(x))
+        return v if np.iscomplexobj(v) else np.asarray(v, dtype=float)
 
     def __call__(self, x):
+        """f(x): real where the core is real and there are no terms, complex
+        as soon as a term is added."""
         out = self.core_values(x)
-        for t in self.terms:
-            out += t(x)
+        if self.terms:
+            out = np.asarray(out, dtype=complex)
+            for t in self.terms:
+                out += t(x)
         return out
 
     def zero_exponents(self):

@@ -41,6 +41,7 @@ __all__ = [
     "MEASURE_LEDGER",
     "spherical_from_h",
     "gaussian_test_function",
+    "check_report_width",
     "kernel_constant_terms",
     "two_term_laurent",
     "two_term_laurent_kernel",
@@ -411,6 +412,24 @@ _KERNEL_STRIP_MX = 32
 # kernel line accepts: 6.0e-10 at width 0.5 and 2.6e-11 at 1.0, 9.8e-9 at 0.2
 # and 1.9e-7 at 0.18, where a_{-1} starts to miss the geometric value
 _FIT_LINE_TOL = 1e-7
+
+
+# narrowest Gaussian width a report takes: the kernel line fails at every
+# probed W <= 0.18 and holds at every probed W >= 0.185.  The misfit is not
+# monotone in W (3.6e-9 at 0.19, 1.4e-8 at 0.195), so the line check stays
+# behind this floor
+_MIN_REPORT_WIDTH = 0.185
+
+
+def check_report_width(width: float):
+    """Raise FitError for a Gaussian width below `_MIN_REPORT_WIDTH`, where
+    the kernel line of `two_term_laurent_kernel` does not hold, before any
+    table or kernel sum is built."""
+    if not width >= _MIN_REPORT_WIDTH:
+        raise FitError(
+            f"Gaussian width {width:g} is below {_MIN_REPORT_WIDTH:g}: the kernel line of the "
+            "truncation fit does not hold there"
+        )
 
 
 def two_term_laurent_kernel(T12: SphericalTestFunction):

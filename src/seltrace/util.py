@@ -107,7 +107,10 @@ def _progression_step(v: np.ndarray):
     if n < _MIN_PROGRESSION:
         return None
     tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(v)))
-    # written so that a nan anywhere fails either test
+    # an inf would make every point pass; written so that a nan anywhere
+    # fails either test
+    if not tol < math.inf:
+        return None
     if np.iscomplexobj(v):
         if not np.max(np.abs(v.real - v[0].real)) <= tol:
             return None
@@ -123,16 +126,15 @@ def _progression_step(v: np.ndarray):
 _NEGLIGIBLE = 2.0**-60
 
 
-def _live_terms(s: np.ndarray, u: np.ndarray, c: np.ndarray):
-    """Mask of the terms of sum_j c_j exp(-s_k u_j) that can reach the sum at
-    some row, or None to keep them all.
+def _term_bounds(s: np.ndarray, u: np.ndarray, c: np.ndarray):
+    """Bounds b_j on the terms of sum_j c_j exp(-s_k u_j), as shares of the
+    smallest row's absolute sum, or None to keep every term.
 
-    With Re s_k in [lo, hi], each term is at most b_j = |c_j| max(e^(-lo u_j),
+    With Re s_k in [lo, hi], each term is at most |c_j| max(e^(-lo u_j),
     e^(-hi u_j)) and every row's absolute sum is at least L = sum_j |c_j|
-    min(e^(-lo u_j), e^(-hi u_j)).  The smallest b_j are dropped while they add
-    up to at most _NEGLIGIBLE * L.  Bounds are formed in logs, so nothing
-    overflows; complex u and non-finite inputs keep every term, so nan and inf
-    propagate as in the plain sum."""
+    min(e^(-lo u_j), e^(-hi u_j)); b_j is the first over L.  Bounds are formed
+    in logs, so nothing overflows; complex u and non-finite inputs keep every
+    term, so nan and inf propagate as in the plain sum."""
     if np.iscomplexobj(u) or u.size == 0 or s.size == 0:
         return None
     lo, hi = float(np.min(s.real)), float(np.max(s.real))
@@ -147,7 +149,16 @@ def _live_terms(s: np.ndarray, u: np.ndarray, c: np.ndarray):
         return None
     log_L = top + math.log(float(np.sum(np.exp(log_lo - top))))
     with np.errstate(over="ignore"):
-        b = np.exp(log_hi - log_L)
+        return np.exp(log_hi - log_L)
+
+
+def _live_terms(s: np.ndarray, u: np.ndarray, c: np.ndarray):
+    """Mask of the terms of sum_j c_j exp(-s_k u_j) that can reach the sum at
+    some row, or None to keep them all: the smallest bounds of `_term_bounds`
+    are dropped while they add up to at most _NEGLIGIBLE."""
+    b = _term_bounds(s, u, c)
+    if b is None:
+        return None
     order = np.argsort(b, kind="stable")
     n_drop = int(np.searchsorted(np.cumsum(b[order]), _NEGLIGIBLE, side="right"))
     if n_drop == 0:
@@ -157,54 +168,128 @@ def _live_terms(s: np.ndarray, u: np.ndarray, c: np.ndarray):
     return keep
 
 
+def _live_span(s: np.ndarray, u: np.ndarray, c: np.ndarray) -> slice:
+    """The terms of sum_j c_j exp(-s_k u_j) between its dropped ends: the
+    longest head and tail whose bounds (`_term_bounds`) add up to at most
+    _NEGLIGIBLE / 2 each, found from cumulative sums without a sort.  Every
+    term between them is kept, so a progression u stays one."""
+    b = _term_bounds(s, u, c)
+    if b is None:
+        return slice(0, u.size)
+    head = int(np.searchsorted(np.cumsum(b), 0.5 * _NEGLIGIBLE, side="right"))
+    tail = int(np.searchsorted(np.cumsum(b[::-1]), 0.5 * _NEGLIGIBLE, side="right"))
+    return slice(head, max(head, u.size - tail))
+
+
+def _circle(v: np.ndarray):
+    """(s0, v0, direction) of an axis that `exp_sum` can factor as a circle,
+    else None: at least _MIN_PROGRESSION points v_k = s0 + v0 w^k with
+    w = e^(2 pi i direction / m), m = v.size, to rounding.  The roots of
+    unity are taken from cos and sin, so the test takes no exponential."""
+    m = v.size
+    if m < _MIN_PROGRESSION:
+        return None
+    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(v)))
+    if not tol < math.inf:
+        return None
+    s0 = complex(np.mean(v))
+    v0 = complex(v[0]) - s0
+    th = (2.0 * math.pi / m) * np.arange(m)
+    cos, sin = np.cos(th), np.sin(th)
+    for direction in (1, -1):
+        # written so that a nan anywhere fails the test
+        if np.max(np.abs(v - (s0 + v0 * (cos + 1j * direction * sin)))) <= tol:
+            return s0, v0, direction
+    return None
+
+
+# most growth sum_j |a_j| e^|z_j| / sum_j |a_j| e^-|z_j| that `_circle_sum`
+# takes on: its rounding error is about that many roundings of a row's
+# absolute sum
+_CIRCLE_GROWTH = 8.0
+
+
+def _circle_sum(u: np.ndarray, c: np.ndarray, m: int, s0: complex, v0: complex, direction: int):
+    """Rows F_k = sum_j c_j exp(-s_k u_j) on the m-point circle
+    s_k = s0 + v0 w^k of `_circle`, or None where the dense formula is to
+    be taken.
+
+    With a_j = c_j exp(-s0 u_j) and z_j = -v0 u_j, F_k = sum_n M_n w^(kn),
+    M_n = sum_j a_j z_j^n / n!.  Every row's absolute sum is at least
+    L = sum_j |a_j| e^-|z_j|, and the series' terms add up to at most
+    U = sum_j |a_j| e^|z_j|.  The orders n < N are taken, N the first with
+    max|z|^N / N! <= _NEGLIGIBLE L / U: the orders left out add at most
+    max|z|^N / N! U to a row.  The M_n are folded mod m and summed over
+    w^(kn) by one m-point FFT: n_u complex exponentials and N n_u
+    multiply-adds in place of m n_u complex exponentials.  None when a term
+    is not finite, or when U passes `_CIRCLE_GROWTH` L, where the series
+    would cost more roundings than the dense formula."""
+    term = c * np.exp(-s0 * u)
+    if not np.all(np.isfinite(term)):
+        return None
+    z = -v0 * u
+    mag, growth = np.abs(term), np.exp(np.abs(z))
+    upper, lower = float(np.sum(mag * growth)), float(np.sum(mag / growth))
+    if not upper > 0.0:
+        return np.zeros(m, dtype=complex)
+    if not upper <= _CIRCLE_GROWTH * lower:
+        return None
+    bound = _NEGLIGIBLE * lower / upper
+    z_max = float(np.max(np.abs(z)))
+    folded = np.zeros(m, dtype=complex)
+    n, share = 0, 1.0
+    while True:
+        folded[n % m] += np.sum(term)
+        n += 1
+        # share = max|z|^n / n!, the bound of order n relative to U
+        share *= z_max / n
+        if share <= bound:
+            break
+        term *= z
+        term /= n
+    return m * np.fft.ifft(folded) if direction == 1 else np.fft.fft(folded)
+
+
 def exp_sum(s, u, c):
     """sum_j c_j exp(-s_k u_j) for every s_k; the result has the shape of s.
 
-    Terms that cannot reach the result are dropped first (`_live_terms`): at
-    every row the dropped part is at most 2^-60 of sum_j |c_j exp(-s_k u_j)|,
-    below one rounding of the sum.
+    Terms that cannot reach the result are dropped first: at every row the
+    dropped part is at most 2^-60 of sum_j |c_j exp(-s_k u_j)|, below one
+    rounding of the sum.
 
-    With complex exponents, the longer of the two axes is factored when it is
-    a progression (`_progression_step`), taken in blocks of B = ceil(sqrt(n))
-    points:
-      * nodes u_{bB+m} = u_{bB} + m du, where n_u >= n_s: exp(-s u) is
+    With complex exponents three structured axes are factored, each tested
+    in this order:
+      * nodes u_{bB+m} = u_{bB} + m du, a progression (`_progression_step`)
+        of n_u >= n_s points in blocks of B = ceil(sqrt(n_u)): exp(-s u) is
         exp(-s u_{bB}) exp(-s m du), and each row is the sum over b of
         exp(-s u_{bB}) (sum_m exp(-s m du) c_{bB+m}), one (rows x B) @
-        (B x n_u/B) product in the row blocks of `steps`.  The dropped terms
-        keep their places with weight 0 (the dropped ends are cut off), so
-        u stays a progression;
-      * else a vertical line s_{bB+m} = s_{bB} + i m d: exp(-s u) is
-        exp(-s_{bB} u) exp(-i m d u), and the whole line is one
-        (n_s/B x n_u) @ (n_u x B) product.
-    Either takes O(sqrt(n) n_other) exponentials in place of n_s n_u, and no
-    n_s x n_u array is formed.  Any other input, and real s and u, whose
-    exponents stay real, take the dense formula in the row blocks of `steps`,
-    at most `_BLOCK` exponentials each (or one row, if it alone passes that).
-    All are the same sum, exact to rounding; the result takes the type of the
-    exponentials times c.
+        (B x n_u/B) product in the row blocks of `steps`.  Only the dropped
+        ends are cut off (`_live_span`), so u stays a progression;
+      * a vertical line s_{bB+m} = s_{bB} + i m d in blocks of
+        B = ceil(sqrt(n_s)): exp(-s u) is exp(-s_{bB} u) exp(-i m d u), and
+        the whole line is one (n_s/B x n_u) @ (n_u x B) product;
+      * a circle s_k = s0 + v0 w^k of m points, w an m-th root of unity
+        (`_circle`, what `circle_coefficients` samples): a Taylor series
+        about s0 in each term, folded mod m into one m-point FFT
+        (`_circle_sum`), where it costs no more roundings than the dense
+        formula.
+    The first two take O(sqrt(n) n_other) exponentials in place of n_s n_u,
+    the circle n_u, and no n_s x n_u array is formed.  Any other input, and
+    real s and u, whose exponents stay real, take the dense formula in the
+    row blocks of `steps`, at most `_BLOCK` exponentials each (or one row, if
+    it alone passes that).  All are the same sum, exact to rounding; the
+    result takes the type of the exponentials times c.
     """
     real = not (np.iscomplexobj(s) or np.iscomplexobj(u))
     s = np.asarray(s, dtype=float if real else complex)
     u = np.asarray(u)
     c = np.asarray(c)
     sf = s.reshape(-1)
-    keep = _live_terms(sf, u, c)
-    du = None if real or np.iscomplexobj(u) or u.size < sf.size else _progression_step(u)
-    d = None if real or du is not None else _progression_step(sf)
-    if keep is not None and du is not None:
-        live = np.flatnonzero(keep)
-        g = slice(live[0], live[-1] + 1)
-        u, c = u[g], np.where(keep[g], c[g], 0)
-    elif keep is not None:
-        u, c = u[keep], c[keep]
-    if d is not None:
-        n = sf.size
-        B = math.isqrt(n - 1) + 1
-        head = np.exp(-np.multiply.outer(sf[::B], u)) * c
-        step = np.exp(np.multiply.outer(-1j * d * np.arange(B), u))
-        return (head @ step.T).reshape(-1)[:n].reshape(s.shape)
     out = np.empty(sf.shape, dtype=np.result_type(s, u, c))
+    du = None if real or np.iscomplexobj(u) or u.size < sf.size else _progression_step(u)
     if du is not None:
+        g = _live_span(sf, u, c)
+        u, c = u[g], c[g]
         B = math.isqrt(u.size - 1) + 1
         n_b = -(-u.size // B)
         blocks = np.zeros(n_b * B, dtype=c.dtype)
@@ -215,15 +300,31 @@ def exp_sum(s, u, c):
             head = np.exp(-np.multiply.outer(sf[g], u_head))
             step = np.exp(-np.multiply.outer(sf[g], m_du))
             out[g] = np.sum(head * (step @ blocks), axis=1)
-    else:
-        for g in steps(np.full(sf.size, u.size)):
-            out[g] = np.exp(-np.multiply.outer(sf[g], u)) @ c
+        return out.reshape(s.shape)
+    keep = _live_terms(sf, u, c)
+    if keep is not None:
+        u, c = u[keep], c[keep]
+    d = None if real else _progression_step(sf)
+    if d is not None:
+        n = sf.size
+        B = math.isqrt(n - 1) + 1
+        head = np.exp(-np.multiply.outer(sf[::B], u)) * c
+        step = np.exp(np.multiply.outer(-1j * d * np.arange(B), u))
+        return (head @ step.T).reshape(-1)[:n].reshape(s.shape)
+    circle = None if real else _circle(sf)
+    rows = None if circle is None else _circle_sum(u, c, sf.size, *circle)
+    if rows is not None:
+        return rows.reshape(s.shape)
+    for g in steps(np.full(sf.size, u.size)):
+        out[g] = np.exp(-np.multiply.outer(sf[g], u)) @ c
     return out.reshape(s.shape)
 
 
 def circle_coefficients(f, s0: complex, orders, radius: float, m: int) -> dict:
     """Laurent coefficients {k: a_k} of f at s0 for the requested orders, from
-    the FFT of f on m equally spaced points of the circle |s - s0| = radius."""
+    the FFT of f on m equally spaced points of the circle |s - s0| = radius.
+    Where f is an `exp_sum` (a Mellin transform's evaluator) and m is at least
+    `_MIN_PROGRESSION`, the sum factors those points as a circle."""
     orders = np.asarray(list(orders), dtype=int)
     th = 2.0 * np.pi * np.arange(m) / m
     fft = np.fft.fft(as_complex_array(f(s0 + radius * np.exp(1j * th)))) / m

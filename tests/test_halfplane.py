@@ -56,13 +56,13 @@ class TestPseudoEisenstein:
     def test_slow_funnel_profile_refused_past_budget(self, monkeypatch):
         # y^2 e^-y decays only quadratically toward the funnel: its cosets
         # below height h drop about (3/pi) h, so at 0.1+1.1i the coset sum
-        # needs c up to 1044847; past the budget it is refused before any
-        # row is built
+        # (cut at 3e-12, h_c = 3.08e-12) needs c up to 542990; past the
+        # budget it is refused before any row is built
         f = _slow_funnel_profile()
         built = []
         monkeypatch.setattr(halfplane, "coprime_rows", lambda *a: built.append(a))
         monkeypatch.setattr(halfplane, "_PSI_BUDGET", 1e5)
-        with pytest.raises(DecayError, match="1044847 values of c"):
+        with pytest.raises(DecayError, match="542990 values of c"):
             pseudo_eisenstein_function(f).on_grid(np.array([0.1 + 1.1j]))
         assert not built
 
@@ -208,11 +208,13 @@ def _slow_funnel_profile():
 def _psi_brute(f, z):
     """Psi f on every point separately (no mirror folding, no bands): f(y)
     plus f over every coprime (c, d), c >= 1, whose orbit height
-    y / |cz + d|^2 is at least the threshold h_min."""
-    h_min = halfplane._psi_threshold(f)
+    y / |cz + d|^2 is at least the coset cut h_min, plus the mean m of the
+    cosets below it."""
+    h_min = halfplane._psi_threshold(f, halfplane._COSET_DROP)
+    m = complex(halfplane._coset_mean(f, h_min))
     out = []
     for x, y in zip(z.real, z.imag):
-        total = complex(f(y))
+        total = complex(f(y)) + m
         for c in range(1, int(1.0 / math.sqrt(h_min * y)) + 2):
             B = math.sqrt(max(y / h_min - (c * y) ** 2, 0.0))
             d = np.arange(math.floor(-c * x - B) - 1, math.ceil(-c * x + B) + 2)
@@ -261,10 +263,12 @@ class TestPsiFolding:
             assert abs(alone - on_grid[k]) <= 1e-14 * abs(on_grid[k])
 
     def test_threshold_drops_negligible_mass(self, monkeypatch):
+        # the coset cut, with the mean of what it leaves out, against the
+        # same sum cut a quarter as deep
         z = np.array([0.0 + 1.0j, 0.31 + 0.96j, -0.2 + 2.5j])
         at_threshold = PSI_STD.on_grid(z)
         real_threshold = halfplane._psi_threshold
-        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f: real_threshold(f) / 4)
+        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f, drop: real_threshold(f, drop) / 4)
         deeper = PSI_STD.on_grid(z)
         assert np.max(np.abs(at_threshold - deeper)) <= 2e-12
 
@@ -276,6 +280,85 @@ class TestPsiFolding:
         assert np.max(np.abs(whole - pieces)) < 1e-13 * np.max(np.abs(whole))
 
 
+# the boundary pair of the torus-automorphic bench at seed 9001, round 0
+_BENCH_PAIR = ((0.1245, 0.45, 1.0129), (0.0974, 0.55, 1.1479))
+
+
+class TestCosetMean:
+    @pytest.mark.parametrize("which", [0, 1], ids=["sigma0.45", "sigma0.55"])
+    def test_mean_stands_for_the_cosets_below_the_cut(self, which, monkeypatch):
+        # at the coset cut h_c (3e-12 of |f| left out) plus the mean m of
+        # what it leaves out, every point of the 140-grid is within 1e-12 of
+        # the plain sum at h_c / 4, which leaves out about 1e-18
+        z = _fd_points(16.0, 140, 140)
+        psi = pseudo_eisenstein_function(schwartz_boundary(*_BENCH_PAIR[which]))
+        at_cut = psi.on_grid(z)
+        real_threshold = halfplane._psi_threshold
+        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f, drop: real_threshold(f, drop) / 4)
+        monkeypatch.setattr(halfplane, "_coset_mean", lambda f, h_c: 0.0)
+        monkeypatch.setattr(halfplane, "_PSI_BUDGET", 1e9)
+        deeper = psi.on_grid(z)
+        assert np.max(np.abs(at_cut - deeper)) <= 1e-12
+
+    def test_mean_is_the_signed_mass(self):
+        # m is (3/pi) int_0^h_c f(t) t^-2 dt: a fine trapezoid in log t
+        # (whose own error is 5.5e-7 of m), and for a positive f the mass the
+        # cut was sized on, to the probe's step
+        h_c = halfplane._psi_threshold(F_STD, halfplane._COSET_DROP)
+        m = halfplane._coset_mean(F_STD, h_c)
+        t = np.exp(np.linspace(-80.0, math.log(h_c), 200_001))
+        assert abs(m - 3.0 / math.pi * np.trapezoid(F_STD(t) / t, np.log(t))) <= 1e-6 * abs(m)
+        assert 0.5 * halfplane._COSET_DROP <= m <= halfplane._COSET_DROP
+        flipped = schwartz_boundary(0.0, 0.5, -1.0)
+        assert halfplane._coset_mean(flipped, h_c) == -m
+
+    def test_bench_pair_fd_meets_spectral(self):
+        # the bench's rank-one operation: the fundamental-domain integral of
+        # Psi f1 Psi f2 on the 140-grid with its constant-term tail, against
+        # the spectral side (4.2e-12 apart without the mean)
+        p1, p2 = (pseudo_eisenstein_function(schwartz_boundary(*p)) for p in _BENCH_PAIR)
+        value, _ = rank_one_plancherel(p1, p2)
+        nodes, weights = np.polynomial.legendre.leggauss(240)
+        v, w = 4.0 * (nodes + 1.0), 4.0 * weights
+
+        def tail(Y):
+            y = Y * np.exp(v)
+            return np.sum(p1.ct(y) * p2.ct(y) * w * np.exp(-v)) / Y
+
+        fd = fd_integrate(lambda z: p1.on_grid(z) * p2.on_grid(z), Ymax=16.0, tail=tail, nx=140, ny=140)
+        assert abs(fd - value) <= 1e-13
+
+
+class TestRealValues:
+    def test_real_core_stays_real(self):
+        x = np.geomspace(1e-3, 1e3, 50)
+        term = ExponentTerm(-0.5, (1.0,), side="infinity", carrier="smooth")
+        real = AsymptoticallyFiniteFunction(core=log_gaussian_core(0.1, 0.5, 1.2))
+        assert real.core_values(x).dtype == float and real(x).dtype == float
+        assert schwartz_boundary(0.1, 0.5, 1.2)(x).dtype == float
+        assert AsymptoticallyFiniteFunction()(x).dtype == float
+        # a complex amp, or any term, makes the values complex
+        for f in (
+            AsymptoticallyFiniteFunction(core=log_gaussian_core(0.1, 0.5, 1.2 + 0.1j)),
+            AsymptoticallyFiniteFunction(core=log_gaussian_core(0.1, 0.5, 1.2), terms=(term,)),
+            AsymptoticallyFiniteFunction(terms=(term,)),
+        ):
+            assert f(x).dtype == complex
+        with_term = AsymptoticallyFiniteFunction(core=log_gaussian_core(0.1, 0.5, 1.2), terms=(term,))
+        assert np.array_equal(with_term(x), real(x) + term(x))
+
+    def test_psi_matches_the_complex_path(self):
+        # the same core cast to complex takes the complex sums of the parent
+        # path; the real block sums group terms differently, by rounding only
+        mu, sigma, amp = _BENCH_PAIR[0]
+        core = log_gaussian_core(mu, sigma, amp)
+        as_complex = boundary_from_model(AsymptoticallyFiniteFunction(core=lambda x: core(x).astype(complex)))
+        z = _fd_points(16.0, 40, 40)
+        got = pseudo_eisenstein_function(schwartz_boundary(mu, sigma, amp)).on_grid(z)
+        want = pseudo_eisenstein_function(as_complex).on_grid(z)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 class TestConstantTerm:
     def test_constant_function(self):
         # a plain callable takes the 64-node average in x
@@ -283,8 +366,10 @@ class TestConstantTerm:
 
     @pytest.mark.parametrize("mu,sigma", [(0.0, 0.5), (0.3, 0.6)])
     def test_series_share_one_cut(self, mu, sigma):
-        # f + Rf and the coset sums leave out the same cosets, so the exact
-        # constant term is the 64-node midpoint average of the values
+        # f + Rf leaves out the cosets below its own cut (at most 1e-12 of
+        # |f|), and the coset sums those below theirs less the mean of what
+        # they leave out, so the exact constant term and the 64-node midpoint
+        # average of the values agree to the pointwise bound
         psi = pseudo_eisenstein_function(schwartz_boundary(mu, sigma))
         y = np.array([0.3, 0.6, 1.0, 2.0])
         quad = constant_term(psi.on_grid, y)
@@ -397,8 +482,8 @@ class TestFunnelGuard:
     def test_threshold_of_fast_funnel(self):
         # h_min is a probe height whose left-out cosets carry at most 1e-12,
         # and two probe steps up they would carry more
-        hs = np.exp(-np.linspace(0.0, 45.0, 200))
-        h_min = halfplane._psi_threshold(F_STD)
+        hs = np.exp(-np.linspace(0.0, 45.0, 2001))
+        h_min = halfplane._psi_threshold(F_STD, halfplane._PSI_DROP)
         k = int(np.flatnonzero(hs == h_min)[0])
         assert h_min > hs[-1]
         assert _dropped_mass(F_STD, h_min) <= 1e-12
@@ -408,14 +493,14 @@ class TestFunnelGuard:
         # |f| reads 3.2e-12 at the lowest probe height e^-45, which leaves
         # about 3.5e7 below it
         with pytest.raises(DecayError, match="decays too slowly"):
-            halfplane._psi_threshold(schwartz_boundary(0.0, 8.0))
+            halfplane._psi_threshold(schwartz_boundary(0.0, 8.0), halfplane._PSI_DROP)
 
     def test_radon_refuses_huge_coset_range(self, monkeypatch):
-        # y^2 e^-y has a threshold (8.3e-13), but y = 1.1 needs 1044847
-        # cosets, 6.7e7 entries on 64 heights; refused before any F(w)
+        # y^2 e^-y has a threshold (1.05e-12), but y = 1.1 needs 931774
+        # cosets, 6.0e7 entries on 64 heights; refused before any F(w)
         built = []
         monkeypatch.setattr(halfplane, "_horocycle_F", lambda *a: built.append(a))
-        with pytest.raises(DecayError, match=r"66870208 \(coset, height\) entries at 64 heights"):
+        with pytest.raises(DecayError, match=r"59633536 \(coset, height\) entries at 64 heights"):
             radon_transform(_slow_funnel_profile(), np.full(64, 1.1))
         assert built == []
 
@@ -424,11 +509,11 @@ class TestFunnelGuard:
         f = _slow_funnel_profile()
         at_threshold = complex(radon_transform(f, 1.1))
         real_threshold = halfplane._psi_threshold
-        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f: real_threshold(f) / 4)
+        monkeypatch.setattr(halfplane, "_psi_threshold", lambda f, drop: real_threshold(f, drop) / 4)
         assert abs(complex(radon_transform(f, 1.1)) - at_threshold) <= 1e-12
 
     def test_radon_budget_counts_heights(self, monkeypatch):
-        h_min = halfplane._psi_threshold(F_STD)
+        h_min = halfplane._psi_threshold(F_STD, halfplane._PSI_DROP)
         c_max = int(math.floor(1.0 / math.sqrt(h_min))) + 1
         monkeypatch.setattr(halfplane, "_RADON_BUDGET", 5 * c_max)
         assert np.all(np.isfinite(radon_transform(F_STD, np.ones(5))))
@@ -439,7 +524,7 @@ class TestFunnelGuard:
         # the budget counts each height's own c bound, the pairs the series
         # builds, not c_max(min y) at every height
         ys = np.geomspace(0.05, 5.0, 40)
-        h_min = halfplane._psi_threshold(F_STD)
+        h_min = halfplane._psi_threshold(F_STD, halfplane._PSI_DROP)
         entries = sum(halfplane._c_max(h_min, y) for y in ys)
         assert entries < halfplane._c_max(h_min, ys[0]) * ys.size / 2
         want = radon_transform(F_STD, ys)

@@ -7,11 +7,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import seltrace
+from seltrace import traceformula as tf
 from seltrace.config import ConfigError, RunConfig, load_config
+from seltrace.special import DomainError
+from seltrace.util import DecayError
 from seltrace.suites import SUITE_NAMES, SuiteReport, UnknownSuiteError, emit_report, run_suite
 
 
@@ -86,6 +90,31 @@ class TestConfig:
         out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1].split()[0] == "total"
         assert int(out.splitlines()[-1].split()[-1]) <= 43
+
+    def test_bench_record_compares_shared_rounds(self):
+        # the new side fits a third round, whose check ratio and RSS are the
+        # largest: the shared-round metrics leave it out
+        import importlib.util
+
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts",
+                            "bench_record.py")
+        spec = importlib.util.spec_from_file_location("bench_record", path)
+        bench_record = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_record)
+
+        def record(rounds, ratio, rss):
+            ops = [{"round": r, "checks": [{"ratio": ratio[r]}], "peak_rss_mb": rss[r]} for r in range(rounds)]
+            return {"rounds": rounds, "ops": ops}
+
+        base = {"runs": {"w": [record(2, [0.1, 0.2], [50.0, 51.0])] * 2},
+                "traced": {"w": record(2, [0.1, 0.2], [50.0, 51.0])}}
+        new = {"runs": {"w": [record(3, [0.1, 0.2, 0.9], [49.0, 50.5, 60.0]), record(2, [0.1, 0.2], [52.0, 53.0])]},
+               "traced": {"w": record(3, [0.1, 0.2, 0.9], [49.0, 50.5, 60.0])}}
+        got = bench_record._shared_rounds(base, new)["w"]
+        assert got["traced_rounds"] == 2
+        assert got["max_dev_ratio"] == {"base": 0.2, "new": 0.2}
+        assert got["peak_rss_mb"]["rounds"] == [2, 2]
+        assert got["peak_rss_mb"]["new"] == [50.5, 53.0] and got["peak_rss_mb"]["wins"] == 1
 
     @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(seltrace.__path__)))
     def test_star_import(self, module):
@@ -447,38 +476,61 @@ class TestCLI:
 
     def test_tf_report_refuses_tiny_width(self, capsys):
         # W = 0.001 cuts the line at t_max = 1.2e4, a Fourier rule of 1.2e6
-        # nodes; the test function is refused before any table is built
+        # nodes; the test function is refused before any table is built.  The
+        # report refuses the width earlier still, at its floor
         from seltrace import cli
 
+        with pytest.raises(DecayError, match=r"spectral cut t_max = 12000 needs 1\.2e\+06 Fourier nodes"):
+            tf.gaussian_test_function(0.001)
         assert cli.main(["tf", "report", "--width", "0.001"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: DecayError: spectral cut t_max = 12000 needs 1.2e+06 Fourier nodes")
+        assert err.startswith("error: FitError: Gaussian width 0.001 is below 0.185")
         assert "Traceback" not in err
+
+    def test_tf_report_floor_builds_nothing(self, monkeypatch, capsys):
+        # W = 0.05 is below the floor: refused before the triple's tables or
+        # the kernel sum are built; W = 0.185 reports
+        from seltrace import cli
+
+        called = []
+        for name in ("spherical_from_h", "kernel_diagonal_sum"):
+            real = getattr(tf, name)
+            monkeypatch.setattr(tf, name, lambda *a, _real=real, _name=name: called.append(_name) or _real(*a))
+        assert cli.main(["tf", "report", "--width", "0.05"]) == 3
+        assert capsys.readouterr().err.startswith("error: FitError: Gaussian width 0.05 is below 0.185")
+        assert called == []
+        assert cli.main(["tf", "report", "--width", "0.185"]) == 0
+        assert called.count("kernel_diagonal_sum") == 1
 
     def test_tf_report_refuses_a_kernel_line_that_does_not_hold(self, tmp_path, capsys):
         # at W = 0.1 the kernel line reads a(y0) = -4.507 and a(2 y0) = -3.990
-        # (geometric: -3.989): the Poisson terms are not negligible at y0.  At
+        # (geometric: -3.989): the Poisson terms are not negligible at y0, and
+        # the fit's own check raises behind the report's width floor.  At
         # W = 0.2 they are (relative change 9.8e-9) and the report stands
         from seltrace import cli
 
+        T = tf.gaussian_test_function(0.1)
+        with pytest.raises(tf.FitError, match=r"kernel line a\(y\) = -2K\(iy, iy\)/y is -4\.50658"):
+            tf.two_term_laurent_kernel(tf.convolve_test_functions(T, T))
         assert cli.main(["tf", "report", "--width", "0.1"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: FitError: kernel line a(y) = -2K(iy, iy)/y is -4.50658")
+        assert err.startswith("error: FitError: Gaussian width 0.1 is below 0.185")
         assert "Traceback" not in err
         path = tmp_path / "tf.json"
         assert cli.main(["tf", "report", "--width", "0.2", "--out", str(path)]) == 0
         rec = json.loads(path.read_text())
         assert rec["tf_minus1"]["deviation_fit_geo"] <= 1e-7
 
-    def test_tf_report_refuses_lines_past_the_zeta_band(self, capsys):
+    def test_tf_report_refuses_lines_past_the_zeta_band(self):
         # W = 0.02 reads the spectral line to t = 12/W = 600, past zeta's
-        # validated |Im s| <= 250, where xi overflowed to nan
-        from seltrace import cli
-
-        assert cli.main(["tf", "report", "--width", "0.02"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: DomainError: |Im s| = ")
-        assert "Traceback" not in err and "Warning" not in err
+        # validated |Im s| <= 250, where xi overflowed to nan; the report's
+        # width floor refuses it first
+        T = tf.gaussian_test_function(0.02)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"\|Im s\| = "):
+                tf.ledger(tf.convolve_test_functions(T, T), None)
+        assert not caught
 
     @pytest.mark.parametrize("width", ["0", "-0.5", "nan"])
     def test_tf_report_rejects_width(self, width, capsys):

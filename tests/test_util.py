@@ -384,3 +384,105 @@ def test_inversion_sum_work(monkeypatch):
     counter = _count_exponentials(monkeypatch)
     exp_sum(-1j * np.log(np.geomspace(0.2, 5.0, 40)), t, c)
     assert counter.count <= 12_400
+
+
+def _circle_points(s0, r, m, direction):
+    """m points s0 + r e^(i(0.3 + 2 pi direction k / m)), as
+    `circle_coefficients` samples them, either way round."""
+    return s0 + r * np.exp(1j * (0.3 + direction * 2.0 * np.pi * np.arange(m) / m))
+
+
+def _extended_rows(s, u, c):
+    """The one-shot product in extended precision, and each row's sum of
+    absolute terms."""
+    ref = np.exp(-np.multiply.outer(s.astype(np.clongdouble), u.astype(np.longdouble))) @ c.astype(np.clongdouble)
+    scale = np.exp(-np.multiply.outer(s.real, u)) @ np.abs(c)
+    return ref, scale
+
+
+@pytest.mark.parametrize("m", [256, 512])
+@pytest.mark.parametrize("s0, direction", [(0.3, 1), (-1.2, -1), (0.6 + 2.5j, 1), (-0.4 - 1.1j, -1)])
+@pytest.mark.parametrize("r", [5e-2, 0.125])
+def test_circle_is_the_one_shot_sum(monkeypatch, m, s0, direction, r):
+    # the Mellin core's nodes, most of which the window drops, on circles on
+    # and off the real axis, run either way: one exponential per kept node,
+    # where the dense formula takes m of them
+    u, c = _core_nodes()
+    s = _circle_points(s0, r, m, direction)
+    assert util._circle(s)[2] == direction
+    keep = util._live_terms(s, u, c)
+    assert keep is not None
+    counter = _count_exponentials(monkeypatch)
+    got = exp_sum(s, u, c)
+    assert counter.count == np.count_nonzero(keep) <= u.size
+    # every 8th row: the FFT mixes every order into every row
+    rows = np.arange(0, m, 8)
+    ref, scale = _extended_rows(s[rows], u, c)
+    err = np.abs(got[rows] - ref)
+    assert np.all(err <= 1e-15 * scale), float(np.max(err / scale))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_circle_propagates_non_finite_inputs(bad):
+    u, c = _core_nodes()
+    s = _circle_points(0.3, 5e-2, 256, 1)
+    # a bad weight reaches every row; a bad point only its own
+    c_bad = c.copy()
+    c_bad[-1] = bad
+    s_bad = s.copy()
+    s_bad[7] = bad
+    for s_in, c_in, bad_rows in ((s, c_bad, s.size), (s_bad, c, 1)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = exp_sum(s_in, u, c_in)
+            plain = np.exp(-np.multiply.outer(s_in, u)) @ c_in
+        assert np.count_nonzero(~np.isfinite(plain)) == bad_rows
+        assert np.array_equal(np.isfinite(got), np.isfinite(plain))
+        assert np.array_equal(np.isnan(got), np.isnan(plain))
+
+
+def test_near_circles_keep_the_dense_path(monkeypatch):
+    # one point 1e-9 off the circle, and a circle one point short of a
+    # factored axis: the dense formula, m exponentials per kept node.  A
+    # circle of radius 2 is one, but its series would grow past
+    # `_CIRCLE_GROWTH`: the dense formula too, after the n_kept of the test
+    u, c = _core_nodes()
+    off = _circle_points(0.3, 5e-2, 256, 1)
+    off[100] += 1e-9
+    short = _circle_points(0.3, 5e-2, util._MIN_PROGRESSION - 1, 1)
+    wide = _circle_points(0.3, 2.0, 256, 1)
+    assert util._circle(wide) is not None
+    counter = _count_exponentials(monkeypatch)
+    for s, tested in ((off, 0), (short, 0), (wide, 1)):
+        assert (util._circle(s) is None) == (tested == 0)
+        n_kept = np.count_nonzero(util._live_terms(s, u, c))
+        counter.count = 0
+        got = exp_sum(s, u, c)
+        assert counter.count == (s.size + tested) * n_kept
+        _check_rows(s, got, u, c, np.arange(s.size))
+
+
+def test_circle_coefficients_of_a_mellin_core():
+    # Taylor coefficients of the log-Gaussian core's transform at 0.4 + 1.5i:
+    # sampled through the circle path, against the same circle evaluated one
+    # point at a time (the dense formula), to rounding of F over r^k
+    F = mellin(AsymptoticallyFiniteFunction(core=log_gaussian_core(0.1, 0.6)))
+    s0, r = 0.4 + 1.5j, 5e-2
+    got = util.circle_coefficients(F, s0, range(6), r, 256)
+    want = util.circle_coefficients(lambda s: np.array([F(v) for v in s]), s0, range(6), r, 256)
+    for k in range(6):
+        assert abs(got[k] - want[k]) <= 1e-14 * abs(want[0]) / r**k, k
+
+
+def test_line_with_an_infinite_point_is_not_factored():
+    # an inf would pass any tolerance taken from max|s|: the point's row is
+    # nan or inf, as in the plain sum, and the others are the plain sums
+    u, c = _core_nodes()
+    s = 0.2 + 1j * np.linspace(-3.0, 3.0, 300)
+    s[7] = np.inf
+    assert util._progression_step(s) is None
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = exp_sum(s, u, c)
+        plain = np.exp(-np.multiply.outer(s, u)) @ c
+    assert np.array_equal(np.isfinite(got), np.isfinite(plain)) and not np.isfinite(got[7])
+    rows = np.flatnonzero(np.arange(s.size) != 7)
+    _check_rows(s, got, u, c, rows)
