@@ -98,19 +98,26 @@ def trap_grid(t_max: float, dt: float):
 _MIN_PROGRESSION = 256
 
 
+def _axis_tolerance(v: np.ndarray):
+    """Rounding tolerance of a structured axis of `exp_sum`, or None when v
+    is too short to factor or has an infinite point, which would make every
+    point pass."""
+    if v.size < _MIN_PROGRESSION:
+        return None
+    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(v)))
+    return tol if tol < math.inf else None
+
+
 def _progression_step(v: np.ndarray):
     """The step of an axis that `exp_sum` can factor, else None: at least
     _MIN_PROGRESSION points v_k = v_0 + k d to rounding, either direction.
     A real v is the nodes u and d is real; a complex v is a vertical line s,
     with constant real part, and d is its imaginary step."""
     n = v.size
-    if n < _MIN_PROGRESSION:
+    tol = _axis_tolerance(v)
+    if tol is None:
         return None
-    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(v)))
-    # an inf would make every point pass; written so that a nan anywhere
-    # fails either test
-    if not tol < math.inf:
-        return None
+    # written so that a nan anywhere fails either test
     if np.iscomplexobj(v):
         if not np.max(np.abs(v.real - v[0].real)) <= tol:
             return None
@@ -187,10 +194,8 @@ def _circle(v: np.ndarray):
     w = e^(2 pi i direction / m), m = v.size, to rounding.  The roots of
     unity are taken from cos and sin, so the test takes no exponential."""
     m = v.size
-    if m < _MIN_PROGRESSION:
-        return None
-    tol = 16.0 * np.finfo(float).eps * float(np.max(np.abs(v)))
-    if not tol < math.inf:
+    tol = _axis_tolerance(v)
+    if tol is None:
         return None
     s0 = complex(np.mean(v))
     v0 = complex(v[0]) - s0
