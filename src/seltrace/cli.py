@@ -19,7 +19,7 @@ from functools import partial
 
 from . import traceformula as tf
 from .config import ConfigError, load_config
-from .suites import SUITE_NAMES, UnknownSuiteError, emit_report, run_all, run_suite
+from .suites import SUITE_NAMES, ZERO_CHECKS, UnknownSuiteError, emit_report, run_all, run_suite
 from .util import SeltraceError
 
 
@@ -77,6 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _in_domain(flag: str, value, ok: bool, domain: str):
+    """Refuse an out-of-domain argument as a config error; nan fails each `ok`."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {domain}, got {value!r}")
+    return value
+
+
+def _positive(flag: str, value: float) -> float:
+    return _in_domain(flag, value, math.isfinite(value) and value > 0.0, "a positive number")
+
+
 def _parse_complex(text: str) -> complex:
     re_s, im_s = (text.split(",") + ["0"])[:2]
     return complex(float(re_s), float(im_s))
@@ -106,6 +117,8 @@ def _cmd_verify(args) -> int:
         print(f"[{mark}] {rec['id']}: dev={rec['deviation']:.3e} tol={rec['tolerance']:.1e}")
     print(f"suite {rep.suite}: {'PASS' if rep.passed else 'FAIL'} "
           f"({len(rep.records)} checks, max dev {rep.max_deviation:.3e}, {rep.headroom})")
+    if not rep.records:
+        print(ZERO_CHECKS)
     if args.out:
         emit_report(rep, args.out, args.format, args.include_timing)
         print(f"wrote {args.out}")
@@ -113,8 +126,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tf_report(args) -> int:
-    if not (math.isfinite(args.width) and args.width > 0.0):
-        raise ConfigError(f"--width must be a positive number, got {args.width!r}")
+    _positive("--width", args.width)
     cusp_t = _read_cusp_data(args.cusp_data) if args.cusp_data else None
     tf.check_report_width(args.width)
     T = tf.gaussian_test_function(args.width)
@@ -157,28 +169,30 @@ def _cmd_auto(args) -> int:
     )
 
     if args.auto_command == "ct":
-        f = schwartz_boundary(args.mu, args.sigma)
+        f = schwartz_boundary(args.mu, _positive("--sigma", args.sigma))
         phi = pseudo_eisenstein_function(f)
-        val = complex(constant_term(phi, args.y))
+        val = complex(constant_term(phi, _positive("--y", args.y)))
         out = {"inputs": {"y": args.y, "mu": args.mu, "sigma": args.sigma},
                "value": _c2(val), "breakdown": [], "deviation": 0.0}
     elif args.auto_command == "eis":
         s = _parse_complex(args.s)
         z = _parse_complex(args.z)
+        _in_domain("--z", args.z, math.isfinite(abs(z)) and z.imag > 0.0, "a point X,Y of the upper half-plane")
         val = eisenstein(s, z)
         out = {"inputs": {"s": _c2(s), "z": _c2(z)}, "value": _c2(val),
                "breakdown": [], "deviation": 0.0}
     elif args.auto_command == "maass-selberg":
         s1 = _parse_complex(args.s1)
         s2 = _parse_complex(args.s2)
-        lhs, rhs, dev = maass_selberg(s1, s2, args.T)
+        T = _in_domain("--T", args.T, math.isfinite(args.T) and args.T >= 0.0, "a non-negative number")
+        lhs, rhs, dev = maass_selberg(s1, s2, T)
         out = {"inputs": {"s1": _c2(s1), "s2": _c2(s2), "T": args.T},
                "value": _c2(lhs),
                "breakdown": [{"term_kind": "closed_form_rhs", "value": _c2(rhs)}],
                "deviation": dev}
     else:
-        f1 = schwartz_boundary(args.mu1, args.sigma1)
-        f2 = schwartz_boundary(args.mu2, args.sigma2)
+        f1 = schwartz_boundary(args.mu1, _positive("--sigma1", args.sigma1))
+        f2 = schwartz_boundary(args.mu2, _positive("--sigma2", args.sigma2))
         val, bd = rank_one_plancherel(
             pseudo_eisenstein_function(f1), pseudo_eisenstein_function(f2)
         )
@@ -194,9 +208,11 @@ def _cmd_special(args) -> int:
     from . import special
 
     if args.fn == "kbessel":
-        res = special.kbessel_imag_order(args.nu, args.y)
+        res = special.kbessel_imag_order(args.nu, _positive("--y", args.y))
         print(json.dumps({"value": res.value, "underflowed": res.underflowed}))
         return 0
+    if args.fn == "sigma":
+        _in_domain("--n", args.n, args.n >= 1, "a positive integer")
     fns = {"zeta": special.zeta, "xi": special.xi, "c": special.intertwining_c, "clogd": special.c_log_derivative,
            "gamma": special.gamma, "sigma": partial(special.divisor_sigma, args.n)}
     c = complex(fns[args.fn](complex(args.re, args.im)))

@@ -95,6 +95,10 @@ class UnknownSuiteError(SeltraceError):
     pass
 
 
+# the line that follows a run with a suite of zero checks, which fails
+ZERO_CHECKS = "warning: at least one suite produced zero checks (configuration?)"
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -145,7 +149,9 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(r["pass"] for r in self.records)
+        """Every record passes, and there is at least one: a suite that
+        checked nothing (a corpus selection that names no function) fails."""
+        return bool(self.records) and all(r["pass"] for r in self.records)
 
     @property
     def max_deviation(self) -> float:
@@ -749,23 +755,15 @@ def run_all(config: RunConfig | None = None, names=None):
     """Run every suite; returns (exit_code, reports, summary_lines)."""
     cfg = config or RunConfig()
     names = tuple(names or SUITE_NAMES)
-    reports = []
-    lines = []
-    warn_empty = False
-    for name in names:
-        rep = run_suite(name, cfg)
-        reports.append(rep)
-        n = len(rep.records)
-        if n == 0:
-            warn_empty = True
-        lines.append(
-            f"{name:26s} checks={n:3d} max_dev={rep.max_deviation:9.2e} "
-            f"time={rep.wall_clock:7.1f}s {'PASS' if rep.passed else 'FAIL'} {rep.headroom}"
-        )
-    if warn_empty:
-        lines.append("warning: at least one suite produced zero checks (configuration?)")
-    code = 0 if all(r.passed for r in reports) and not warn_empty else 1
-    return code, reports, lines
+    reports = [run_suite(name, cfg) for name in names]
+    lines = [
+        f"{r.suite:26s} checks={len(r.records):3d} max_dev={r.max_deviation:9.2e} "
+        f"time={r.wall_clock:7.1f}s {'PASS' if r.passed else 'FAIL'} {r.headroom}"
+        for r in reports
+    ]
+    if not all(r.records for r in reports):
+        lines.append(ZERO_CHECKS)
+    return (0 if all(r.passed for r in reports) else 1), reports, lines
 
 
 def emit_report(report: SuiteReport | list, path: str, fmt: str = "json", include_timing: bool = False):

@@ -17,9 +17,10 @@ composite Gauss-Legendre panels in the log variable u = log x, which are
 spectrally accurate for the rapidly decaying cores this module requires.
 Every sum over those nodes (and the inversion's sum over the contour) is one
 `util.exp_sum` call, which factors a vertical line of s, or the contour's
-uniform nodes, into block products and first drops the nodes whose terms add
-up to at most 2^-60 of every row's absolute sum: a log-Gaussian core keeps
-about 600-1,000 of its 4,608 nodes.
+uniform nodes, into block products and first cuts off the ends of the nodes
+whose terms add up to at most 2^-61 of every row's absolute sum each.  The
+core's nodes are merged into ascending order, so a log-Gaussian core keeps
+about 550-1,250 of its 4,608 nodes.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ def _core_transform(f: AsymptoticallyFiniteFunction):
         weighted.append((t(xn) - sharp(xn)) * uw)
 
     u_all = np.concatenate(nodes)
-    c_all = np.concatenate(weighted)
+    order = np.argsort(u_all, kind="stable")  # so `exp_sum` cuts only negligible ends
+    u_all, c_all = u_all[order], np.concatenate(weighted)[order]
 
     def ev(s):
         return exp_sum(s, u_all, c_all)

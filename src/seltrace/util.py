@@ -134,15 +134,15 @@ _NEGLIGIBLE = 2.0**-60
 
 
 def _term_bounds(s: np.ndarray, u: np.ndarray, c: np.ndarray):
-    """Bounds b_j on the terms of sum_j c_j exp(-s_k u_j), as shares of the
-    smallest row's absolute sum, or None to keep every term.
+    """Bounds b_j on the terms of sum_j c_j exp(-s_k u_j), real u, as shares
+    of the smallest row's absolute sum, or None to keep every term.
 
     With Re s_k in [lo, hi], each term is at most |c_j| max(e^(-lo u_j),
     e^(-hi u_j)) and every row's absolute sum is at least L = sum_j |c_j|
     min(e^(-lo u_j), e^(-hi u_j)); b_j is the first over L.  Bounds are formed
-    in logs, so nothing overflows; complex u and non-finite inputs keep every
-    term, so nan and inf propagate as in the plain sum."""
-    if np.iscomplexobj(u) or u.size == 0 or s.size == 0:
+    in logs, so nothing overflows; non-finite inputs keep every term, so nan
+    and inf propagate as in the plain sum."""
+    if u.size == 0 or s.size == 0:
         return None
     lo, hi = float(np.min(s.real)), float(np.max(s.real))
     if not (math.isfinite(lo) and math.isfinite(hi) and np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
@@ -159,27 +159,12 @@ def _term_bounds(s: np.ndarray, u: np.ndarray, c: np.ndarray):
         return np.exp(log_hi - log_L)
 
 
-def _live_terms(s: np.ndarray, u: np.ndarray, c: np.ndarray):
-    """Mask of the terms of sum_j c_j exp(-s_k u_j) that can reach the sum at
-    some row, or None to keep them all: the smallest bounds of `_term_bounds`
-    are dropped while they add up to at most _NEGLIGIBLE."""
-    b = _term_bounds(s, u, c)
-    if b is None:
-        return None
-    order = np.argsort(b, kind="stable")
-    n_drop = int(np.searchsorted(np.cumsum(b[order]), _NEGLIGIBLE, side="right"))
-    if n_drop == 0:
-        return None
-    keep = np.ones(u.size, dtype=bool)
-    keep[order[:n_drop]] = False
-    return keep
-
-
 def _live_span(s: np.ndarray, u: np.ndarray, c: np.ndarray) -> slice:
     """The terms of sum_j c_j exp(-s_k u_j) between its dropped ends: the
     longest head and tail whose bounds (`_term_bounds`) add up to at most
-    _NEGLIGIBLE / 2 each, found from cumulative sums without a sort.  Every
-    term between them is kept, so a progression u stays one."""
+    _NEGLIGIBLE / 2 each, found from cumulative sums.  Every term between
+    them is kept, so a progression u stays one; the span is tight where the
+    bounds fall off toward both ends, as on ascending u."""
     b = _term_bounds(s, u, c)
     if b is None:
         return slice(0, u.size)
@@ -256,20 +241,21 @@ def _circle_sum(u: np.ndarray, c: np.ndarray, m: int, s0: complex, v0: complex, 
 
 
 def exp_sum(s, u, c):
-    """sum_j c_j exp(-s_k u_j) for every s_k; the result has the shape of s.
+    """sum_j c_j exp(-s_k u_j) for every s_k, real nodes u; the result has
+    the shape of s.
 
-    Terms that cannot reach the result are dropped first: at every row the
-    dropped part is at most 2^-60 of sum_j |c_j exp(-s_k u_j)|, below one
-    rounding of the sum.
+    Every path sums only the terms of `_live_span`: the head and tail of u
+    it cuts off add up to at most 2^-61 each of sum_j |c_j exp(-s_k u_j)|
+    at every row, below one rounding of the sum.  The cut is tight where
+    the terms fall off toward both ends of u, so callers pass ascending u.
 
-    With complex exponents three structured axes are factored, each tested
-    in this order:
+    With complex s three structured axes are factored on the kept terms,
+    each tested in this order:
       * nodes u_{bB+m} = u_{bB} + m du, a progression (`_progression_step`)
         of n_u >= n_s points in blocks of B = ceil(sqrt(n_u)): exp(-s u) is
         exp(-s u_{bB}) exp(-s m du), and each row is the sum over b of
         exp(-s u_{bB}) (sum_m exp(-s m du) c_{bB+m}), one (rows x B) @
-        (B x n_u/B) product in the row blocks of `steps`.  Only the dropped
-        ends are cut off (`_live_span`), so u stays a progression;
+        (B x n_u/B) product in the row blocks of `steps`;
       * a vertical line s_{bB+m} = s_{bB} + i m d in blocks of
         B = ceil(sqrt(n_s)): exp(-s u) is exp(-s_{bB} u) exp(-i m d u), and
         the whole line is one (n_s/B x n_u) @ (n_u x B) product;
@@ -280,21 +266,21 @@ def exp_sum(s, u, c):
         formula.
     The first two take O(sqrt(n) n_other) exponentials in place of n_s n_u,
     the circle n_u, and no n_s x n_u array is formed.  Any other input, and
-    real s and u, whose exponents stay real, take the dense formula in the
-    row blocks of `steps`, at most `_BLOCK` exponentials each (or one row, if
-    it alone passes that).  All are the same sum, exact to rounding; the
-    result takes the type of the exponentials times c.
+    real s, whose exponents stay real, take the dense formula in the row
+    blocks of `steps`, at most `_BLOCK` exponentials each (or one row, if it
+    alone passes that).  All are the same sum, exact to rounding; the result
+    takes the type of the exponentials times c.
     """
-    real = not (np.iscomplexobj(s) or np.iscomplexobj(u))
+    real = not np.iscomplexobj(s)
     s = np.asarray(s, dtype=float if real else complex)
     u = np.asarray(u)
     c = np.asarray(c)
     sf = s.reshape(-1)
     out = np.empty(sf.shape, dtype=np.result_type(s, u, c))
-    du = None if real or np.iscomplexobj(u) or u.size < sf.size else _progression_step(u)
+    live = _live_span(sf, u, c)
+    u, c = u[live], c[live]
+    du = None if real or u.size < sf.size else _progression_step(u)
     if du is not None:
-        g = _live_span(sf, u, c)
-        u, c = u[g], c[g]
         B = math.isqrt(u.size - 1) + 1
         n_b = -(-u.size // B)
         blocks = np.zeros(n_b * B, dtype=c.dtype)
@@ -306,9 +292,6 @@ def exp_sum(s, u, c):
             step = np.exp(-np.multiply.outer(sf[g], m_du))
             out[g] = np.sum(head * (step @ blocks), axis=1)
         return out.reshape(s.shape)
-    keep = _live_terms(sf, u, c)
-    if keep is not None:
-        u, c = u[keep], c[keep]
     d = None if real else _progression_step(sf)
     if d is not None:
         n = sf.size

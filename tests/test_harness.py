@@ -550,6 +550,37 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--cusp-data" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["auto", "ct", "--y", "-1"],
+        ["auto", "ct", "--y", "0"],
+        ["auto", "ct", "--y", "1", "--sigma", "0"],
+        ["auto", "eis", "--s", "2,1", "--z", "0.1,-1"],
+        ["auto", "maass-selberg", "--s1", "0.7,1", "--s2", "0.6,2", "--T", "-1"],
+        ["auto", "plancherel", "--sigma1", "0"],
+        ["special", "eval", "--fn", "kbessel", "--y", "-1"],
+        ["special", "eval", "--fn", "sigma", "--n", "0"],
+    ], ids=["ct_y_negative", "ct_y_zero", "ct_sigma_zero", "eis_z_below_axis", "ms_T_negative",
+            "plancherel_sigma1_zero", "kbessel_y_negative", "sigma_n_zero"])
+    def test_out_of_domain_argument_is_a_config_error(self, argv, capsys):
+        from seltrace import cli
+
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_single_suite_with_zero_checks_fails(self, tmp_path, capsys):
+        # the rule of `verify all`: a suite that checked nothing fails
+        from seltrace import cli
+
+        cfg = tmp_path / "nosuch.cfg"
+        cfg.write_text("corpus = nosuch\n")
+        for suite in ("torus-plancherel", "all"):
+            assert cli.main(["verify", suite, "--config", str(cfg)]) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert "warning: at least one suite produced zero checks (configuration?)" in out
+            if suite != "all":
+                assert out[0].startswith("suite torus-plancherel: FAIL (0 checks")
+
     def test_numerical_failure_exit_3(self, monkeypatch, capsys):
         # a kernel budget below what W = 0.5 needs: the kernel sum refuses
         # inside the ledger, and the CLI reports it without a traceback

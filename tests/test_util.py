@@ -21,6 +21,13 @@ def _core_nodes():
     return u, c
 
 
+def _kept(s, u, c):
+    """Mask of the terms that `exp_sum` keeps: those of `_live_span`."""
+    keep = np.zeros(u.size, dtype=bool)
+    keep[util._live_span(s, u, c)] = True
+    return keep
+
+
 def _check_rows(s, got, u, c, rows, rtol=1e-13):
     """Compare `got` with the plain sum on the given rows, to rtol of the sum
     of the absolute terms."""
@@ -112,7 +119,7 @@ def test_real_s_and_u_keep_real_exponents():
     u = np.linspace(-1.0, 1.0, 4608)
     c = (0.8 - 0.3j) * (1.0 + 9.0 * rng.random(u.size))
     s = np.linspace(-0.5, 3.0, 2000)
-    assert util._live_terms(s, u, c) is None
+    assert np.all(_kept(s, u, c))
     plain = np.exp(-np.multiply.outer(s, u))
     assert plain.dtype == float
     # complex weights: the same product, bit for bit, in every block
@@ -146,8 +153,8 @@ def test_window_drops_under_its_bound(case):
     # row's absolute sum, and the result still matches the plain product
     u, c = _core_nodes()
     s = _window_rows(case)
-    keep = util._live_terms(s, u, c)
-    assert keep is not None and np.count_nonzero(keep) < u.size // 4
+    keep = _kept(s, u, c)
+    assert np.count_nonzero(keep) < u.size // 4
     rows = _sample_rows(s.size) if s.size > 1000 else np.arange(s.size)
     mag = np.exp(-np.multiply.outer(s[rows].real, u)) * np.abs(c)
     dropped = mag[:, ~keep].sum(axis=1)
@@ -171,24 +178,41 @@ def test_non_finite_weights_propagate(bad):
         assert np.array_equal(np.isnan(got[rows]), np.isnan(plain))
 
 
+def _pairing_line_span(monkeypatch, name):
+    """The nodes of corpus function `name`'s Mellin core and the number of
+    them `_live_span` keeps on the sigma = 0 pairing line."""
+    seen = []
+    live_span = util._live_span
+
+    def spy(s, u, c):
+        g = live_span(s, u, c)
+        seen.append((u.copy(), g.stop - g.start))
+        return g
+
+    monkeypatch.setattr(util, "_live_span", spy)
+    t, _ = trap_grid(torus._PAIRING_T_MAX, torus._LINE_DT)
+    mellin(default_corpus()[name]).evaluator(1j * t)
+    (u, n_kept), = seen
+    return u, n_kept
+
+
 def test_window_on_a_pairing_line(monkeypatch):
     # gauss_unit's core on the sigma = 0 pairing line sums at most a quarter
     # of its nodes
-    seen = []
-    live_terms = util._live_terms
+    u, n_kept = _pairing_line_span(monkeypatch, "gauss_unit")
+    assert u.size == 4608
+    assert n_kept <= u.size // 4
 
-    def spy(s, u, c):
-        keep = live_terms(s, u, c)
-        seen.append((u.size, u.size if keep is None else int(np.count_nonzero(keep))))
-        return keep
 
-    monkeypatch.setattr(util, "_live_terms", spy)
-    f = default_corpus()["gauss_unit"]
-    t, _ = trap_grid(torus._PAIRING_T_MAX, torus._LINE_DT)
-    mellin(f).evaluator(1j * t)
-    (n_nodes, n_kept), = seen
-    assert n_nodes == 4608
-    assert n_kept <= n_nodes // 4
+def test_core_nodes_with_carrier_corrections_are_ascending(monkeypatch):
+    # smooth_log_term's core adds the 96-node smooth-carrier rule near u = 0
+    # to the core panels; merged into ascending order, the span still sums at
+    # most a quarter of the nodes on the sigma = 0 pairing line
+    assert any(t.carrier == "smooth" for t in default_corpus()["smooth_log_term"].terms)
+    u, n_kept = _pairing_line_span(monkeypatch, "smooth_log_term")
+    assert u.size == 4608 + 96
+    assert np.all(np.diff(u) >= 0.0)
+    assert n_kept <= u.size // 4
 
 
 def test_two_dimensional_s_through_mellin():
@@ -274,7 +298,7 @@ def test_inversion_working_set():
 
 class _ExpCounter:
     """Stands in for numpy inside `util`, counting the exponentials taken of
-    complex arguments: the terms of a sum, not `_live_terms`' real bounds."""
+    complex arguments: the terms of a sum, not `_live_span`'s real bounds."""
 
     def __init__(self):
         self.count = 0
@@ -322,20 +346,29 @@ def test_node_progression_is_the_one_shot_sum(monkeypatch, rows, n_u):
     _check_rows(s, got, u, c, np.arange(s.size), 1e-15)
 
 
-def test_node_progression_keeps_dropped_interior_terms_at_zero():
-    # `_live_terms` drops both ends, where the weights fall below 2^-60 of
-    # the sum, and the zero weights of |u| < 5 between full-size ones: the
-    # kept terms still form one progression
+def test_zero_weights_between_the_cut_ends_are_kept():
+    # the span cuts both ends, where the weights fall below 2^-61 of the sum
+    # each, and keeps the zero weights of |u| < 5 between full-size ones:
+    # the node, line, circle and dense paths sum them, and each meets the
+    # one-shot sum
     rng = np.random.default_rng(17)
-    u = _u_progression(24001)
-    c = (rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size)) * np.exp(-(u**2) / 200.0)
-    c[np.abs(u) < 5.0] = 0.0
-    s = _U_ROWS["inversion"]
-    keep = util._live_terms(s, u, c)
-    live = np.flatnonzero(keep)
-    assert live[0] > 0 and live[-1] < u.size - 1
-    assert not np.all(keep[live[0] : live[-1] + 1])
-    _check_rows(s, exp_sum(s, u, c), u, c, np.arange(s.size), 1e-15)
+    progression = _u_progression(24001)
+    core = _core_nodes()[0]
+    cases = (
+        (_U_ROWS["inversion"], progression, 200.0),
+        (0.2 + 1j * np.linspace(-3.0, 3.0, 300), core, 20.0),
+        (_circle_points(0.3, 5e-2, 256, 1), core, 20.0),
+        (np.linspace(-0.5, 0.5, 40) + 0.3j, core, 20.0),
+    )
+    for s, u, width in cases:
+        c = (rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size)) * np.exp(-(u**2) / width)
+        c[np.abs(u) < 5.0] = 0.0
+        g = util._live_span(s, u, c)
+        assert 0 < g.start and g.stop < u.size
+        assert np.count_nonzero(c[g] == 0.0) == np.count_nonzero(np.abs(u) < 5.0)
+        ref, scale = _extended_rows(s, u, c)
+        err = np.abs(exp_sum(s, u, c) - ref)
+        assert np.all(err <= 1e-15 * scale), float(np.max(err / scale))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -361,14 +394,16 @@ def test_short_and_non_uniform_nodes_keep_their_paths(monkeypatch):
     counter = _count_exponentials(monkeypatch)
     _check_rows(s, exp_sum(s, u, c), u, c, np.arange(s.size), 1e-15)
     assert counter.count == s.size * u.size
-    # one node off the progression, against a vertical line of 300 points:
-    # the line is factored, as when the nodes were never a progression
+    # one node off the progression, inside the kept span, against a vertical
+    # line of 300 points: the line is factored, as when the nodes were never
+    # a progression
     u = _u_progression(24001)
-    u[5000] += 1e-9
+    u[12000] += 1e-9
     c = (rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size)) * np.exp(-(u**2) / 8.0)
     s = 0.2 + 1j * np.linspace(-3.0, 3.0, 300)
-    assert util._progression_step(u) is None
-    n_kept = np.count_nonzero(util._live_terms(s, u, c))
+    keep = _kept(s, u, c)
+    assert keep[12000] and util._progression_step(u[keep]) is None
+    n_kept = np.count_nonzero(keep)
     B = math.isqrt(s.size - 1) + 1
     counter.count = 0
     got = exp_sum(s, u, c)
@@ -410,8 +445,8 @@ def test_circle_is_the_one_shot_sum(monkeypatch, m, s0, direction, r):
     u, c = _core_nodes()
     s = _circle_points(s0, r, m, direction)
     assert util._circle(s)[2] == direction
-    keep = util._live_terms(s, u, c)
-    assert keep is not None
+    keep = _kept(s, u, c)
+    assert not np.all(keep)
     counter = _count_exponentials(monkeypatch)
     got = exp_sum(s, u, c)
     assert counter.count == np.count_nonzero(keep) <= u.size
@@ -454,7 +489,7 @@ def test_near_circles_keep_the_dense_path(monkeypatch):
     counter = _count_exponentials(monkeypatch)
     for s, tested in ((off, 0), (short, 0), (wide, 1)):
         assert (util._circle(s) is None) == (tested == 0)
-        n_kept = np.count_nonzero(util._live_terms(s, u, c))
+        n_kept = np.count_nonzero(_kept(s, u, c))
         counter.count = 0
         got = exp_sum(s, u, c)
         assert counter.count == (s.size + tested) * n_kept
