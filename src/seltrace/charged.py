@@ -249,7 +249,7 @@ def taylor_coefficients(h: ChargedMeromorphicFunction, s0: complex, depth: int):
 # operations
 
 
-def residue(h: ChargedMeromorphicFunction, s0: complex, charge: str = "total") -> complex:
+def residue(h: ChargedMeromorphicFunction, s0: complex, charge: str) -> complex:
     """a_{-1} of the requested charge at s0; non-poles return 0."""
     p = h.pole_at(complex(s0))
     if p is None:

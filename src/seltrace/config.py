@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -43,22 +44,27 @@ class RunConfig:
 
     def __post_init__(self):
         for k, v in self.tolerances.items():
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ConfigError(f"tolerance {k!r} must be positive, got {v!r}")
+            if k not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance class {k!r}; expected one of {tuple(DEFAULT_TOLERANCES)}")
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ConfigError(f"tolerance {k!r} must be finite and positive, got {v!r}")
+        if not all(math.isfinite(T) and T >= 0.0 for T in self.ms_T):
+            raise ConfigError(f"ms_T entries must be finite and non-negative, got {self.ms_T!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.fault_injection not in FAULT_MODES:
             raise ConfigError(
                 f"unknown fault_injection {self.fault_injection!r}; expected one of {FAULT_MODES}"
             )
 
     def tol(self, kind: str) -> float:
-        if kind in self.tolerances:
-            return float(self.tolerances[kind])
-        if kind not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance class {kind!r}")
-        return DEFAULT_TOLERANCES[kind]
+        return float(self.tolerances.get(kind, DEFAULT_TOLERANCES[kind]))
 
 
-_SCALAR_FIELDS = {
+# how each key's text becomes a RunConfig value; `tol.<class>` keys parse as float
+_PARSERS = {
+    "ms_T": lambda val: tuple(float(v) for v in str(val).split(",")),
+    "corpus": lambda val: tuple(v.strip() for v in str(val).split(",") if v.strip()),
     "seed": int,
     "fault_injection": str,
 }
@@ -68,7 +74,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     """Parse a flat `key = value` file (dotted keys for tolerances) and apply
     overrides on top.  A missing path falls back to $SELTRACE_CONFIG, then to
     defaults."""
-    cfg = RunConfig()
+    pairs = []
     path = path or os.environ.get(ENV_CONFIG)
     if path:
         try:
@@ -82,32 +88,17 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            _apply_kv(cfg, key, val)
-    for key, val in (overrides or {}).items():
-        _apply_kv(cfg, key, val)
-    cfg.__post_init__()
-    return cfg
-
-
-def _apply_kv(cfg: RunConfig, key: str, val):
-    if key.startswith("tol."):
-        try:
-            cfg.tolerances[key[4:]] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value for {key}: {val!r}") from exc
-        return
-    if key == "ms_T":
-        cfg.ms_T = tuple(float(v) for v in str(val).split(","))
-        return
-    if key == "corpus":
-        cfg.corpus = tuple(v.strip() for v in str(val).split(",") if v.strip())
-        return
-    if key in _SCALAR_FIELDS:
-        typ = _SCALAR_FIELDS[key]
-        try:
-            setattr(cfg, key, typ(val))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {val!r}") from exc
-        return
-    raise ConfigError(f"unknown config key {key!r}")
+            pairs.append(tuple(part.strip() for part in line.split("=", 1)))
+    pairs += (overrides or {}).items()
+    fields, tolerances = {}, {}
+    try:
+        for key, val in pairs:
+            if key.startswith("tol."):
+                tolerances[key[4:]] = float(val)
+            elif key in _PARSERS:
+                fields[key] = _PARSERS[key](val)
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {val!r}") from exc
+    return RunConfig(tolerances=tolerances, **fields)

@@ -539,10 +539,6 @@ def _totients(n: int) -> np.ndarray:
     return phi[1:]
 
 
-# w where `radon_mellin` switches from the subtracted to the plain integrand
-_RADON_W_SPLIT = 1.0
-
-
 def radon_mellin(f: BoundaryFunction, s):
     """Boundary Mellin transform of Rf, continued to Re s <= 0.
 
@@ -564,11 +560,10 @@ def radon_mellin(f: BoundaryFunction, s):
     x_nodes = np.exp(u)
     phi0 = 2.0 * np.sum(f.model_values(x_nodes) * uw)
 
-    # B(s) in v = log w: Gauss-Legendre panels split exactly at the
-    # subtraction boundary v = log(_RADON_W_SPLIT)
-    v_split = math.log(_RADON_W_SPLIT)
-    vlo, wlo_w = panel_gl_nodes(np.linspace(-20.0, v_split, 41), 12)
-    vhi, whi_w = panel_gl_nodes(np.linspace(v_split, 20.0, 41), 12)
+    # B(s) in v = log w: Gauss-Legendre panels split exactly at v = 0, where
+    # the integrand switches from the subtracted (w < 1) to the plain one
+    vlo, wlo_w = panel_gl_nodes(np.linspace(-20.0, 0.0, 41), 12)
+    vhi, whi_w = panel_gl_nodes(np.linspace(0.0, 20.0, 41), 12)
     wlo = np.exp(vlo)
     Flo = _horocycle_F(f, wlo) - phi0 / np.sqrt(wlo)
     Fhi = _horocycle_F(f, np.exp(vhi))
@@ -580,8 +575,8 @@ def radon_mellin(f: BoundaryFunction, s):
     out = np.full(s.shape, -phi0, dtype=complex)
     off = np.abs(s) >= 1e-9
     so = s[off]
-    # subtracted piece: int_0^split w^(-s/2) d*w = -(2/s) split^(-s/2)
-    B_off = B[off] + phi0 * (-2.0 / so) * _RADON_W_SPLIT ** (-0.5 * so)
+    # subtracted piece: int_0^1 w^(-s/2) d*w = -2/s
+    B_off = B[off] + phi0 * (-2.0 / so)
     out[off] = 0.5 * zeta(-so) / zeta(1.0 - so) * B_off
     return out[0] if scalar else out
 

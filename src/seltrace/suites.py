@@ -1,8 +1,9 @@
 """Verification suites: every spec-level identity as a pass/fail record set.
 
-Each suite builds its own inputs (seeded where sampling is involved), runs
-the checks, and returns a SuiteReport whose serialization is byte-stable for
-a fixed config.  `run_all` aggregates and sets the exit status.
+Each suite builds its own inputs (seeded where sampling is involved) and runs
+its checks into the SuiteReport that `run_suite` hands it; the report's
+serialization is byte-stable for a fixed config.  `run_all` aggregates and
+sets the exit status.
 """
 
 from __future__ import annotations
@@ -185,16 +186,11 @@ def _fmt(v) -> str:
     return f"{c.real:.12e}{c.imag:+.12e}j"
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return asdict(cfg)
-
-
 # ----------------------------------------------------------------------------
 # torus suites
 
 
-def _suite_torus_plancherel(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("torus-plancherel", config_echo=_config_echo(cfg))
+def _suite_torus_plancherel(rep: SuiteReport, cfg: RunConfig):
     corps = default_corpus()
     pairs = [
         ("sharp_x|sharp_invsqrt", corps["sharp_x"], corps["sharp_invsqrt"], 2.0),
@@ -208,7 +204,7 @@ def _suite_torus_plancherel(cfg: RunConfig) -> SuiteReport:
     if cfg.corpus:
         pairs = [p for p in pairs if any(tok in p[0] for tok in cfg.corpus)]
         if not pairs:
-            return rep  # zero checks: run_all flags this as a config warning
+            return  # zero checks: run_all flags this as a config warning
     tol = cfg.tol("quadrature")
     for name, f1, f2, exact in pairs:
         direct = regularized_inner_product_direct(f1, f2)
@@ -227,11 +223,9 @@ def _suite_torus_plancherel(cfg: RunConfig) -> SuiteReport:
     v0, _ = plancherel_inner_product(corps["gauss_narrow"], corps["gauss_plus_smooth_inf"], 0.0)
     v1, _ = plancherel_inner_product(corps["gauss_narrow"], corps["gauss_plus_smooth_inf"], 0.8)
     rep.add("sigma_freedom", "sigma 0 -> 0.8", v0, v1, cfg.tol("analytic"))
-    return rep
 
 
-def _suite_mellin_roundtrip(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("mellin-roundtrip", config_echo=_config_echo(cfg))
+def _suite_mellin_roundtrip(rep: SuiteReport, cfg: RunConfig):
     corps = default_corpus()
     tol = cfg.tol("quadrature")
     xgrid = np.exp(np.linspace(-3.0, 3.0, 50))
@@ -271,15 +265,13 @@ def _suite_mellin_roundtrip(cfg: RunConfig) -> SuiteReport:
     rep.add("reg_integral[x on (0,1)]", "sharp_x", 1.0, regularized_integral(corps["sharp_x"]), cfg.tol("analytic"))
     rep.add_raises("critical_exponent_raises", "1_(0,1)", CriticalExponentError, lambda: regularized_integral(f0))
     # Paley-Wiener decay profiles
-    prof = pw_decay_profile(corps["gauss_unit"], (-1.0, 1.0), 6)
+    prof = pw_decay_profile(corps["gauss_unit"], 6)
     rep.add_bool("pw_gaussian_bounded", "N=6", prof["bounded_looking"], f"sup={prof['sup']:.3e}")
-    prof2 = pw_decay_profile(corps["sharp_x"], (-1.0, 1.0), 2)
+    prof2 = pw_decay_profile(corps["sharp_x"], 2)
     rep.add_bool("pw_sharp_flagged", "N=2", not prof2["bounded_looking"], f"sup={prof2['sup']:.3e}")
-    return rep
 
 
-def _suite_charged_core(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("charged-core", config_echo=_config_echo(cfg))
+def _suite_charged_core(rep: SuiteReport, cfg: RunConfig):
     tol = cfg.tol("analytic")
     h1 = rational_from_poles([ChargedLaurent(1.0, plus={-1: -1.0})])
     h2 = rational_from_poles([ChargedLaurent(0.5, minus={-1: 1.0})])
@@ -320,7 +312,6 @@ def _suite_charged_core(cfg: RunConfig) -> SuiteReport:
     c_ch = special.scattering_charged()
     vals = eval_vertical(c_ch, 0.0, np.linspace(0.3, 12.0, 25))
     rep.add("c_unitary_on_line", "|c(it)|", 1.0, float(np.max(np.abs(vals))), 1e-8)
-    return rep
 
 
 # ----------------------------------------------------------------------------
@@ -337,8 +328,7 @@ def _ct_fit(phi, s0: complex, ys) -> np.ndarray:
     return np.linalg.solve(A, cts)
 
 
-def _suite_functional_equations(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("functional-equations", config_echo=_config_echo(cfg))
+def _suite_functional_equations(rep: SuiteReport, cfg: RunConfig):
     # the c checks run against this local c; the c_sign fault flips it here
     # only, so no other caller of intertwining_c ever sees the flip
     c = (lambda s: -intertwining_c(s)) if cfg.fault_injection == "c_sign" else intertwining_c
@@ -389,11 +379,9 @@ def _suite_functional_equations(cfg: RunConfig) -> SuiteReport:
     rep.add("kbessel_refinement", "K_i(0.5)", 0.48339609004387797, got.value, 1e-12)
     rep.add("divisor_sigma[6,1]", "", 12.0, divisor_sigma(6, 1.0), 1e-12)
     rep.add("divisor_sigma[12,-1]", "", 7.0 / 3.0, divisor_sigma(12, -1.0), 1e-12)
-    return rep
 
 
-def _suite_hc_bound(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("hc-bound", config_echo=_config_echo(cfg))
+def _suite_hc_bound(rep: SuiteReport, cfg: RunConfig):
     sigmas = np.linspace(0.0, 2.0, 21)
     ts = np.concatenate([np.arange(0.1, 1.0, 0.1), np.arange(1.0, 40.5, 0.5)])
     T_required = 0.0
@@ -417,7 +405,6 @@ def _suite_hc_bound(cfg: RunConfig) -> SuiteReport:
         T_required <= 5.0,
         f"min feasible T = {max(T_required, 0.0):.4f}",
     )
-    return rep
 
 
 # ----------------------------------------------------------------------------
@@ -433,8 +420,7 @@ def _ms_pairs():
     ]
 
 
-def _suite_maass_selberg(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("maass-selberg", config_echo=_config_echo(cfg))
+def _suite_maass_selberg(rep: SuiteReport, cfg: RunConfig):
     tol = cfg.tol("fd")
     for s1, s2 in _ms_pairs():
         for T in cfg.ms_T:
@@ -450,11 +436,9 @@ def _suite_maass_selberg(cfg: RunConfig) -> SuiteReport:
     from .halfplane import DegenerateParameterError
 
     rep.add_raises("ms_degenerate_raises", "s1=-s2", DegenerateParameterError, lambda: maass_selberg(0.7j, -0.7j, 1.0))
-    return rep
 
 
-def _suite_constant_term_symmetry(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("constant-term-symmetry", config_echo=_config_echo(cfg))
+def _suite_constant_term_symmetry(rep: SuiteReport, cfg: RunConfig):
     tol = cfg.tol("fd")
     for name, (mu, sg) in (("f_a", (0.0, 0.5)), ("f_b", (0.3, 0.6))):
         f = schwartz_boundary(mu, sg)
@@ -471,11 +455,9 @@ def _suite_constant_term_symmetry(cfg: RunConfig) -> SuiteReport:
     zero_f = boundary_from_model(AsymptoticallyFiniteFunction(core=None))
     dev0 = constant_term_symmetry_check(pseudo_eisenstein_function(zero_f))
     rep.add("zero_function", "f=0", 0.0, dev0, 1e-14)
-    return rep
 
 
-def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("rank-one-plancherel", config_echo=_config_echo(cfg))
+def _suite_rank_one(rep: SuiteReport, cfg: RunConfig):
     tol = cfg.tol("fd")
 
     f0 = schwartz_boundary(0.0, 0.5)
@@ -564,11 +546,9 @@ def _suite_rank_one(cfg: RunConfig) -> SuiteReport:
     vol = fd_integrate(lambda z: np.ones_like(z, dtype=complex), Ymax=50.0, tail=lambda Y: 1.0 / Y,
                        nx=_FD_BASE, ny=_FD_BASE)
     rep.add("fd_volume", "integrand=1", math.pi / 3.0, vol, cfg.tol("quadrature"))
-    return rep
 
 
-def _suite_kernel_relations(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("kernel-relations", config_echo=_config_echo(cfg))
+def _suite_kernel_relations(rep: SuiteReport, cfg: RunConfig):
     T = gaussian_test_function(0.8)
     diag, adiag = kernel_constant_terms(T)
     ts = np.linspace(0.05, 12.0, 40)
@@ -586,11 +566,9 @@ def _suite_kernel_relations(cfg: RunConfig) -> SuiteReport:
             complex((intertwining_c(-0.7j) ** 2) * adiag(np.array([-0.7j]))[0]), tol)
     h1 = complex(np.asarray(T.h(np.array([1.0 + 0j])))[0])
     rep.add("adiag_pole_residue", "s=-1", -(6.0 / math.pi) * h1, adiag.poles[0].plus[-1], tol)
-    return rep
 
 
-def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("tf-minus1", config_echo=_config_echo(cfg))
+def _suite_tf_minus1(rep: SuiteReport, cfg: RunConfig):
     tol = cfg.tol("tf")
     # pinned Gaussian spectral value
     T1 = gaussian_test_function(1.0)
@@ -628,11 +606,9 @@ def _suite_tf_minus1(cfg: RunConfig) -> SuiteReport:
     # h(i t_1)^2 = 1.8e-20 at t_1 = 19.07, so the remainder is quadrature
     # noise)
     rep.add("tf0_cusp_remainder", "width 0.5 pair", led["tf0_terms"]["spectral_computable_sum"], fit["a_0"], 5e-6)
-    return rep
 
 
-def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("geometric-terms", config_echo=_config_echo(cfg))
+def _suite_geometric_terms(rep: SuiteReport, cfg: RunConfig):
     rep.add("weight_v[0]", "", 0.0, weight_v(0.0), 1e-14)
     rep.add("weight_v[1]", "", 0.5 * math.log(2.0), weight_v(1.0), 1e-12)
     # volume-definition oracle at t = 2: the conditions are evaluated from
@@ -674,7 +650,6 @@ def _suite_geometric_terms(cfg: RunConfig) -> SuiteReport:
     sp = spectral_side(convolve_test_functions(T, T))
     rep.add("M0_term", "c(0) = -1", -0.25 * complex(np.asarray(T.h(np.zeros(1, complex)))[0]) ** 2, sp["M0_term"], 1e-12)
     rep.add_bool("continuous_term_real", "", abs(sp["continuous_term"].imag) < 1e-8, f"{sp['continuous_term']}")
-    return rep
 
 
 def _k0_plancherel(T12) -> float:
@@ -703,8 +678,7 @@ def _scaled_woi(T, factor: float):
     return weighted_orbital_integral(replace(T, k=lambda u: factor * np.asarray(T.k(u))), -1)
 
 
-def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("tate-zeta", config_echo=_config_echo(cfg))
+def _suite_tate_zeta(rep: SuiteReport, cfg: RunConfig):
     lau, Z = tate_zeta_term(lambda x: np.exp(-np.pi * x**2))
     for w0 in (1.5, 2.0, 3.0):
         rep.add(f"tate_is_xi[w={w0}]", "Gaussian x lattice", complex(xi(complex(w0))), Z(w0), 1e-8)
@@ -720,7 +694,6 @@ def _suite_tate_zeta(cfg: RunConfig) -> SuiteReport:
     T12 = convolve_test_functions(T1, T1)
     rep.add("tate_unipotent_slice", "a-1 = -2 int k(x^2) dx", tf_minus1_geometric(T12),
             tate_kernel_term(T12).a_minus1, 1e-11)
-    return rep
 
 
 SUITES = {
@@ -745,8 +718,9 @@ def run_suite(name: str, config: RunConfig | None = None) -> SuiteReport:
     if name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     cfg = config or RunConfig()
+    rep = SuiteReport(name, config_echo=asdict(cfg))
     t0 = time.perf_counter()
-    rep = SUITES[name](cfg)
+    SUITES[name](rep, cfg)
     rep.wall_clock = time.perf_counter() - t0
     return rep
 

@@ -632,28 +632,26 @@ def plancherel_inner_product(
     return complex(total), breakdown
 
 
-# the |t|-bands of `pw_decay_profile`, and the radius of the disks around
-# poles that it leaves out
+# the strip of sigmas and the |t|-bands of `pw_decay_profile`, and the
+# radius of the disks around poles that it leaves out
+_PW_STRIP = (-1.0, 1.0)
 _PW_T_BANDS = (2.0, 5.0, 10.0, 20.0, 40.0)
 _PW_EXCLUSION_RADIUS = 0.05
 
 
-def pw_decay_profile(
-    f: AsymptoticallyFiniteFunction,
-    strip: tuple[float, float] = (-1.0, 1.0),
-    n_power: int = 6,
-) -> dict:
-    """Sample sup |F(sigma+it)| (1+|t|)^N over a strip, flagging growth.
+def pw_decay_profile(f: AsymptoticallyFiniteFunction, n_power: int) -> dict:
+    """Sample sup |F(sigma+it)| (1+|t|)^N over the strip `_PW_STRIP`,
+    flagging growth.
 
-    Each of 9 sigmas is sampled once, on one line t in [0, 40] at step 0.05
-    (a vertical progression, which `util.exp_sum` factors); a band's sup is
+    Each of its 9 sigmas is sampled once, on one line t in [0, 40] at step
+    0.05 (a vertical progression, which `util.exp_sum` factors); a band's sup is
     the largest weighted sample of its slice [lo, hi] of the line, leaving
     out the samples within `_PW_EXCLUSION_RADIUS` of a pole.
     The report carries the sup and a verdict: decay is "confirmed" when the
     weighted sup decreases from each t-band to the next past the first knee.
     """
     F = mellin(f)
-    sigmas = np.linspace(strip[0], strip[1], 9)
+    sigmas = np.linspace(_PW_STRIP[0], _PW_STRIP[1], 9)
     # step 0.05: every band edge is a sample
     t = np.linspace(0.0, _PW_T_BANDS[-1], 801)
     weight = (1.0 + t) ** n_power
@@ -682,5 +680,5 @@ def pw_decay_profile(
         "band_sups": band_sups,
         "bounded_looking": bool(decaying),
         "n_power": n_power,
-        "strip": strip,
+        "strip": _PW_STRIP,
     }

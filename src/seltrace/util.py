@@ -141,7 +141,8 @@ def _term_bounds(s: np.ndarray, u: np.ndarray, c: np.ndarray):
     e^(-hi u_j)) and every row's absolute sum is at least L = sum_j |c_j|
     min(e^(-lo u_j), e^(-hi u_j)); b_j is the first over L.  Bounds are formed
     in logs, so nothing overflows; non-finite inputs keep every term, so nan
-    and inf propagate as in the plain sum."""
+    and inf propagate as in the plain sum.  Where every c_j is 0, so is every
+    term, and every b_j is 0: no term is kept."""
     if u.size == 0 or s.size == 0:
         return None
     lo, hi = float(np.min(s.real)), float(np.max(s.real))
@@ -153,7 +154,7 @@ def _term_bounds(s: np.ndarray, u: np.ndarray, c: np.ndarray):
     log_lo = log_c - np.maximum(lo * u, hi * u)
     top = float(np.max(log_lo))
     if top == -math.inf:
-        return None
+        return np.zeros(u.size)
     log_L = top + math.log(float(np.sum(np.exp(log_lo - top))))
     with np.errstate(over="ignore"):
         return np.exp(log_hi - log_L)

@@ -7,13 +7,14 @@ suite registry the CLI exposes (`seltrace verify ...`).
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from seltrace.config import RunConfig
 from seltrace.corpus import default_corpus
-from seltrace.suites import emit_report, run_all, run_suite
+from seltrace.suites import SUITE_NAMES, emit_report, run_all, run_suite
 from seltrace.torus import plancherel_inner_product, regularized_inner_product_direct
 
 _ALL = {}
@@ -23,6 +24,9 @@ def _all_reports():
     """One honest `verify all` execution shared by every criterion."""
     if not _ALL:
         code, reports, lines = run_all(RunConfig())
+        # run_suite names and configures every report
+        assert [r.suite for r in reports] == list(SUITE_NAMES)
+        assert all(r.payload()["config"] == asdict(RunConfig()) for r in reports)
         _ALL["code"] = code
         _ALL["reports"] = {r.suite: r for r in reports}
         _ALL["lines"] = lines

@@ -64,6 +64,22 @@ class TestConfig:
             RunConfig(tolerances={"fd": -1.0})
 
     @pytest.mark.parametrize(
+        "line", ["ms_T = a,b", "ms_T = nan", "seed = -1", "ms_T = -1", "tol.bogus = 1", "tol.fd = inf"]
+    )
+    def test_malformed_or_out_of_domain_value_rejected(self, tmp_path, line, capsys):
+        # each of these once ended in a traceback, ran a suite outside its
+        # domain or passed unread; RunConfig refuses them, and verify exits 2
+        from seltrace import cli
+
+        p = tmp_path / "cfg.txt"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(str(p))
+        assert cli.main(["verify", "hc-bound", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "key", ["t_max", "dt", "y_max", "coset_bound", "out_path", "out_format", "kernel_u_max", "nx", "ny"]
     )
     def test_removed_keys_rejected(self, tmp_path, key):
@@ -89,7 +105,7 @@ class TestConfig:
                               "count_settable.py")
         out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1].split()[0] == "total"
-        assert int(out.splitlines()[-1].split()[-1]) <= 43
+        assert int(out.splitlines()[-1].split()[-1]) <= 40
 
     def test_bench_record_compares_shared_rounds(self):
         # the new side fits a third round, whose check ratio and RSS are the
@@ -559,8 +575,14 @@ class TestCLI:
         ["auto", "plancherel", "--sigma1", "0"],
         ["special", "eval", "--fn", "kbessel", "--y", "-1"],
         ["special", "eval", "--fn", "sigma", "--n", "0"],
+        ["auto", "eis", "--s", "2,1", "--z", "foo"],
+        ["auto", "eis", "--s", "2,i", "--z", "0.1,1"],
+        ["auto", "eis", "--s", "2,1,5", "--z", "0.1,1"],
+        ["auto", "maass-selberg", "--s1", "0.7;1", "--s2", "0.6,2", "--T", "1"],
+        ["auto", "maass-selberg", "--s1", "0.7,1", "--s2", "", "--T", "1"],
     ], ids=["ct_y_negative", "ct_y_zero", "ct_sigma_zero", "eis_z_below_axis", "ms_T_negative",
-            "plancherel_sigma1_zero", "kbessel_y_negative", "sigma_n_zero"])
+            "plancherel_sigma1_zero", "kbessel_y_negative", "sigma_n_zero", "eis_z_malformed",
+            "eis_s_malformed", "eis_s_three_parts", "ms_s1_malformed", "ms_s2_malformed"])
     def test_out_of_domain_argument_is_a_config_error(self, argv, capsys):
         from seltrace import cli
 

@@ -415,16 +415,16 @@ class TestSuperunitaryRule:
 
 class TestPWProfile:
     def test_gaussian_bounded(self):
-        prof = pw_decay_profile(GAUSS, (-1.0, 1.0), 6)
+        prof = pw_decay_profile(GAUSS, 6)
         assert prof["bounded_looking"]
 
     def test_sharp_flagged(self):
-        prof = pw_decay_profile(SHARP_X, (-1.0, 1.0), 2)
+        prof = pw_decay_profile(SHARP_X, 2)
         assert not prof["bounded_looking"]
 
     def test_zero_function(self):
         zero = AsymptoticallyFiniteFunction()
-        prof = pw_decay_profile(zero, (-1.0, 1.0), 4)
+        prof = pw_decay_profile(zero, 4)
         assert prof["sup"] == 0.0
 
     def test_one_factored_line_per_sigma(self, monkeypatch):
@@ -443,7 +443,7 @@ class TestPWProfile:
             return replace(F, evaluator=ev)
 
         monkeypatch.setattr(torus, "mellin", spy)
-        prof = pw_decay_profile(SHARP_X, (-1.0, 1.0), 2)
+        prof = pw_decay_profile(SHARP_X, 2)
         assert len(seen) == 9
         assert all(s.size == 801 and util._progression_step(s) is not None for s in seen)
         assert np.all(np.isfinite(prof["band_sups"]))

@@ -521,3 +521,13 @@ def test_line_with_an_infinite_point_is_not_factored():
     assert np.array_equal(np.isfinite(got), np.isfinite(plain)) and not np.isfinite(got[7])
     rows = np.flatnonzero(np.arange(s.size) != 7)
     _check_rows(s, got, u, c, rows)
+
+
+def test_all_zero_weights_sum_no_term(monkeypatch):
+    # sharp_x has no core: its core weights are all 0, so the sigma = 0
+    # pairing line sums none of them and the core part is exactly 0
+    u, n_kept = _pairing_line_span(monkeypatch, "sharp_x")
+    assert u.size == 4608 and n_kept == 0
+    t, _ = trap_grid(torus._PAIRING_T_MAX, torus._LINE_DT)
+    vals = mellin(default_corpus()["sharp_x"]).evaluator(1j * t)
+    assert vals.shape == t.shape and not np.any(vals)
